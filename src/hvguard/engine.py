@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .guest import EXIT_CALLS, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
 from .mediator import (
@@ -56,9 +57,12 @@ class ScenarioError(ValueError):
         self.line_no = line_no
 
 
-@dataclass(frozen=True)
-class DecisionRow:
-    """One decision-log line, emitted per mediated sys event."""
+class DecisionRow(NamedTuple):
+    """One decision-log line, emitted per mediated sys event.
+
+    A named tuple: built once per call, and a frozen dataclass costs several
+    times as much to construct.
+    """
 
     seq: int
     pid: int
@@ -82,7 +86,8 @@ class Simulation:
 
     Every trapped call flows breakpoint-hit -> mediation callback ->
     forwarded (possibly nulled) event -> guest execution, with one trap
-    record and one decision-log row per call.
+    record (shared by calls whose records are equal) and one decision-log
+    row per call.
     """
 
     def __init__(
@@ -105,10 +110,16 @@ class Simulation:
         self.records: list[TrapSequenceRecord] = []
         self.decisions: list[DecisionRow] = []
         self.outcomes: list[SyscallOutcome] = []
-        self.guest.fork_listeners.append(self._on_fork)
+        self._verdict: Verdict | None = None  # verdict of the call in flight
+        self.guest.clone_listeners.append(self._on_clone)
 
-    def _on_fork(self, pid: int, uid: int, gid: int) -> None:
-        self.table.on_fork(pid, uid, gid, self.clock)
+    def _on_clone(self, child: int, parent: int) -> None:
+        """A clone runs inside the guest, where credentials can be forged, so
+        the child inherits its parent's fork-time record.  An untracked
+        parent (init) passes on the credentials the guest gave the child."""
+        proc = self.guest.processes[child]
+        uid, gid, _ = self.table.resolve_owner(parent, proc.claimed_uid, proc.claimed_gid)
+        self.table.on_fork(child, uid, gid, self.clock)
 
     def _tick(self) -> int:
         self.clock += 1
@@ -125,8 +136,11 @@ class Simulation:
         self.guest.add_file(path, uid, gid, perms, is_directory)
 
     def spawn(self, parent_pid: int, uid: int, gid: int, pid: int | None = None) -> int:
+        """Trusted process creation: the given credentials are recorded."""
         self._tick()
-        return self.guest.spawn_process(parent_pid, uid, gid, pid=pid)
+        pid = self.guest.spawn_process(parent_pid, uid, gid, pid=pid)
+        self.table.on_fork(pid, uid, gid, self.clock)
+        return pid
 
     def sudo(self, pid: int, uid: int, gid: int) -> None:
         self._tick()
@@ -148,36 +162,21 @@ class Simulation:
         flags=(),
     ) -> tuple[Verdict, SyscallOutcome]:
         seq = self._tick()
-        if not self.guest.is_alive(pid):
+        proc = self.guest.processes.get(pid)
+        if proc is None or not proc.alive:
             raise GuestError(f"pid {pid} is not alive")
-        proc = self.guest.processes[pid]
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
-        holder: dict[str, Verdict] = {}
-
-        def callback(ev: SyscallEvent):
-            v = mediate(
-                ev,
-                proc.claimed_uid,
-                proc.claimed_gid,
-                self.sacl,
-                self.table,
-                self.options,
-                self.auth,
-                self.sessions,
-                seq,
-            )
-            holder["verdict"] = v
-            return apply_verdict(ev, v), v.probes
-
         record, forwarded = handle_trap(
-            self.sites[call], event, callback, self.options.trap_mode, self.cost_model
+            self.sites[call], event, self._on_trap, self.options.trap_mode, self.cost_model
         )
+        verdict = self._verdict
         outcome = self.guest.execute_syscall(forwarded)
         if call in EXIT_CALLS:
             self.table.on_exit(pid)
-        verdict = holder["verdict"]
         self.records.append(record)
         self.outcomes.append(outcome)
+        # _value_ is the member's plain attribute; .value runs a Python-level
+        # descriptor on CPython 3.11.
         self.decisions.append(
             DecisionRow(
                 seq,
@@ -185,12 +184,29 @@ class Simulation:
                 call,
                 verdict.resolved_uid,
                 verdict.resolved_gid,
-                verdict.decision.value,
-                verdict.reason.value,
+                verdict.decision._value_,
+                verdict.reason._value_,
                 verdict.mismatch,
             )
         )
         return verdict, outcome
+
+    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, int]:
+        """Mediation callback run inside the trap: decides the event with the
+        caller's claimed credentials and keeps the verdict for ``syscall``."""
+        proc = self.guest.processes[event.pid]
+        verdict = self._verdict = mediate(
+            event,
+            proc.claimed_uid,
+            proc.claimed_gid,
+            self.sacl,
+            self.table,
+            self.options,
+            self.auth,
+            self.sessions,
+            event.seq,
+        )
+        return apply_verdict(event, verdict), verdict.probes
 
     def decision_log(self) -> str:
         lines = [",".join(DECISION_LOG_COLUMNS)]
@@ -248,7 +264,27 @@ def run_scenario(
     for line_no, obj in parse_scenario(text):
         ev = obj["ev"]
         try:
-            if ev == "user":
+            if ev == "sys":
+                pid = _need(line_no, obj, "pid")
+                call = _need(line_no, obj, "call")
+                path, path2 = obj.get("path"), obj.get("path2")
+                flags = obj.get("flags", [])
+                if type(pid) is not int:
+                    raise ScenarioError(line_no, f"'pid' must be an integer, got {pid!r}")
+                if not (path is None or type(path) is str) or not (path2 is None or type(path2) is str):
+                    raise ScenarioError(line_no, "'path' and 'path2' must be strings")
+                if type(flags) is not list:
+                    raise ScenarioError(line_no, "'flags' must be a list of strings")
+                for flag in flags:
+                    if type(flag) is not str:
+                        raise ScenarioError(line_no, "'flags' must be a list of strings")
+                last = sim.syscall(pid, call, path, path2, flags)
+                result.sys_events += 1
+            elif ev == "expect":
+                if last is None:
+                    raise ScenarioError(line_no, "'expect' with no preceding sys event")
+                _check_expect(line_no, obj, last, result)
+            elif ev == "user":
                 sim.add_user(_need(line_no, obj, "uid"), _need(line_no, obj, "gid"), obj.get("name", ""))
             elif ev == "file":
                 perms = PermissionOctets.from_text(str(_need(line_no, obj, "perm")))
@@ -272,22 +308,6 @@ def run_scenario(
                 sim.forge_credentials(
                     _need(line_no, obj, "pid"), _need(line_no, obj, "uid"), _need(line_no, obj, "gid")
                 )
-            elif ev == "sys":
-                flags = obj.get("flags", [])
-                if not isinstance(flags, list):
-                    raise ScenarioError(line_no, "'flags' must be a list of strings")
-                last = sim.syscall(
-                    _need(line_no, obj, "pid"),
-                    _need(line_no, obj, "call"),
-                    path=obj.get("path"),
-                    path2=obj.get("path2"),
-                    flags=flags,
-                )
-                result.sys_events += 1
-            elif ev == "expect":
-                if last is None:
-                    raise ScenarioError(line_no, "'expect' with no preceding sys event")
-                _check_expect(line_no, obj, last, result)
             else:
                 raise ScenarioError(line_no, f"unknown event type {ev!r}")
         except ScenarioError:
@@ -303,10 +323,9 @@ def _check_expect(line_no: int, obj: dict, last, result: ScenarioResult) -> None
     wanted = _need(line_no, obj, "decision")
     if wanted not in ("permit", "deny"):
         raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
-    if verdict.decision.value != wanted:
-        result.mismatches.append(
-            f"line {line_no}: expected decision {wanted}, got {verdict.decision.value}"
-        )
+    got = verdict.decision._value_
+    if got != wanted:
+        result.mismatches.append(f"line {line_no}: expected decision {wanted}, got {got}")
     if "status" in obj:
         actual = "success" if outcome.success else "error"
         if obj["status"] != actual:

@@ -41,6 +41,7 @@ INTERPOSED_CALLS = (
     "kexec_load",
 )
 TRAPPED_CALLS = INTERPOSED_CALLS + ("clone",)
+_TRAPPED_CALL_SET = frozenset(TRAPPED_CALLS)
 
 OPEN_CALLS = frozenset({"open", "openat"})
 RENAME_CALLS = frozenset({"rename", "renameat", "renameat2"})
@@ -82,11 +83,16 @@ class SyscallOutcome:
 
     @classmethod
     def ok(cls) -> "SyscallOutcome":
-        return cls(None)
+        return _OK
 
     @classmethod
     def fail(cls, code: ErrorCode) -> "SyscallOutcome":
-        return cls(code)
+        return _FAILURES[code]
+
+
+# Outcomes are immutable values, so every call shares these instances.
+_OK = SyscallOutcome(None)
+_FAILURES = {code: SyscallOutcome(code) for code in ErrorCode}
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +142,7 @@ class SyscallEvent:
     flags: frozenset[str] = frozenset()
 
     def __post_init__(self):
-        if self.call not in TRAPPED_CALLS:
+        if not isinstance(self.call, str) or self.call not in _TRAPPED_CALL_SET:
             raise ValueError(f"unknown syscall: {self.call!r}")
         for p in (self.path, self.path2):
             if p is not None and not p.startswith("/"):
@@ -181,6 +187,9 @@ class Guest:
         self.processes: dict[int, Process] = {INIT_PID: Process(INIT_PID, 0, 0, 0)}
         # Callables (pid, uid, gid) invoked on every successful spawn.
         self.fork_listeners: list = []
+        # Callables (child pid, parent pid) invoked after a clone syscall
+        # spawned the child.
+        self.clone_listeners: list = []
         self._next_pid = INIT_PID + 1
 
     # -- construction -----------------------------------------------------
@@ -265,7 +274,9 @@ class Guest:
             proc.alive = False
             return SyscallOutcome.ok()
         if call == "clone":
-            self.spawn_process(event.pid, proc.claimed_uid, proc.claimed_gid)
+            child = self.spawn_process(event.pid, proc.claimed_uid, proc.claimed_gid)
+            for listener in self.clone_listeners:
+                listener(child, event.pid)
             return SyscallOutcome.ok()
         if call in POINTER_SLOT_CALLS:
             if event.path is None:

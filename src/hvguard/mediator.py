@@ -11,8 +11,9 @@ so the call fails naturally inside the guest.
 from __future__ import annotations
 
 import hashlib
+import hmac
 import posixpath
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Mapping
 
@@ -48,10 +49,6 @@ class Reason(Enum):
     HARD_DENIED_CALL = "hard_denied_call"
     UNAUTHENTICATED = "unauthenticated"
     WHITELIST_MISS = "whitelist_miss"
-    # Defined for completeness of the closed enumeration: under the current
-    # policy a mismatch is logged and the recorded owner used, never a
-    # denial of its own.
-    OWNERSHIP_MISMATCH_DENY = "ownership_mismatch_deny"
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,6 +146,10 @@ class Verdict:
     probes: int  # SACL lookups performed, for the trap cost model
 
 
+_OPEN_WRITE_FLAGS = frozenset({"O_WRONLY", "O_CREAT", "O_TRUNC", "O_APPEND"})
+_NEW_NAME_CALLS = LINK_CALLS | SYMLINK_CALLS
+
+
 def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
     """The (path, access kind) pairs a file-operation call must pass.
 
@@ -160,45 +161,45 @@ def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
     are a caller error.
     """
     call = event.call
-    if call not in FILE_OP_CALLS:
-        raise ValueError(f"not a file-operation call: {call!r}")
-    checks: list[tuple[str, AccessKind]] = []
-
-    def want(path: str | None, kind: AccessKind) -> None:
-        if path is not None:
-            checks.append((path, kind))
-
-    def want_parent(path: str | None, kind: AccessKind) -> None:
-        if path is not None:
-            checks.append((posixpath.dirname(path), kind))
-
+    path = event.path
     if call in OPEN_CALLS:
+        if path is None:
+            return []
         flags = event.flags
         if "O_RDWR" in flags:
-            want(event.path, AccessKind.READ)
-            want(event.path, AccessKind.WRITE)
-        elif flags & {"O_WRONLY", "O_CREAT", "O_TRUNC", "O_APPEND"}:
-            want(event.path, AccessKind.WRITE)
+            checks = [(path, AccessKind.READ), (path, AccessKind.WRITE)]
+        elif flags.isdisjoint(_OPEN_WRITE_FLAGS):
+            checks = [(path, AccessKind.READ)]
         else:
-            want(event.path, AccessKind.READ)
+            checks = [(path, AccessKind.WRITE)]
         if "O_CREAT" in flags:
-            want_parent(event.path, AccessKind.WRITE)
-    elif call in RENAME_CALLS:
-        want(event.path, AccessKind.WRITE)
-        want(event.path2, AccessKind.WRITE)
-        want_parent(event.path, AccessKind.WRITE)
-        want_parent(event.path2, AccessKind.WRITE)
-    elif call in UNLINK_CALLS:
-        want(event.path, AccessKind.WRITE)
-        want_parent(event.path, AccessKind.WRITE)
-    elif call == "truncate":
-        want(event.path, AccessKind.WRITE)
-    elif call in LINK_CALLS or call in SYMLINK_CALLS:
-        want(event.path2, AccessKind.WRITE)
-        want_parent(event.path2, AccessKind.WRITE)
-    else:  # exec
-        want(event.path, AccessKind.EXECUTE)
-    return checks
+            checks.append((posixpath.dirname(path), AccessKind.WRITE))
+        return checks
+    if call in RENAME_CALLS:
+        path2 = event.path2
+        if path is not None and path2 is not None:
+            return [
+                (path, AccessKind.WRITE),
+                (path2, AccessKind.WRITE),
+                (posixpath.dirname(path), AccessKind.WRITE),
+                (posixpath.dirname(path2), AccessKind.WRITE),
+            ]
+        return _write_with_parent(path if path2 is None else path2)
+    if call in UNLINK_CALLS:
+        return _write_with_parent(path)
+    if call == "truncate":
+        return [] if path is None else [(path, AccessKind.WRITE)]
+    if call in _NEW_NAME_CALLS:
+        return _write_with_parent(event.path2)
+    if call in EXEC_CALLS:
+        return [] if path is None else [(path, AccessKind.EXECUTE)]
+    raise ValueError(f"not a file-operation call: {call!r}")
+
+
+def _write_with_parent(path: str | None) -> list[tuple[str, AccessKind]]:
+    if path is None:
+        return []
+    return [(path, AccessKind.WRITE), (posixpath.dirname(path), AccessKind.WRITE)]
 
 
 def _is_lower_hex(text: str) -> bool:
@@ -240,7 +241,7 @@ def try_token_auth(
     secret = config.secrets.get(record.uid)
     if secret is None:
         return True
-    if token_response(challenge, secret) == response:
+    if hmac.compare_digest(token_response(challenge, secret), response):
         sessions[record.uid] = seq + config.window
     return True
 
@@ -274,22 +275,22 @@ def mediate(
     required (path, kind) pair is checked against the SACL with unlisted
     paths permitted by default.
     """
-    probes = 0
+    call = event.call
     resolved_uid, resolved_gid, mismatch = table.resolve_owner(
         event.pid, claimed_uid, claimed_gid
     )
 
-    def verdict(decision: Decision, reason: Reason, checks=()) -> Verdict:
-        return Verdict(decision, reason, tuple(checks), resolved_uid, resolved_gid, mismatch, probes)
+    if call in options.hard_denied_calls:
+        return Verdict(
+            Decision.DENY, Reason.HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0
+        )
 
-    if event.call in options.hard_denied_calls:
-        return verdict(Decision.DENY, Reason.HARD_DENIED_CALL)
-
-    if event.call in OPEN_CALLS:
+    if call in OPEN_CALLS:
         try_token_auth(event.path, event.pid, table, config, sessions, seq)
 
-    checks = required_checks(event) if event.call in FILE_OP_CALLS else []
+    checks = required_checks(event) if call in FILE_OP_CALLS else ()
 
+    probes = 0
     if not is_authenticated(sessions, resolved_uid, config, seq):
         seen = set()
         for path, _ in checks:
@@ -298,23 +299,32 @@ def mediate(
             seen.add(path)
             probes += 1
             if sacl.lookup(path) is not None:
-                return verdict(Decision.DENY, Reason.UNAUTHENTICATED)
+                return Verdict(
+                    Decision.DENY, Reason.UNAUTHENTICATED, (), resolved_uid, resolved_gid, mismatch, probes
+                )
 
-    if options.exec_whitelist and event.call in EXEC_CALLS:
+    if options.exec_whitelist and call in EXEC_CALLS:
         probes += 1
         if event.path is None or sacl.lookup(event.path) is None:
-            return verdict(Decision.DENY, Reason.WHITELIST_MISS)
+            return Verdict(
+                Decision.DENY, Reason.WHITELIST_MISS, (), resolved_uid, resolved_gid, mismatch, probes
+            )
 
+    probes += len(checks)
     results = []
     denied = False
     for path, kind in checks:
-        probes += 1
         decision = check_access(sacl, path, resolved_uid, resolved_gid, kind)
         results.append((path, kind, decision))
-        denied = denied or decision is Decision.DENY
+        if decision is Decision.DENY:
+            denied = True
     if denied:
-        return verdict(Decision.DENY, Reason.SACL_DENY, results)
-    return verdict(Decision.PERMIT, Reason.PERMIT, results)
+        return Verdict(
+            Decision.DENY, Reason.SACL_DENY, tuple(results), resolved_uid, resolved_gid, mismatch, probes
+        )
+    return Verdict(
+        Decision.PERMIT, Reason.PERMIT, tuple(results), resolved_uid, resolved_gid, mismatch, probes
+    )
 
 
 def apply_verdict(event: SyscallEvent, verdict: Verdict) -> SyscallEvent:
@@ -322,4 +332,4 @@ def apply_verdict(event: SyscallEvent, verdict: Verdict) -> SyscallEvent:
     slot so the guest fails the call naturally instead of being told no."""
     if verdict.decision is Decision.PERMIT or event.path is None:
         return event
-    return replace(event, path=None)
+    return SyscallEvent(event.seq, event.pid, event.call, None, event.path2, event.flags)

@@ -29,14 +29,16 @@ class AccessKind(IntEnum):
     WRITE = WRITE_BIT
     EXECUTE = EXECUTE_BIT
 
-    @property
-    def bit(self) -> int:
-        return int(self)
-
 
 class Decision(Enum):
     PERMIT = "permit"
     DENY = "deny"
+
+
+# Reading an enum member from its class runs Python-level code on CPython
+# 3.11.  check_access returns these module constants instead, so a SACL hit
+# does no more interpreter work than a miss returning its default.
+_PERMIT, _DENY = Decision.PERMIT, Decision.DENY
 
 
 class SaclParseError(ValueError):
@@ -204,7 +206,7 @@ def check_access(
         octet = entry.group_octet
     else:
         octet = entry.other_octet
-    return Decision.PERMIT if octet & kind else Decision.DENY
+    return _PERMIT if octet & kind else _DENY
 
 
 def generate_full_sacl(guest_fs) -> Sacl:

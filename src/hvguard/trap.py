@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable
 
 BREAKPOINT_OPCODE = 0xCC
 NOP_OPCODE = 0x90
@@ -31,13 +30,20 @@ class TrapStateError(RuntimeError):
 
 @dataclass
 class TrapSite:
-    """First code byte and IP cursor for one trapped syscall symbol."""
+    """First code byte and IP cursor for one trapped syscall symbol.
+
+    ``classic_records`` and ``nop_records`` hold the shared trap records of
+    this site, keyed by callback cost: every field of a record is fixed by
+    the symbol, the mode and that cost.
+    """
 
     symbol: str
     original_opcode: int = DEFAULT_ORIGINAL_OPCODE
     armed: bool = False
     current_byte: int = field(default=-1)
     ip: int = 0
+    classic_records: dict = field(default_factory=dict, repr=False, compare=False)
+    nop_records: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.current_byte == -1:
@@ -69,7 +75,9 @@ class CostModel:
     lookup_cost: float = 0.0
 
     def __post_init__(self):
-        if min(self.switch_cost, self.callback_base_cost, self.lookup_cost) < 0:
+        # NaN fails this test too: a NaN cost would key a new shared trap
+        # record on every call.
+        if not all(c >= 0 for c in (self.switch_cost, self.callback_base_cost, self.lookup_cost)):
             raise ValueError("costs must be non-negative")
 
 
@@ -107,60 +115,15 @@ NOP2_STEPS = (
     "VM-entry",
 )
 
-# Callback contract: callable(event) -> (forwarded_event, sacl_probe_count).
-TrapCallback = Callable
+# Enum member lookups run Python-level code on CPython 3.11; handle_trap
+# compares against these instead.
+_CLASSIC4, _NOP2 = TrapMode.CLASSIC4, TrapMode.NOP2
 
 
-def handle_trap(
-    site: TrapSite,
-    event,
-    callback: TrapCallback,
-    mode: TrapMode,
-    cost_model: CostModel | None = None,
-):
-    """Handle one breakpoint hit; returns (record, forwarded event).
-
-    The callback's verdict, including any nulled path slot, is reflected in
-    the forwarded event, which the caller passes onward to the guest.  On
-    return the site is armed again in both modes, so no later instance of
-    the same call can be missed.  Denial is never an error at this layer.
-    """
-    if not site.armed:
-        raise TrapStateError(f"site {site.symbol} is not armed")
-    if event.call != site.symbol:
-        raise TrapStateError(f"event {event.call!r} hit site {site.symbol!r}")
-    if mode is TrapMode.NOP2 and site.original_opcode != NOP_OPCODE:
-        raise TrapStateError(
-            f"site {site.symbol} lacks a NOP prologue; cannot skip its first instruction"
-        )
-
-    forwarded = event
-    probes = 0
-    if mode is TrapMode.CLASSIC4:
-        steps = CLASSIC4_STEPS
-        for label in steps:
-            if label == "callback":
-                forwarded, probes = callback(event)
-            elif label == "restore-original":
-                site.current_byte = site.original_opcode
-            elif label == "execute-1-instruction":
-                site.ip += 1
-            elif label == "re-inject-0xCC":
-                site.current_byte = BREAKPOINT_OPCODE
-    else:
-        steps = NOP2_STEPS
-        for label in steps:
-            if label == "callback":
-                forwarded, probes = callback(event)
-            elif label == "advance-instruction-pointer-past-breakpoint":
-                site.ip += 1
-
-    callback_cost = 0.0
-    if cost_model is not None:
-        callback_cost = cost_model.callback_base_cost + probes * cost_model.lookup_cost
-
+def _new_record(symbol: str, mode: TrapMode, callback_cost: float) -> TrapSequenceRecord:
+    steps = CLASSIC4_STEPS if mode is _CLASSIC4 else NOP2_STEPS
     record = TrapSequenceRecord(
-        symbol=site.symbol,
+        symbol=symbol,
         mode=mode,
         vm_exits=steps.count("VM-exit"),
         vm_entries=steps.count("VM-entry"),
@@ -169,6 +132,55 @@ def handle_trap(
         steps=steps,
     )
     assert record.vm_exits == record.vm_entries
+    return record
+
+
+def handle_trap(
+    site: TrapSite,
+    event,
+    callback,
+    mode: TrapMode,
+    cost_model: CostModel | None = None,
+):
+    """Handle one breakpoint hit; returns (record, forwarded event).
+
+    ``callback(event)`` returns (forwarded event, SACL probe count).  Its
+    verdict, including any nulled path slot, is reflected in the forwarded
+    event, which the caller passes onward to the guest.  On return the site
+    is armed again in both modes, so no later instance of the same call can
+    be missed.  Denial is never an error at this layer.  The returned record
+    is shared by every call with the same site, mode and callback cost.
+    """
+    if not site.armed:
+        raise TrapStateError(f"site {site.symbol} is not armed")
+    if event.call != site.symbol:
+        raise TrapStateError(f"event {event.call!r} hit site {site.symbol!r}")
+    if mode is _NOP2 and site.original_opcode != NOP_OPCODE:
+        raise TrapStateError(
+            f"site {site.symbol} lacks a NOP prologue; cannot skip its first instruction"
+        )
+
+    # VM-exit on the breakpoint, then the callback with the breakpoint in place.
+    forwarded, probes = callback(event)
+    if mode is _CLASSIC4:
+        # Restore the original byte and single-step it (VM-entry, one
+        # instruction, single-step exception, VM-exit), then re-inject the
+        # breakpoint and VM-entry.
+        site.current_byte = site.original_opcode
+        site.ip += 1
+        site.current_byte = BREAKPOINT_OPCODE
+        records = site.classic_records
+    else:
+        # Step the instruction pointer past the permanent breakpoint; VM-entry.
+        site.ip += 1
+        records = site.nop_records
+
+    callback_cost = 0.0
+    if cost_model is not None:
+        callback_cost = cost_model.callback_base_cost + probes * cost_model.lookup_cost
+    record = records.get(callback_cost)
+    if record is None:
+        record = records[callback_cost] = _new_record(site.symbol, mode, callback_cost)
     assert site.current_byte == BREAKPOINT_OPCODE  # re-arm guarantee
     return record, forwarded
 

@@ -10,6 +10,7 @@ import statistics
 import string
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from hvguard.bench import BenchScenario, ScenarioKind, run_workload, sacl_scaling
 from hvguard.cli import main as cli_main
@@ -41,25 +42,42 @@ def criterion(number, label):
 # -- 1: transcript suite ------------------------------------------------------
 
 
+TRANSCRIPTS = [
+    ("root_passwd_deny", ["--sacl", "root_passwd_deny.sacl"]),
+    ("sudo_deny", ["--sacl", "sudo_deny.sacl"]),
+    ("insmod_deny", ["--sacl", "insmod_deny.sacl"]),
+    ("preauth_write_deny", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
+    ("token_auth_write", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
+    ("exec_whitelist", ["--sacl", "exec_whitelist.sacl", "--whitelist-exec"]),
+]
+
+
+def _transcript_args(scenario_dir, name, extra):
+    args = ["--scenario", str(scenario_dir / f"{name}.jsonl")]
+    for flag in extra:
+        args.append(flag if flag.startswith("--") else str(scenario_dir / flag))
+    return args
+
+
 def test_criterion_1_transcript_suite(scenario_dir):
-    runs = [
-        ("root_passwd_deny", ["--sacl", "root_passwd_deny.sacl"]),
-        ("sudo_deny", ["--sacl", "sudo_deny.sacl"]),
-        ("insmod_deny", ["--sacl", "insmod_deny.sacl"]),
-        ("preauth_write_deny", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
-        ("token_auth_write", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
-        ("exec_whitelist", ["--sacl", "exec_whitelist.sacl", "--whitelist-exec"]),
-    ]
     with criterion(1, "transcript suite"):
-        for name, extra in runs:
-            args = ["--scenario", str(scenario_dir / f"{name}.jsonl")]
-            for flag in extra:
-                args.append(flag if flag.startswith("--") else str(scenario_dir / flag))
+        for name, extra in TRANSCRIPTS:
+            args = _transcript_args(scenario_dir, name, extra)
             start = time.perf_counter()
             code = cli_main(args)
             elapsed = time.perf_counter() - start
             assert code == 0, f"{name} exited {code}"
             assert elapsed < 1.0, f"{name} took {elapsed:.2f}s"
+
+
+def test_transcript_decision_logs_match_golden(scenario_dir, tmp_path):
+    # tests/golden/ holds the expected decision log of each transcript; a
+    # refactor of the per-call path must reproduce it byte for byte.
+    golden_dir = Path(__file__).resolve().parent / "golden"
+    for name, extra in TRANSCRIPTS:
+        log = tmp_path / f"{name}.csv"
+        assert cli_main(_transcript_args(scenario_dir, name, extra) + ["--out", str(log)]) == 0, name
+        assert log.read_bytes() == (golden_dir / f"{name}.csv").read_bytes(), name
 
 
 # -- 2: permission-decision oracle -------------------------------------------

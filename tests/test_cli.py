@@ -140,3 +140,24 @@ def test_bad_secrets_file_exits_two(tmp_path, capsys):
     secrets = write(tmp_path, "secrets.txt", "notanumber s\n")
     code, _, err = run_cli(["--scenario", scenario, "--auth-secrets", secrets], capsys)
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "sys_event",
+    [
+        '{"ev":"sys","pid":2,"call":"open","path":5,"flags":["O_RDONLY"]}',
+        '{"ev":"sys","pid":2,"call":"rename","path":"/a","path2":["/b"]}',
+        '{"ev":"sys","pid":[2],"call":"open","path":"/a","flags":["O_RDONLY"]}',
+        '{"ev":"sys","pid":true,"call":"open","path":"/a","flags":["O_RDONLY"]}',
+        '{"ev":"sys","pid":2,"call":"open","path":"/a","flags":["O_RDONLY",7]}',
+        '{"ev":"sys","pid":2,"call":"open","path":"/a","flags":"O_RDONLY"}',
+        '{"ev":"sys","pid":2,"call":["open"],"path":"/a"}',
+    ],
+)
+def test_malformed_sys_event_exits_two_with_line(tmp_path, capsys, sys_event):
+    scenario = write(
+        tmp_path, "s.jsonl", '{"ev":"spawn","pid":2,"parent":1,"uid":0,"gid":0}\n' + sys_event + "\n"
+    )
+    code, _, err = run_cli(["--scenario", scenario], capsys)
+    assert code == 2
+    assert "error: line 2:" in err

@@ -117,6 +117,30 @@ def test_clone_registers_child_in_table():
     assert sim.table.get(child).uid == 1000
 
 
+def test_clone_after_forge_inherits_recorded_credentials():
+    # The child of a forged-root parent is recorded with the parent's
+    # fork-time identity, not with the credentials the parent claims.
+    sim = Simulation(sacl=parse_sacl("/etc/shadow 600 0 0\n"))
+    sim.add_file("/etc/shadow", 0, 0, PermissionOctets(6, 0, 0))
+    sim.spawn(1, 1000, 1000, pid=2)
+    sim.forge_credentials(2, 0, 0)
+    sim.syscall(2, "clone")
+    (child,) = sim.guest.live_pids() - {1, 2}
+    assert (sim.table.get(child).uid, sim.table.get(child).gid) == (1000, 1000)
+    verdict, outcome = sim.syscall(child, "open", "/etc/shadow", flags=["O_WRONLY"])
+    assert verdict.decision is Decision.DENY
+    assert verdict.mismatch
+    assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
+    assert not outcome.success
+
+
+def test_spawn_event_credentials_stay_trusted():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=2)
+    sim.spawn(2, 0, 0, pid=3)
+    assert (sim.table.get(3).uid, sim.table.get(3).gid) == (0, 0)
+
+
 def test_sequence_numbers_strictly_increase():
     sim = Simulation()
     sim.spawn(1, 0, 0, pid=2)

@@ -198,3 +198,22 @@ def test_forwarded_event_is_callbacks_output():
 def test_negative_costs_rejected():
     with pytest.raises(ValueError):
         CostModel(switch_cost=-1.0)
+    with pytest.raises(ValueError):
+        CostModel(lookup_cost=float("nan"))
+
+
+def test_records_are_shared_per_site_mode_and_cost():
+    model = CostModel(switch_cost=1.0, lookup_cost=0.5)
+    site = armed_site(mode=TrapMode.NOP2)
+
+    def three_probes(event):
+        return event, 3
+
+    first, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2, model)
+    again, _ = handle_trap(site, SyscallEvent(2, 2, "open", "/g"), passthrough, TrapMode.NOP2, model)
+    priced, _ = handle_trap(site, SyscallEvent(3, 2, "open", "/f"), three_probes, TrapMode.NOP2, model)
+    classic, _ = handle_trap(site, SyscallEvent(4, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4, model)
+    assert again is first
+    assert priced is not first and priced.callback_cost == 1.5
+    assert classic.mode is TrapMode.CLASSIC4 and classic.vm_exits == 2
+    assert site.ip == 4
