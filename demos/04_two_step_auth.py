@@ -13,7 +13,7 @@ SECRET = "gatekeeper"
 
 sim = Simulation(
     sacl=parse_sacl("/home/user/test1.txt 644 1000 1000\n"),
-    auth=AuthConfig(secrets={1000: SECRET}, window=300, enabled_uids=frozenset({1000})),
+    auth=AuthConfig(secrets={1000: SECRET}, window=300),
 )
 sim.add_file("/home/user", 1000, 1000, PermissionOctets(7, 5, 5), is_directory=True)
 sim.spawn(1, 1000, 1000, pid=2)
@@ -35,7 +35,7 @@ print("\nafter second auth:", verdict.decision.value, "| file created:", outcome
 # A wrong response of the right shape is swallowed silently: no session.
 sim2 = Simulation(
     sacl=parse_sacl("/home/user/test1.txt 644 1000 1000\n"),
-    auth=AuthConfig(secrets={1000: SECRET}, enabled_uids=frozenset({1000})),
+    auth=AuthConfig(secrets={1000: SECRET}),
 )
 sim2.spawn(1, 1000, 1000, pid=2)
 bad = "/tokens/111" + "0" * 128

@@ -15,12 +15,17 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 
+from .engine import Simulation
 from .guest import Guest, GuestFile, SyscallEvent
-from .mediator import AuthConfig, OwnershipTable, PolicyOptions, apply_verdict, mediate
+from .mediator import PolicyOptions, apply_verdict, mediate
 from .sacl import PermissionOctets, Sacl, generate_full_sacl
-from .trap import CostModel, TrapMode, arm, cost_of, handle_trap, make_site
+from .trap import CostModel, TrapMode, cost_of
 
-BENCH_CALLS = ("open", "rename", "unlink")
+# Per bench call: its open flags, and whether path2 repeats the path.  A
+# rename onto itself is a successful no-op that leaves the pool intact while
+# exercising the full four-check mediation path.
+_CALL_ARGS = {"open": (("O_RDONLY",), False), "rename": ((), True), "unlink": ((), False)}
+BENCH_CALLS = tuple(_CALL_ARGS)
 
 CSV_COLUMNS = (
     "call",
@@ -102,42 +107,45 @@ class BenchResult:
         )
 
 
-def _workload_guest(pool: int):
-    """A guest with `pool` root-level files and one root worker process.
+class _TimedSimulation(Simulation):
+    """A Simulation whose trap callback times mediation alone.
 
-    Root-level paths keep the tree flat so a full SACL has exactly `pool`
-    entries; a root worker keeps guest-side permission checks out of the
-    measured path.
+    The timed span is exactly ``mediate`` plus ``apply_verdict``, the work
+    that depends on the SACL; the process lookup and the verdict store of
+    ``Simulation._on_trap`` stay outside it, so they cannot pull the
+    empty-vs-full ratio of acceptance criterion 6 toward 1.
     """
-    guest = Guest()
-    paths = [f"/f{i:07d}" for i in range(pool)]
-    guest.files.update({p: GuestFile(p, 0, 0, _WORKLOAD_PERMS) for p in paths})
-    pid = guest.spawn_process(1, 0, 0)
-    return guest, paths, pid
+
+    wall_ns = 0
+
+    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, int]:
+        proc = self.guest.processes[event.pid]
+        uid, gid, seq = proc.claimed_uid, proc.claimed_gid, event.seq
+        sacl, table, options, auth, sessions = self.sacl, self.table, self.options, self.auth, self.sessions
+        t0 = time.perf_counter_ns()
+        verdict = mediate(event, uid, gid, sacl, table, options, auth, sessions, seq)
+        forwarded = apply_verdict(event, verdict)
+        self.wall_ns += time.perf_counter_ns() - t0
+        self._verdict = verdict
+        return forwarded, verdict.probes
 
 
-def _event_for(call: str, seq: int, pid: int, path: str) -> SyscallEvent:
-    if call == "open":
-        return SyscallEvent(seq, pid, "open", path, flags=frozenset({"O_RDONLY"}))
-    if call == "rename":
-        # Rename onto itself: a successful no-op that leaves the pool intact
-        # while exercising the full four-check mediation path.
-        return SyscallEvent(seq, pid, "rename", path, path2=path)
-    if call == "unlink":
-        return SyscallEvent(seq, pid, "unlink", path)
-    raise ValueError(f"unsupported bench call: {call!r}")
-
-
-def _bare_mean_ns(call: str, n: int, pool: int, seed: int) -> float:
+def _bare_mean_ns(call: str, n: int, files: dict, seed: int) -> float:
     """Twin run of the same workload with no trapping or mediation."""
-    guest, paths, pid = _workload_guest(pool)
+    guest = Guest()
+    guest.files.update(files)
+    pid = guest.spawn_process(1, 0, 0)
+    paths = list(files)
+    flags, onto_self = _CALL_ARGS[call]
+    flags = frozenset(flags)
     rng = random.Random(seed)
     total = 0
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for i in range(n):
-            event = _event_for(call, i + 1, pid, paths[rng.randrange(len(paths))])
+            path = paths[rng.randrange(len(paths))]
+            event = SyscallEvent(i + 1, pid, call, path, path if onto_self else None, flags)
             t0 = time.perf_counter_ns()
             guest.execute_syscall(event)
             total += time.perf_counter_ns() - t0
@@ -148,15 +156,21 @@ def _bare_mean_ns(call: str, n: int, pool: int, seed: int) -> float:
 
 
 def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
-    """Issue n independent syscalls of one kind through the chosen stack."""
+    """Issue n independent syscalls of one kind through the chosen stack.
+
+    S2 and S3 run each call through ``Simulation.syscall`` against a guest
+    of ``scenario.pool`` root-level files (so a full SACL has exactly that
+    many rows) and one root worker, which keeps guest-side permission checks
+    out of the way.  Totals come from the trap records of the measured calls.
+    """
     if call not in BENCH_CALLS:
         raise ValueError(f"call must be one of {BENCH_CALLS}, got {call!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    pool = scenario.pool
-    guest, paths, pid = _workload_guest(pool)
-    bare_ns = _bare_mean_ns(call, n, pool, scenario.seed)
+    paths = [f"/f{i:07d}" for i in range(scenario.pool)]
+    files = {p: GuestFile(p, 0, 0, _WORKLOAD_PERMS) for p in paths}
+    bare_ns = _bare_mean_ns(call, n, files, scenario.seed)
 
     if scenario.kind is ScenarioKind.S1_NO_TRAP:
         return BenchResult(
@@ -171,75 +185,47 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
             total_switches=0,
         )
 
-    if scenario.kind is ScenarioKind.S3_FULL_SACL:
-        sacl = generate_full_sacl(guest)
-        sacl_size = len(sacl)
-    else:
-        sacl = Sacl()
-        sacl_size = 0
-
-    table = OwnershipTable()
-    table.on_fork(pid, 0, 0, 0)
-    options = PolicyOptions(trap_mode=scenario.trap_mode)
-    auth = AuthConfig()
-    sessions: dict[int, int] = {}
-    site = arm(make_site(call, nop_prologue=scenario.trap_mode is TrapMode.NOP2))
-    proc = guest.processes[pid]
-
-    rng = random.Random(scenario.seed)
-    wall_total = 0
-    model_total = 0.0
-    switches = 0
-
-    def run_one(event: SyscallEvent, timed: bool):
-        nonlocal wall_total
-
-        def callback(ev):
-            nonlocal wall_total
-            t0 = time.perf_counter_ns()
-            verdict = mediate(
-                ev, proc.claimed_uid, proc.claimed_gid,
-                sacl, table, options, auth, sessions, ev.seq,
-            )
-            forwarded = apply_verdict(ev, verdict)
-            if timed:
-                wall_total += time.perf_counter_ns() - t0
-            return forwarded, verdict.probes
-
-        record, forwarded = handle_trap(
-            site, event, callback, scenario.trap_mode, scenario.cost_model
-        )
-        guest.execute_syscall(forwarded)
-        return record
+    full = scenario.kind is ScenarioKind.S3_FULL_SACL
+    sim = _TimedSimulation(
+        sacl=generate_full_sacl(files.values()) if full else Sacl(),
+        options=PolicyOptions(trap_mode=scenario.trap_mode),
+        cost_model=scenario.cost_model,
+    )
+    sim.guest.files.update(files)
+    pid = sim.spawn(1, 0, 0)
+    flags, onto_self = _CALL_ARGS[call]
 
     # Warm up the interpreter path before measuring.
+    warm = min(100, n)
     warm_rng = random.Random(scenario.seed + 1)
-    for i in range(min(100, n)):
-        run_one(_event_for(call, i + 1, pid, paths[warm_rng.randrange(len(paths))]), timed=False)
+    for _ in range(warm):
+        path = paths[warm_rng.randrange(len(paths))]
+        sim.syscall(pid, call, path, path if onto_self else None, flags)
+    sim.wall_ns = 0
 
+    rng = random.Random(scenario.seed)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for i in range(n):
-            event = _event_for(call, i + 1, pid, paths[rng.randrange(len(paths))])
-            record = run_one(event, timed=True)
-            model_total += cost_of(record, scenario.cost_model)
-            switches += record.vm_exits + record.vm_entries
+        for _ in range(n):
+            path = paths[rng.randrange(len(paths))]
+            sim.syscall(pid, call, path, path if onto_self else None, flags)
     finally:
         if gc_was_enabled:
             gc.enable()
 
-    mediation_ns = wall_total / n
+    records = sim.records[warm:]
+    mediation_ns = sim.wall_ns / n
     return BenchResult(
         call=call,
         scenario=scenario.kind.value,
         trap_mode=scenario.trap_mode.value,
-        sacl_size=sacl_size,
+        sacl_size=len(sim.sacl),
         n=n,
-        mean_model_cost=model_total / n,
+        mean_model_cost=sum(cost_of(r, scenario.cost_model) for r in records) / n,
         mean_wall_ns=mediation_ns,
         ratio_vs_s1=(bare_ns + mediation_ns) / bare_ns if bare_ns > 0 else 1.0,
-        total_switches=switches,
+        total_switches=sum(r.vm_exits + r.vm_entries for r in records),
     )
 
 

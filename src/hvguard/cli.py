@@ -13,7 +13,7 @@ from .bench import BENCH_CALLS, results_csv, sacl_scaling, summary_table
 from .engine import ScenarioError, run_scenario
 from .guest import GuestError
 from .mediator import AuthConfig, PolicyOptions
-from .sacl import Sacl, SaclParseError, parse_sacl
+from .sacl import Sacl, SaclParseError, is_decimal, parse_sacl
 from .trap import CostModel, TrapMode
 
 
@@ -47,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_secrets(path: str) -> AuthConfig:
+def _load_secrets(path: str) -> dict[int, str]:
     secrets: dict[int, str] = {}
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -55,10 +55,10 @@ def _load_secrets(path: str) -> AuthConfig:
             if not line or line.startswith("#"):
                 continue
             parts = line.split(None, 1)
-            if len(parts) != 2 or not parts[0].isdigit():
+            if len(parts) != 2 or not is_decimal(parts[0]):
                 raise ValueError(f"{path}:{line_no}: expected '<uid> <secret>'")
             secrets[int(parts[0])] = parts[1]
-    return AuthConfig(secrets=secrets, enabled_uids=frozenset(secrets))
+    return secrets
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -74,10 +74,8 @@ def _run_scenario_mode(args) -> int:
     if args.sacl:
         with open(args.sacl, encoding="utf-8") as fh:
             sacl = parse_sacl(fh.read())
-    auth = AuthConfig(window=args.auth_window)
-    if args.auth_secrets:
-        base = _load_secrets(args.auth_secrets)
-        auth = AuthConfig(secrets=base.secrets, window=args.auth_window, enabled_uids=base.enabled_uids)
+    secrets = _load_secrets(args.auth_secrets) if args.auth_secrets else {}
+    auth = AuthConfig(secrets=secrets, window=args.auth_window)
     options = PolicyOptions(
         exec_whitelist=args.whitelist_exec,
         trap_mode=TrapMode.NOP2 if args.trap_mode == "nop" else TrapMode.CLASSIC4,

@@ -249,6 +249,22 @@ def _need(line_no: int, obj: dict, key: str):
     return obj[key]
 
 
+def _int(line_no: int, obj: dict, key: str, least: int) -> int:
+    """A required integer field no smaller than ``least`` (JSON true is no integer)."""
+    value = _need(line_no, obj, key)
+    if type(value) is not int or value < least:
+        raise ScenarioError(line_no, f"{key!r} must be an integer >= {least}, got {value!r}")
+    return value
+
+
+def _pid(line_no: int, obj: dict, key: str = "pid") -> int:
+    return _int(line_no, obj, key, 1)
+
+
+def _ids(line_no: int, obj: dict) -> tuple[int, int]:
+    return _int(line_no, obj, "uid", 0), _int(line_no, obj, "gid", 0)
+
+
 def run_scenario(
     text: str,
     sacl: Sacl | None = None,
@@ -265,12 +281,10 @@ def run_scenario(
         ev = obj["ev"]
         try:
             if ev == "sys":
-                pid = _need(line_no, obj, "pid")
+                pid = _pid(line_no, obj)
                 call = _need(line_no, obj, "call")
                 path, path2 = obj.get("path"), obj.get("path2")
                 flags = obj.get("flags", [])
-                if type(pid) is not int:
-                    raise ScenarioError(line_no, f"'pid' must be an integer, got {pid!r}")
                 if not (path is None or type(path) is str) or not (path2 is None or type(path2) is str):
                     raise ScenarioError(line_no, "'path' and 'path2' must be strings")
                 if type(flags) is not list:
@@ -285,29 +299,22 @@ def run_scenario(
                     raise ScenarioError(line_no, "'expect' with no preceding sys event")
                 _check_expect(line_no, obj, last, result)
             elif ev == "user":
-                sim.add_user(_need(line_no, obj, "uid"), _need(line_no, obj, "gid"), obj.get("name", ""))
+                sim.add_user(*_ids(line_no, obj), obj.get("name", ""))
             elif ev == "file":
+                path = _need(line_no, obj, "path")
+                is_dir = obj.get("dir", False)
+                if type(path) is not str:
+                    raise ScenarioError(line_no, f"'path' must be a string, got {path!r}")
+                if type(is_dir) is not bool:
+                    raise ScenarioError(line_no, f"'dir' must be true or false, got {is_dir!r}")
                 perms = PermissionOctets.from_text(str(_need(line_no, obj, "perm")))
-                sim.add_file(
-                    _need(line_no, obj, "path"),
-                    _need(line_no, obj, "uid"),
-                    _need(line_no, obj, "gid"),
-                    perms,
-                    bool(obj.get("dir", False)),
-                )
+                sim.add_file(path, *_ids(line_no, obj), perms, is_dir)
             elif ev == "spawn":
-                sim.spawn(
-                    _need(line_no, obj, "parent"),
-                    _need(line_no, obj, "uid"),
-                    _need(line_no, obj, "gid"),
-                    pid=_need(line_no, obj, "pid"),
-                )
+                sim.spawn(_pid(line_no, obj, "parent"), *_ids(line_no, obj), pid=_pid(line_no, obj))
             elif ev == "sudo":
-                sim.sudo(_need(line_no, obj, "pid"), _need(line_no, obj, "uid"), _need(line_no, obj, "gid"))
+                sim.sudo(_pid(line_no, obj), *_ids(line_no, obj))
             elif ev == "forge":
-                sim.forge_credentials(
-                    _need(line_no, obj, "pid"), _need(line_no, obj, "uid"), _need(line_no, obj, "gid")
-                )
+                sim.forge_credentials(_pid(line_no, obj), *_ids(line_no, obj))
             else:
                 raise ScenarioError(line_no, f"unknown event type {ev!r}")
         except ScenarioError:

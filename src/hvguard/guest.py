@@ -13,7 +13,7 @@ import posixpath
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .sacl import PermissionOctets
+from .sacl import PermissionOctets, effective_octet
 
 # Calls interposed by the hypervisor layer: every file-operation and
 # kernel-access call, plus clone for process tracking.
@@ -107,7 +107,7 @@ class GuestFile:
     path: str
     owner_uid: int
     owner_gid: int
-    guest_perms: PermissionOctets
+    perms: PermissionOctets
     is_directory: bool = False
 
 
@@ -170,14 +170,6 @@ def nulled_error_code(call: str, flags: frozenset[str]) -> ErrorCode:
     return ErrorCode.BAD_ADDRESS
 
 
-def _octet_for(perms: PermissionOctets, owner_uid: int, owner_gid: int, uid: int, gid: int) -> int:
-    if uid == owner_uid:
-        return perms.user
-    if gid == owner_gid:
-        return perms.group
-    return perms.other
-
-
 class Guest:
     """Mutable guest state, owned by a single simulator loop."""
 
@@ -185,8 +177,6 @@ class Guest:
         self.users: dict[int, UserAccount] = {}
         self.files: dict[str, GuestFile] = {}
         self.processes: dict[int, Process] = {INIT_PID: Process(INIT_PID, 0, 0, 0)}
-        # Callables (pid, uid, gid) invoked on every successful spawn.
-        self.fork_listeners: list = []
         # Callables (child pid, parent pid) invoked after a clone syscall
         # spawned the child.
         self.clone_listeners: list = []
@@ -238,8 +228,6 @@ class Guest:
             raise GuestError(f"pid {pid} already alive")
         self._next_pid = max(self._next_pid, pid + 1)
         self.processes[pid] = Process(pid, uid, gid, parent_pid)
-        for listener in self.fork_listeners:
-            listener(pid, uid, gid)
         return pid
 
     def set_claimed(self, pid: int, uid: int, gid: int) -> None:
@@ -311,7 +299,7 @@ class Guest:
     def _allows(self, node: GuestFile, uid: int, gid: int, bit: int) -> bool:
         if uid == 0:
             return True
-        return bool(_octet_for(node.guest_perms, node.owner_uid, node.owner_gid, uid, gid) & bit)
+        return bool(effective_octet(node, uid, gid) & bit)
 
     def _dir_node(self, path: str) -> GuestFile | None:
         # "/" exists implicitly and behaves like a root-owned 755 directory.

@@ -107,32 +107,23 @@ class OwnershipTable:
 class AuthConfig:
     """Challenge-response configuration.
 
-    Users absent from enabled_uids are implicitly always authenticated;
-    every enabled uid must have a shared secret.  The window is counted in
-    logical event ticks.
+    A uid with a shared secret must authenticate; every other uid is
+    implicitly always authenticated.  The window is counted in logical event
+    ticks.
     """
 
     secrets: Mapping[int, str] = field(default_factory=dict)
     window: int = 300
-    enabled_uids: frozenset[int] = frozenset()
 
     def __post_init__(self):
         if self.window <= 0:
             raise ValueError("auth window must be positive")
-        missing = set(self.enabled_uids) - set(self.secrets)
-        if missing:
-            raise ValueError(f"enabled uids without a secret: {sorted(missing)}")
 
 
 @dataclass(frozen=True)
 class PolicyOptions:
     exec_whitelist: bool = False
     trap_mode: TrapMode = TrapMode.CLASSIC4
-    hard_denied_calls: frozenset[str] = HARD_DENIED_CALLS
-
-    def __post_init__(self):
-        if not self.hard_denied_calls >= HARD_DENIED_CALLS:
-            raise ValueError("hard_denied_calls must include the kernel-integrity set")
 
 
 @dataclass(frozen=True)
@@ -247,9 +238,9 @@ def try_token_auth(
 
 
 def is_authenticated(sessions: dict[int, int], uid: int, config: AuthConfig, seq: int) -> bool:
-    """Valid through the recorded expiry seq inclusive; non-enabled uids
-    are always authenticated."""
-    if uid not in config.enabled_uids:
+    """Valid through the recorded expiry seq inclusive; uids without a
+    secret are always authenticated."""
+    if uid not in config.secrets:
         return True
     expiry = sessions.get(uid)
     return expiry is not None and seq <= expiry
@@ -269,18 +260,18 @@ def mediate(
     """Decide one trapped call.
 
     Order: (1) hard-denied calls; (2) token-auth attempt on /tokens/ opens,
-    which never denies by itself; (3) owner resolution; (4) an enabled but
-    unauthenticated uid is denied any path that has a SACL entry; (5) under
-    execute white-listing an unlisted exec target is denied; (6) every
-    required (path, kind) pair is checked against the SACL with unlisted
-    paths permitted by default.
+    which never denies by itself; (3) owner resolution; (4) a uid with a
+    secret but no live session is denied any path that has a SACL entry;
+    (5) under execute white-listing an unlisted exec target is denied; (6)
+    every required (path, kind) pair is checked against the SACL with
+    unlisted paths permitted by default.
     """
     call = event.call
     resolved_uid, resolved_gid, mismatch = table.resolve_owner(
         event.pid, claimed_uid, claimed_gid
     )
 
-    if call in options.hard_denied_calls:
+    if call in HARD_DENIED_CALLS:
         return Verdict(
             Decision.DENY, Reason.HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0
         )

@@ -9,7 +9,7 @@ and fall through to a caller-chosen default decision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 from typing import Iterable, Iterator
 
@@ -77,26 +77,19 @@ class PermissionOctets:
 class SaclEntry:
     """One row: absolute path, permission octets, and owner uid/gid.
 
-    uid/gid 0 denote the root user and root group.  The octets are also
-    denormalized onto the entry itself so a decision touches one object.
+    uid/gid 0 denote the root user and root group.
     """
 
     path: str
     perms: PermissionOctets
     owner_uid: int
     owner_gid: int
-    user_octet: int = field(init=False)
-    group_octet: int = field(init=False)
-    other_octet: int = field(init=False)
 
     def __post_init__(self):
         if not self.path.startswith("/"):
             raise ValueError(f"path is not absolute: {self.path!r}")
         if self.owner_uid < 0 or self.owner_gid < 0:
             raise ValueError("owner uid/gid must be non-negative")
-        object.__setattr__(self, "user_octet", self.perms.user)
-        object.__setattr__(self, "group_octet", self.perms.group)
-        object.__setattr__(self, "other_octet", self.perms.other)
 
 
 class Sacl:
@@ -129,14 +122,20 @@ class Sacl:
         return iter(self.entries.values())
 
 
+def is_decimal(text: str) -> bool:
+    """Non-empty and ASCII 0-9 only; str.isdigit also accepts digits such as
+    "\u0661" and "\u00b2", which int() maps to another number or rejects."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_sacl(text: str) -> Sacl:
     """Parse SACL file content into a list.
 
     Format: one entry per line, ``<absolute-path> <3-octal-digits> <uid>
     <gid>`` separated by spaces or tabs.  Blank lines and ``#`` comment
-    lines are skipped.  Paths may not contain whitespace.  Duplicate or
-    relative paths, bad octal digits, and missing columns raise
-    SaclParseError naming the line.
+    lines are skipped.  Paths may not contain whitespace or NUL.  Duplicate
+    or relative paths, bad octal digits, uid/gid other than ASCII decimal
+    digits, and missing columns raise SaclParseError naming the line.
     """
     sacl = Sacl()
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -149,11 +148,13 @@ def parse_sacl(text: str) -> Sacl:
         path, perm_text, uid_text, gid_text = fields
         if not path.startswith("/"):
             raise SaclParseError(line_no, f"path is not absolute: {path!r}")
+        if "\0" in path:
+            raise SaclParseError(line_no, f"path contains NUL: {path!r}")
         try:
             perms = PermissionOctets.from_text(perm_text)
         except ValueError as exc:
             raise SaclParseError(line_no, str(exc)) from None
-        if not uid_text.isdigit() or not gid_text.isdigit():
+        if not is_decimal(uid_text) or not is_decimal(gid_text):
             raise SaclParseError(line_no, "uid/gid must be decimal non-negative integers")
         if path in sacl:
             raise SaclParseError(line_no, f"duplicate path: {path}")
@@ -169,16 +170,18 @@ def serialize_sacl(sacl: Sacl) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def effective_octet(entry: SaclEntry, uid: int, gid: int) -> int:
+def effective_octet(node, uid: int, gid: int) -> int:
     """Select the octet governing a requester: owner, then group, then other.
 
-    Exactly one octet applies; the cascade is on uid first, gid second.
+    ``node`` is a SaclEntry or a GuestFile, or anything else that carries
+    owner_uid, owner_gid and perms.  Exactly one octet applies; the cascade
+    is on uid first, gid second.
     """
-    if uid == entry.owner_uid:
-        return entry.perms.user
-    if gid == entry.owner_gid:
-        return entry.perms.group
-    return entry.perms.other
+    if uid == node.owner_uid:
+        return node.perms.user
+    if gid == node.owner_gid:
+        return node.perms.group
+    return node.perms.other
 
 
 def check_access(
@@ -198,26 +201,18 @@ def check_access(
     entry = sacl.entries.get(path)
     if entry is None:
         return default
-    # Owner/group/other cascade inlined: this runs once per checked path on
-    # the hot mediation path and must stay close to the cost of a miss.
-    if uid == entry.owner_uid:
-        octet = entry.user_octet
-    elif gid == entry.owner_gid:
-        octet = entry.group_octet
-    else:
-        octet = entry.other_octet
-    return _PERMIT if octet & kind else _DENY
+    return _PERMIT if effective_octet(entry, uid, gid) & kind else _DENY
 
 
 def generate_full_sacl(guest_fs) -> Sacl:
     """Build a permit-style list mirroring a guest tree's own metadata.
 
     Accepts a Guest or any iterable of objects carrying path, owner_uid,
-    owner_gid, and guest_perms attributes; emits one entry per tree node
+    owner_gid, and perms attributes; emits one entry per tree node
     with the node's own permissions and owner copied verbatim.
     """
     files = guest_fs.files.values() if hasattr(guest_fs, "files") else guest_fs
     sacl = Sacl()
     for f in files:
-        sacl.add(SaclEntry(f.path, f.guest_perms, f.owner_uid, f.owner_gid))
+        sacl.add(SaclEntry(f.path, f.perms, f.owner_uid, f.owner_gid))
     return sacl

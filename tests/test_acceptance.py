@@ -232,7 +232,7 @@ def test_criterion_7_auth_protocol():
 
             table = OwnershipTable()
             table.on_fork(2, 1000, 1000, seq=1)
-            config = AuthConfig(secrets={1000: secret}, window=50, enabled_uids=frozenset({1000}))
+            config = AuthConfig(secrets={1000: secret}, window=50)
             sessions = {}
             handled = try_token_auth("/tokens/" + challenge + response, 2, table, config, sessions, seq=7)
             assert handled and sessions.get(1000) == 57
@@ -246,7 +246,7 @@ def test_criterion_7_auth_protocol():
 
         # expiry: past the window every SACL-listed path is denied again
         sacl = parse_sacl("/home/user/f 644 1000 1000\n")
-        auth = AuthConfig(secrets={1000: "s"}, window=50, enabled_uids=frozenset({1000}))
+        auth = AuthConfig(secrets={1000: "s"}, window=50)
         sim = Simulation(sacl=sacl, auth=auth)
         sim.spawn(1, 1000, 1000, pid=2)
         token = "/tokens/c" + sha512_hex(b"cs")

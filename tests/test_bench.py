@@ -11,6 +11,7 @@ from hvguard.bench import (
     sacl_scaling,
     summary_table,
 )
+from hvguard.engine import Simulation
 from hvguard.trap import CostModel, TrapMode
 
 
@@ -20,6 +21,25 @@ def test_s1_has_no_traps_and_unit_ratio():
         assert result.total_switches == 0
         assert result.ratio_vs_s1 == 1.0
         assert result.mean_model_cost == 0.0
+
+
+@pytest.mark.parametrize("n,warm", [(40, 40), (150, 100)])
+def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
+    calls = []
+    syscall = Simulation.syscall
+
+    def counting(self, *args, **kwargs):
+        calls.append(args[1])
+        return syscall(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "syscall", counting)
+    for scenario in (BenchScenario(ScenarioKind.S2_EMPTY_SACL), BenchScenario(ScenarioKind.S3_FULL_SACL, sacl_size=200)):
+        calls.clear()
+        run_workload("rename", n, scenario)
+        assert calls == ["rename"] * (warm + n)
+    calls.clear()
+    run_workload("rename", n, BenchScenario(ScenarioKind.S1_NO_TRAP))
+    assert calls == []
 
 
 def test_switch_totals_by_mode():

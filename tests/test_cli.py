@@ -161,3 +161,49 @@ def test_malformed_sys_event_exits_two_with_line(tmp_path, capsys, sys_event):
     code, _, err = run_cli(["--scenario", scenario], capsys)
     assert code == 2
     assert "error: line 2:" in err
+
+
+@pytest.mark.parametrize(
+    "setup_event",
+    [
+        '{"ev":"file","path":5,"uid":0,"gid":0,"perm":"644"}',
+        '{"ev":"file","path":"/d","uid":0,"gid":0,"perm":"755","dir":"no"}',
+        '{"ev":"file","path":"/f","uid":-1,"gid":0,"perm":"644"}',
+        '{"ev":"user","uid":"x","gid":0,"name":"u"}',
+        '{"ev":"user","uid":true,"gid":0,"name":"u"}',
+        '{"ev":"spawn","pid":-5,"parent":1,"uid":0,"gid":0}',
+        '{"ev":"spawn","pid":3,"parent":1,"uid":0,"gid":1.5}',
+        '{"ev":"sudo","pid":2,"uid":"x","gid":0}',
+        '{"ev":"forge","pid":2,"uid":true,"gid":0}',
+    ],
+)
+def test_malformed_setup_event_exits_two_with_line(tmp_path, capsys, setup_event):
+    scenario = write(
+        tmp_path, "s.jsonl", '{"ev":"spawn","pid":2,"parent":1,"uid":0,"gid":0}\n' + setup_event + "\n"
+    )
+    code, _, err = run_cli(["--scenario", scenario], capsys)
+    assert code == 2
+    assert "error: line 2:" in err
+
+
+@pytest.mark.parametrize(
+    "kind,row",
+    [
+        ("sacl", "/a 644 ١ 0"),   # Arabic-Indic one passes str.isdigit
+        ("sacl", "/a 644 0 ²"),   # superscript two passes str.isdigit, not int()
+        ("sacl", "/a\0b 644 0 0"),
+        ("secrets", "١ s"),
+        ("secrets", "² s"),
+    ],
+)
+def test_non_ascii_id_or_nul_path_exits_two_with_line(tmp_path, capsys, kind, row):
+    scenario = write(tmp_path, "s.jsonl", SCENARIO_DENY)
+    if kind == "sacl":
+        path = write(tmp_path, "s.sacl", "/ok 644 0 0\n" + row + "\n")
+        args, where = ["--sacl", path], "error: line 2:"
+    else:
+        path = write(tmp_path, "secrets.txt", "1000 ok\n" + row + "\n")
+        args, where = ["--auth-secrets", path], f"error: {path}:2:"
+    code, _, err = run_cli(["--scenario", scenario] + args, capsys)
+    assert code == 2
+    assert where in err

@@ -228,7 +228,7 @@ def test_ownership_invariance_random_scenarios():
 
 
 def test_auth_config_window_flows_from_simulation():
-    auth = AuthConfig(secrets={1000: "s"}, window=5, enabled_uids=frozenset({1000}))
+    auth = AuthConfig(secrets={1000: "s"}, window=5)
     sim = Simulation(sacl=parse_sacl("/f 644 1000 1000\n"), auth=auth)
     sim.spawn(1, 1000, 1000, pid=2)
     from hvguard.mediator import token_response

@@ -32,11 +32,11 @@ def ev(call, path=None, path2=None, flags=(), pid=2, seq=1):
     return SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
 
 
-def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, enabled=(), window=300):
+def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, window=300):
     sacl = parse_sacl(sacl_text)
     table = OwnershipTable()
     options = PolicyOptions(exec_whitelist=exec_whitelist)
-    config = AuthConfig(secrets=dict(secrets or {}), window=window, enabled_uids=frozenset(enabled))
+    config = AuthConfig(secrets=dict(secrets or {}), window=window)
     sessions = {}
     return sacl, table, options, config, sessions
 
@@ -158,7 +158,7 @@ def test_token_response_matches_independent_oracle():
 def test_token_auth_success_sets_window():
     table = OwnershipTable()
     table.on_fork(2, 1000, 1000, seq=1)
-    config = AuthConfig(secrets={1000: "s"}, window=300, enabled_uids=frozenset({1000}))
+    config = AuthConfig(secrets={1000: "s"}, window=300)
     sessions = {}
     handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, config, sessions, seq=10)
     assert handled
@@ -170,7 +170,7 @@ def test_token_auth_success_sets_window():
 def test_token_auth_wrong_response_handled_but_no_session():
     table = OwnershipTable()
     table.on_fork(2, 1000, 1000, seq=1)
-    config = AuthConfig(secrets={1000: "s"}, enabled_uids=frozenset({1000}))
+    config = AuthConfig(secrets={1000: "s"})
     sessions = {}
     bad = ABCS_DIGEST[:-1] + ("0" if ABCS_DIGEST[-1] != "0" else "1")
     assert try_token_auth("/tokens/abc" + bad, 2, table, config, sessions, seq=10)
@@ -179,7 +179,7 @@ def test_token_auth_wrong_response_handled_but_no_session():
 
 def test_token_auth_ignores_non_token_paths_and_short_blobs():
     table = OwnershipTable()
-    config = AuthConfig(secrets={1000: "s"}, enabled_uids=frozenset({1000}))
+    config = AuthConfig(secrets={1000: "s"})
     assert not try_token_auth("/home/user/x", 2, table, config, {}, 1)
     assert not try_token_auth(None, 2, table, config, {}, 1)
     assert try_token_auth("/tokens/short", 2, table, config, {}, 1)  # handled, no auth
@@ -188,8 +188,6 @@ def test_token_auth_ignores_non_token_paths_and_short_blobs():
 def test_auth_config_validation():
     with pytest.raises(ValueError):
         AuthConfig(window=0)
-    with pytest.raises(ValueError):
-        AuthConfig(secrets={}, enabled_uids=frozenset({1000}))
 
 
 # -- mediate ------------------------------------------------------------------
@@ -221,7 +219,6 @@ def test_unauthenticated_denies_only_listed_paths():
     sacl, table, options, config, sessions = fresh_state(
         "/home/user/test1.txt 644 1000 1000\n",
         secrets={1000: "gatekeeper"},
-        enabled=(1000,),
     )
     table.on_fork(2, 1000, 1000, seq=1)
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=5)
@@ -235,7 +232,6 @@ def test_token_then_listed_write_permits_until_expiry():
     sacl, table, options, config, sessions = fresh_state(
         "/home/user/test1.txt 644 1000 1000\n",
         secrets={1000: "gatekeeper"},
-        enabled=(1000,),
         window=300,
     )
     table.on_fork(2, 1000, 1000, seq=1)
@@ -287,11 +283,6 @@ def test_exit_and_clone_are_permitted_without_checks():
         verdict = decide(ev(call), (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is Decision.PERMIT
         assert verdict.checks == ()
-
-
-def test_policy_options_must_keep_kernel_integrity_set():
-    with pytest.raises(ValueError):
-        PolicyOptions(hard_denied_calls=frozenset({"init_module"}))
 
 
 # -- apply_verdict ------------------------------------------------------------
@@ -369,7 +360,7 @@ def test_hard_denied_product_space():
                 uid, gid = rng.randrange(2000), rng.randrange(2000)
                 table = OwnershipTable()
                 sessions = {}
-                config = AuthConfig(secrets={uid: "s"}, enabled_uids=frozenset({uid}))
+                config = AuthConfig(secrets={uid: "s"})
                 if rng.random() < 0.5:
                     sessions[uid] = 10_000  # authenticated
                 verdict = mediate(

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from hvguard.guest import Guest
+from hvguard.guest import Guest, GuestFile
 from hvguard.sacl import (
     AccessKind,
     Decision,
@@ -61,6 +61,9 @@ def test_parse_tabs_and_extra_spaces():
         ("rel/path 644 0 0", "absolute"),
         ("/a 644 -1 0", "decimal"),
         ("/a 644 0 x", "decimal"),
+        ("/a 644 \u0661 0", "decimal"),    # Arabic-Indic one: isdigit, not ASCII
+        ("/a 644 0 \u00b2", "decimal"),    # superscript two: isdigit, int() rejects it
+        ("/a\0b 644 0 0", "NUL"),
     ],
 )
 def test_parse_errors(text, fragment):
@@ -108,12 +111,14 @@ def test_roundtrip_whitespace_normalization():
 
 
 def test_effective_octet_cascade():
-    entry = SaclEntry("/f", PermissionOctets(6, 4, 4), 1000, 1000)
-    assert effective_octet(entry, 1000, 1000) == 6   # owner
-    assert effective_octet(entry, 2000, 1000) == 4   # same group
-    assert effective_octet(entry, 2000, 2000) == 4   # other
-    root_entry = SaclEntry("/f", PermissionOctets(4, 0, 0), 0, 0)
-    assert effective_octet(root_entry, 0, 0) == 4    # root is just a uid
+    # The SACL and the guest decide through the same cascade.
+    for node_type in (SaclEntry, GuestFile):
+        node = node_type(path="/f", perms=PermissionOctets(6, 4, 0), owner_uid=1000, owner_gid=1000)
+        assert effective_octet(node, 1000, 1000) == 6   # owner
+        assert effective_octet(node, 2000, 1000) == 4   # same group
+        assert effective_octet(node, 2000, 2000) == 0   # other
+        root_node = node_type(path="/f", perms=PermissionOctets(4, 0, 0), owner_uid=0, owner_gid=0)
+        assert effective_octet(root_node, 0, 0) == 4    # root is just a uid
 
 
 def test_effective_octet_selects_exactly_one():
