@@ -149,6 +149,7 @@ def _bare_mean_ns(call: str, n: int, files: dict, seed: int) -> float:
             t0 = time.perf_counter_ns()
             guest.execute_syscall(event)
             total += time.perf_counter_ns() - t0
+            guest.files[path] = files[path]
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -162,6 +163,8 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     of ``scenario.pool`` root-level files (so a full SACL has exactly that
     many rows) and one root worker, which keeps guest-side permission checks
     out of the way.  Totals come from the trap records of the measured calls.
+    After each call, here and in the bare twin, the target file is put back
+    outside the timed span, so every unlink finds the file it removes.
     """
     if call not in BENCH_CALLS:
         raise ValueError(f"call must be one of {BENCH_CALLS}, got {call!r}")
@@ -201,6 +204,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     for _ in range(warm):
         path = paths[warm_rng.randrange(len(paths))]
         sim.syscall(pid, call, path, path if onto_self else None, flags)
+        sim.guest.files[path] = files[path]
     sim.wall_ns = 0
 
     rng = random.Random(scenario.seed)
@@ -210,6 +214,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
         for _ in range(n):
             path = paths[rng.randrange(len(paths))]
             sim.syscall(pid, call, path, path if onto_self else None, flags)
+            sim.guest.files[path] = files[path]
     finally:
         if gc_was_enabled:
             gc.enable()

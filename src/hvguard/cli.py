@@ -7,7 +7,9 @@ Exit codes: 0 all expectations met, 1 at least one expectation mismatch,
 from __future__ import annotations
 
 import argparse
+import io
 import sys
+from collections.abc import Callable
 
 from .bench import BENCH_CALLS, results_csv, sacl_scaling, summary_table
 from .engine import ScenarioError, run_scenario
@@ -47,17 +49,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_text(path: str, error: Callable[[int, str], Exception]) -> str:
+    """The file decoded as UTF-8 in one call.  An undecodable byte raises
+    ``error(line_no, message)`` for the 1-based line that holds it."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise error(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}") from None
+
+
 def _load_secrets(path: str) -> dict[int, str]:
+    def error(line_no: int, message: str) -> ValueError:
+        return ValueError(f"{path}:{line_no}: {message}")
+
     secrets: dict[int, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2 or not is_decimal(parts[0]):
-                raise ValueError(f"{path}:{line_no}: expected '<uid> <secret>'")
-            secrets[int(parts[0])] = parts[1]
+    # newline=None splits lines as iterating the file in text mode does.
+    for line_no, raw in enumerate(io.StringIO(_read_text(path, error), newline=None), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2 or not is_decimal(parts[0]):
+            raise error(line_no, "expected '<uid> <secret>'")
+        try:
+            uid = int(parts[0])
+        except ValueError:  # more digits than int() converts
+            raise error(line_no, "uid too large") from None
+        secrets[uid] = parts[1]
     return secrets
 
 
@@ -70,20 +91,15 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _run_scenario_mode(args) -> int:
-    sacl = Sacl()
-    if args.sacl:
-        with open(args.sacl, encoding="utf-8") as fh:
-            sacl = parse_sacl(fh.read())
+    sacl = parse_sacl(_read_text(args.sacl, SaclParseError)) if args.sacl else Sacl()
     secrets = _load_secrets(args.auth_secrets) if args.auth_secrets else {}
     auth = AuthConfig(secrets=secrets, window=args.auth_window)
     options = PolicyOptions(
         exec_whitelist=args.whitelist_exec,
         trap_mode=TrapMode.NOP2 if args.trap_mode == "nop" else TrapMode.CLASSIC4,
     )
-    with open(args.scenario, encoding="utf-8") as fh:
-        text = fh.read()
     result = run_scenario(
-        text, sacl=sacl, options=options, auth=auth,
+        _read_text(args.scenario, ScenarioError), sacl=sacl, options=options, auth=auth,
         cost_model=CostModel(switch_cost=args.switch_cost),
     )
     _emit(result.simulation.decision_log(), args.out)

@@ -226,17 +226,35 @@ class ScenarioResult:
         return not self.mismatches
 
 
+# json.loads wraps this same decoder call in type, BOM and two whitespace
+# checks, which cost more than decoding a short event; a stripped line needs
+# none of them.
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def parse_scenario(text: str) -> list[tuple[int, dict]]:
-    """JSON-lines to (line_no, event dict) pairs, validated structurally."""
+    """JSON-lines to (line_no, event dict) pairs, validated structurally.
+
+    A stripped line is one JSON document exactly when ``raw_decode`` ends at
+    its end; any other line goes through ``json.loads`` so that the error
+    message is the one ``json.loads`` gives.
+    """
     events = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(line_no, f"bad JSON: {exc}") from None
+            obj, end = _raw_decode(line)
+        except (ValueError, RecursionError):
+            end = None
+        if end != len(line):
+            try:
+                obj = json.loads(line)
+            # Besides JSONDecodeError: a plain ValueError for an int past the
+            # digit limit, RecursionError for arrays or objects nested too deep.
+            except (ValueError, RecursionError) as exc:
+                raise ScenarioError(line_no, f"bad JSON: {exc}") from None
         if not isinstance(obj, dict) or "ev" not in obj:
             raise ScenarioError(line_no, "event must be an object with an 'ev' key")
         events.append((line_no, obj))

@@ -60,8 +60,9 @@ WRITE_INTENT_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_A
 
 INIT_PID = 1
 
-_DEFAULT_FILE_PERMS = PermissionOctets(6, 4, 4)
-_DEFAULT_DIR_PERMS = PermissionOctets(7, 5, 5)
+_DEFAULT_FILE_PERMS = PermissionOctets.from_text("644")
+_DEFAULT_DIR_PERMS = PermissionOctets.from_text("755")
+_SYMLINK_PERMS = PermissionOctets.from_text("777")
 
 
 class ErrorCode(Enum):
@@ -200,22 +201,29 @@ class Guest:
         is_directory: bool = False,
     ) -> GuestFile:
         """Insert a tree node, creating missing parent directories as
-        root-owned 755 entries."""
-        if not path.startswith("/") or path == "/":
+        root-owned 755 entries.  The nearest existing ancestor must be a
+        directory.  A path starting with "//" is refused: its dirname chain
+        never reaches "/".
+        """
+        if not path.startswith("/") or path == "/" or path.startswith("//"):
             raise GuestError(f"bad path: {path!r}")
-        if path in self.files:
+        files = self.files
+        if path in files:
             raise GuestError(f"duplicate path: {path}")
-        self._ensure_parents(path)
-        node = GuestFile(path, owner_uid, owner_gid, perms, is_directory)
-        self.files[path] = node
-        return node
-
-    def _ensure_parents(self, path: str) -> None:
+        missing = []
         parent = posixpath.dirname(path)
-        if parent == "/" or parent in self.files:
-            return
-        self._ensure_parents(parent)
-        self.files[parent] = GuestFile(parent, 0, 0, _DEFAULT_DIR_PERMS, True)
+        while parent != "/":
+            node = files.get(parent)
+            if node is not None:
+                if not node.is_directory:
+                    raise GuestError(f"parent is not a directory: {parent}")
+                break
+            missing.append(parent)
+            parent = posixpath.dirname(parent)
+        for parent in reversed(missing):
+            files[parent] = GuestFile(parent, 0, 0, _DEFAULT_DIR_PERMS, True)
+        node = files[path] = GuestFile(path, owner_uid, owner_gid, perms, is_directory)
+        return node
 
     # -- processes --------------------------------------------------------
 
@@ -392,7 +400,7 @@ class Guest:
         if err is not None:
             return err
         if symbolic:
-            self.files[newpath] = GuestFile(newpath, uid, gid, PermissionOctets(7, 7, 7))
+            self.files[newpath] = GuestFile(newpath, uid, gid, _SYMLINK_PERMS)
         else:
             self.files[newpath] = replace(node, path=newpath)
         return SyscallOutcome.ok()

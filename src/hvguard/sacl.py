@@ -64,13 +64,24 @@ class PermissionOctets:
 
     @classmethod
     def from_text(cls, text: str) -> "PermissionOctets":
-        """Parse a 3-character octal string such as "644"."""
-        if len(text) != 3 or any(c not in "01234567" for c in text):
+        """Parse a 3-character octal string such as "644".
+
+        Returns the one shared instance for that text: octets are immutable
+        values, so the 512 valid texts map to 512 objects however many SACL
+        rows and guest files use them.
+        """
+        octets = _OCTETS_BY_TEXT.get(text)
+        if octets is None:
             raise ValueError(f"not a 3-digit octal permission: {text!r}")
-        return cls(int(text[0]), int(text[1]), int(text[2]))
+        return octets
 
     def to_text(self) -> str:
         return f"{self.user}{self.group}{self.other}"
+
+
+_OCTETS_BY_TEXT = {
+    f"{u}{g}{o}": PermissionOctets(u, g, o) for u in range(8) for g in range(8) for o in range(8)
+}
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,6 +149,7 @@ def parse_sacl(text: str) -> Sacl:
     digits, and missing columns raise SaclParseError naming the line.
     """
     sacl = Sacl()
+    entries = sacl.entries
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -156,9 +168,13 @@ def parse_sacl(text: str) -> Sacl:
             raise SaclParseError(line_no, str(exc)) from None
         if not is_decimal(uid_text) or not is_decimal(gid_text):
             raise SaclParseError(line_no, "uid/gid must be decimal non-negative integers")
-        if path in sacl:
+        try:
+            uid, gid = int(uid_text), int(gid_text)
+        except ValueError:  # more digits than int() converts
+            raise SaclParseError(line_no, "uid/gid too large") from None
+        if path in entries:
             raise SaclParseError(line_no, f"duplicate path: {path}")
-        sacl.add(SaclEntry(path, perms, int(uid_text), int(gid_text)))
+        entries[path] = SaclEntry(path, perms, uid, gid)
     return sacl
 
 

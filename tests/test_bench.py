@@ -12,6 +12,7 @@ from hvguard.bench import (
     summary_table,
 )
 from hvguard.engine import Simulation
+from hvguard.guest import Guest
 from hvguard.trap import CostModel, TrapMode
 
 
@@ -40,6 +41,30 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
     calls.clear()
     run_workload("rename", n, BenchScenario(ScenarioKind.S1_NO_TRAP))
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "scenario,executed",
+    [
+        (BenchScenario(ScenarioKind.S1_NO_TRAP, file_pool=100), 200),
+        (BenchScenario(ScenarioKind.S2_EMPTY_SACL, file_pool=100), 200 + 100 + 200),
+        (BenchScenario(ScenarioKind.S3_FULL_SACL, sacl_size=100), 200 + 100 + 200),
+    ],
+)
+def test_every_measured_unlink_finds_its_file(monkeypatch, scenario, executed):
+    """The bare twin, the warm-up and the trapped run each unlink a live file."""
+    outcomes = []
+    execute = Guest.execute_syscall
+
+    def recording(self, event):
+        outcome = execute(self, event)
+        outcomes.append(outcome)
+        return outcome
+
+    monkeypatch.setattr(Guest, "execute_syscall", recording)
+    run_workload("unlink", 200, scenario)
+    assert len(outcomes) == executed
+    assert [o.error for o in outcomes if not o.success] == []
 
 
 def test_switch_totals_by_mode():

@@ -186,6 +186,43 @@ def test_malformed_setup_event_exits_two_with_line(tmp_path, capsys, setup_event
     assert "error: line 2:" in err
 
 
+def test_file_under_regular_file_exits_two_with_line(tmp_path, capsys):
+    scenario = write(
+        tmp_path,
+        "s.jsonl",
+        '{"ev":"file","path":"/a","uid":0,"gid":0,"perm":"644"}\n'
+        '{"ev":"file","path":"/a/b","uid":0,"gid":0,"perm":"644"}\n',
+    )
+    code, _, err = run_cli(["--scenario", scenario], capsys)
+    assert code == 2
+    assert "error: line 2: parent is not a directory: /a" in err
+
+
+@pytest.mark.parametrize("kind", ["sacl", "scenario", "secrets"])
+def test_undecodable_byte_exits_two_with_line(tmp_path, capsys, kind):
+    good = {
+        "sacl": "/ok 644 0 0\n/x 644 0 0\n",
+        "scenario": '{"ev":"user","uid":7,"gid":7}\n' + SCENARIO_DENY,
+        "secrets": "1000 ok\n1001 also\n",
+    }
+    paths = {}
+    for name, text in good.items():
+        data = text.encode()
+        if name == kind:  # a byte that is never UTF-8, after the good lines
+            data = data + b"# \xff\n"
+            line_no = text.count("\n") + 1
+        paths[name] = tmp_path / name
+        paths[name].write_bytes(data)
+    code, _, err = run_cli(
+        ["--sacl", str(paths["sacl"]), "--scenario", str(paths["scenario"]),
+         "--auth-secrets", str(paths["secrets"])],
+        capsys,
+    )
+    assert code == 2
+    where = f"error: {paths['secrets']}:{line_no}:" if kind == "secrets" else f"error: line {line_no}:"
+    assert err.startswith(where) and "0xff" in err, err
+
+
 @pytest.mark.parametrize(
     "kind,row",
     [

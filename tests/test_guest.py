@@ -80,6 +80,29 @@ def test_clone_spawns_child_with_caller_credentials():
     assert (proc.claimed_uid, proc.claimed_gid) == (1000, 1000)
 
 
+def test_add_file_creates_missing_parents_topmost_first():
+    guest = Guest()
+    guest.add_file("/a/b/c", 0, 0, RW)
+    assert list(guest.files) == ["/a", "/a/b", "/a/b/c"]
+    assert guest.files["/a"].is_directory and guest.files["/a/b"].is_directory
+
+
+@pytest.mark.parametrize("path", ["/a/b", "/a/b/c"])
+def test_add_file_under_regular_file_is_error(path):
+    guest = Guest()
+    guest.add_file("/a", 0, 0, RW)
+    with pytest.raises(GuestError, match="parent is not a directory: /a"):
+        guest.add_file(path, 0, 0, RW)
+    assert list(guest.files) == ["/a"]
+
+
+@pytest.mark.parametrize("path", ["relative", "/", "//x", "///x/y"])
+def test_add_file_bad_path(path):
+    # A leading "//" never reaches "/" through dirname.
+    with pytest.raises(GuestError, match="bad path"):
+        Guest().add_file(path, 0, 0, RW)
+
+
 def test_open_missing_file():
     guest, pid = make_guest()
     out = guest.execute_syscall(ev(pid, "open", "/tokens/nope", flags=["O_RDONLY"]))

@@ -64,6 +64,7 @@ def test_parse_tabs_and_extra_spaces():
         ("/a 644 \u0661 0", "decimal"),    # Arabic-Indic one: isdigit, not ASCII
         ("/a 644 0 \u00b2", "decimal"),    # superscript two: isdigit, int() rejects it
         ("/a\0b 644 0 0", "NUL"),
+        ("/a 644 " + "9" * 5000 + " 0", "too large"),  # past int()'s digit limit
     ],
 )
 def test_parse_errors(text, fragment):
