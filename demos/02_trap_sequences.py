@@ -14,7 +14,7 @@ model = CostModel(switch_cost=1.0)
 
 def show(mode, nop):
     site = arm(make_site("open", nop_prologue=nop))
-    record, _ = handle_trap(site, event, lambda ev: (ev, 0), mode, model)
+    record, _ = handle_trap(site, event, lambda ev: ev, mode)
     print(f"\n{mode.value} handling of one open():")
     for step in record.steps:
         print("   ", step)
@@ -33,6 +33,4 @@ print(f"\nwith a free callback, the NOP-prologue mode halves the overhead: ratio
 
 # With a real callback cost c and switch cost s the ratio is (4s+c)/(2s+c).
 priced = CostModel(switch_cost=1.0, callback_base_cost=2.0)
-c4, _ = handle_trap(arm(make_site("open")), event, lambda ev: (ev, 0), TrapMode.CLASSIC4, priced)
-n2, _ = handle_trap(arm(make_site("open", nop_prologue=True)), event, lambda ev: (ev, 0), TrapMode.NOP2, priced)
-print(f"with callback cost 2 and switch cost 1: ratio = {cost_of(c4, priced) / cost_of(n2, priced):.2f}")
+print(f"with callback cost 2 and switch cost 1: ratio = {cost_of(classic, priced) / cost_of(nop, priced):.2f}")

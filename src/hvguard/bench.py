@@ -17,7 +17,7 @@ from enum import Enum
 
 from .engine import Simulation
 from .guest import Guest, GuestFile, SyscallEvent
-from .mediator import PolicyOptions, apply_verdict, mediate
+from .mediator import PolicyOptions, Verdict, apply_verdict, mediate
 from .sacl import PermissionOctets, Sacl, generate_full_sacl
 from .trap import CostModel, TrapMode, cost_of
 
@@ -111,23 +111,22 @@ class _TimedSimulation(Simulation):
     """A Simulation whose trap callback times mediation alone.
 
     The timed span is exactly ``mediate`` plus ``apply_verdict``, the work
-    that depends on the SACL; the process lookup and the verdict store of
-    ``Simulation._on_trap`` stay outside it, so they cannot pull the
-    empty-vs-full ratio of acceptance criterion 6 toward 1.
+    that depends on the SACL; the process lookup of ``Simulation._on_trap``
+    stays outside it, so it cannot pull the empty-vs-full ratio of
+    acceptance criterion 6 toward 1.
     """
 
     wall_ns = 0
 
-    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, int]:
+    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
         proc = self.guest.processes[event.pid]
-        uid, gid, seq = proc.claimed_uid, proc.claimed_gid, event.seq
+        uid, gid = proc.claimed_uid, proc.claimed_gid
         sacl, table, options, auth, sessions = self.sacl, self.table, self.options, self.auth, self.sessions
         t0 = time.perf_counter_ns()
-        verdict = mediate(event, uid, gid, sacl, table, options, auth, sessions, seq)
+        verdict = mediate(event, uid, gid, sacl, table, options, auth, sessions)
         forwarded = apply_verdict(event, verdict)
         self.wall_ns += time.perf_counter_ns() - t0
-        self._verdict = verdict
-        return forwarded, verdict.probes
+        return forwarded, verdict
 
 
 def _bare_mean_ns(call: str, n: int, files: dict, seed: int) -> float:
@@ -162,7 +161,9 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     S2 and S3 run each call through ``Simulation.syscall`` against a guest
     of ``scenario.pool`` root-level files (so a full SACL has exactly that
     many rows) and one root worker, which keeps guest-side permission checks
-    out of the way.  Totals come from the trap records of the measured calls.
+    out of the way.  Totals come from the trap records of the measured calls
+    and the probe counts of their verdicts, which are read outside the timed
+    span.
     After each call, here and in the bare twin, the target file is put back
     outside the timed span, so every unlink finds the file it removes.
     """
@@ -192,7 +193,6 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     sim = _TimedSimulation(
         sacl=generate_full_sacl(files.values()) if full else Sacl(),
         options=PolicyOptions(trap_mode=scenario.trap_mode),
-        cost_model=scenario.cost_model,
     )
     sim.guest.files.update(files)
     pid = sim.spawn(1, 0, 0)
@@ -208,12 +208,14 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     sim.wall_ns = 0
 
     rng = random.Random(scenario.seed)
+    probes = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(n):
             path = paths[rng.randrange(len(paths))]
-            sim.syscall(pid, call, path, path if onto_self else None, flags)
+            verdict, _ = sim.syscall(pid, call, path, path if onto_self else None, flags)
+            probes.append(verdict.probes)
             sim.guest.files[path] = files[path]
     finally:
         if gc_was_enabled:
@@ -227,7 +229,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
         trap_mode=scenario.trap_mode.value,
         sacl_size=len(sim.sacl),
         n=n,
-        mean_model_cost=sum(cost_of(r, scenario.cost_model) for r in records) / n,
+        mean_model_cost=sum(cost_of(r, scenario.cost_model, p) for r, p in zip(records, probes)) / n,
         mean_wall_ns=mediation_ns,
         ratio_vs_s1=(bare_ns + mediation_ns) / bare_ns if bare_ns > 0 else 1.0,
         total_switches=sum(r.vm_exits + r.vm_entries for r in records),

@@ -7,7 +7,6 @@ Exit codes: 0 all expectations met, 1 at least one expectation mismatch,
 from __future__ import annotations
 
 import argparse
-import io
 import sys
 from collections.abc import Callable
 
@@ -41,7 +40,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--trap-mode", choices=["classic", "nop"], default="classic",
         help="4-switch breakpoint handling or 2-switch NOP-prologue handling",
     )
-    parser.add_argument("--switch-cost", type=float, default=1.0, metavar="COST")
+    parser.add_argument(
+        "--switch-cost", type=float, default=1.0, metavar="COST",
+        help="modeled cost of one context switch, for --bench",
+    )
     parser.add_argument("--bench", action="store_true", help="run the benchmark instead of a scenario")
     parser.add_argument("--sizes", default="100,1000,10000,100000", metavar="N,N,...")
     parser.add_argument("--reps", type=int, default=1000, metavar="N")
@@ -51,13 +53,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _read_text(path: str, error: Callable[[int, str], Exception]) -> str:
     """The file decoded as UTF-8 in one call.  An undecodable byte raises
-    ``error(line_no, message)`` for the 1-based line that holds it."""
+    ``error(line_no, message)`` for the 1-based line that holds it, counted
+    by ``str.splitlines`` as every loader counts lines."""
     with open(path, "rb") as fh:
         data = fh.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        # The bytes before the bad one decode; "x" stands in for the bad
+        # byte's line, which may not have begun yet.
+        line_no = len((data[:exc.start].decode("utf-8") + "x").splitlines())
         raise error(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}") from None
 
 
@@ -66,8 +71,7 @@ def _load_secrets(path: str) -> dict[int, str]:
         return ValueError(f"{path}:{line_no}: {message}")
 
     secrets: dict[int, str] = {}
-    # newline=None splits lines as iterating the file in text mode does.
-    for line_no, raw in enumerate(io.StringIO(_read_text(path, error), newline=None), start=1):
+    for line_no, raw in enumerate(_read_text(path, error).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -98,9 +102,10 @@ def _run_scenario_mode(args) -> int:
         exec_whitelist=args.whitelist_exec,
         trap_mode=TrapMode.NOP2 if args.trap_mode == "nop" else TrapMode.CLASSIC4,
     )
+    # The scenario text is not bound to a name, so it is freed before the
+    # decision log is built.
     result = run_scenario(
-        _read_text(args.scenario, ScenarioError), sacl=sacl, options=options, auth=auth,
-        cost_model=CostModel(switch_cost=args.switch_cost),
+        _read_text(args.scenario, ScenarioError), sacl=sacl, options=options, auth=auth
     )
     _emit(result.simulation.decision_log(), args.out)
     print(

@@ -35,7 +35,7 @@ from .mediator import (
     mediate,
 )
 from .sacl import PermissionOctets, Sacl
-from .trap import CostModel, TrapMode, TrapSequenceRecord, arm, handle_trap, make_site
+from .trap import TrapMode, TrapSequenceRecord, arm, handle_trap, make_site
 
 DECISION_LOG_COLUMNS = (
     "seq",
@@ -86,8 +86,7 @@ class Simulation:
 
     Every trapped call flows breakpoint-hit -> mediation callback ->
     forwarded (possibly nulled) event -> guest execution, with one trap
-    record (shared by calls whose records are equal) and one decision-log
-    row per call.
+    record (the trap mode's shared one) and one decision-log row per call.
     """
 
     def __init__(
@@ -95,12 +94,10 @@ class Simulation:
         sacl: Sacl | None = None,
         options: PolicyOptions | None = None,
         auth: AuthConfig | None = None,
-        cost_model: CostModel | None = None,
     ):
         self.sacl = sacl if sacl is not None else Sacl()
         self.options = options if options is not None else PolicyOptions()
         self.auth = auth if auth is not None else AuthConfig()
-        self.cost_model = cost_model
         self.guest = Guest()
         self.table = OwnershipTable()
         self.sessions: dict[int, int] = {}
@@ -110,7 +107,6 @@ class Simulation:
         self.records: list[TrapSequenceRecord] = []
         self.decisions: list[DecisionRow] = []
         self.outcomes: list[SyscallOutcome] = []
-        self._verdict: Verdict | None = None  # verdict of the call in flight
         self.guest.clone_listeners.append(self._on_clone)
 
     def _on_clone(self, child: int, parent: int) -> None:
@@ -166,10 +162,9 @@ class Simulation:
         if proc is None or not proc.alive:
             raise GuestError(f"pid {pid} is not alive")
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
-        record, forwarded = handle_trap(
-            self.sites[call], event, self._on_trap, self.options.trap_mode, self.cost_model
+        record, (forwarded, verdict) = handle_trap(
+            self.sites[call], event, self._on_trap, self.options.trap_mode
         )
-        verdict = self._verdict
         outcome = self.guest.execute_syscall(forwarded)
         if call in EXIT_CALLS:
             self.table.on_exit(pid)
@@ -191,11 +186,11 @@ class Simulation:
         )
         return verdict, outcome
 
-    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, int]:
+    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
         """Mediation callback run inside the trap: decides the event with the
-        caller's claimed credentials and keeps the verdict for ``syscall``."""
+        caller's claimed credentials; returns (forwarded event, verdict)."""
         proc = self.guest.processes[event.pid]
-        verdict = self._verdict = mediate(
+        verdict = mediate(
             event,
             proc.claimed_uid,
             proc.claimed_gid,
@@ -204,9 +199,8 @@ class Simulation:
             self.options,
             self.auth,
             self.sessions,
-            event.seq,
         )
-        return apply_verdict(event, verdict), verdict.probes
+        return apply_verdict(event, verdict), verdict
 
     def decision_log(self) -> str:
         lines = [",".join(DECISION_LOG_COLUMNS)]
@@ -220,10 +214,6 @@ class ScenarioResult:
     sys_events: int = 0
     expect_checks: int = 0
     mismatches: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.mismatches
 
 
 # json.loads wraps this same decoder call in type, BOM and two whitespace
@@ -288,10 +278,9 @@ def run_scenario(
     sacl: Sacl | None = None,
     options: PolicyOptions | None = None,
     auth: AuthConfig | None = None,
-    cost_model: CostModel | None = None,
 ) -> ScenarioResult:
     """Replay a scenario; expectation mismatches are collected, not raised."""
-    sim = Simulation(sacl=sacl, options=options, auth=auth, cost_model=cost_model)
+    sim = Simulation(sacl=sacl, options=options, auth=auth)
     result = ScenarioResult(sim)
     last: tuple[Verdict, SyscallOutcome] | None = None
 

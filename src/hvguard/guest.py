@@ -13,7 +13,7 @@ import posixpath
 from dataclasses import dataclass, replace
 from enum import Enum
 
-from .sacl import PermissionOctets, effective_octet
+from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, PermissionOctets, effective_octet
 
 # Calls interposed by the hypervisor layer: every file-operation and
 # kernel-access call, plus clone for process tracking.
@@ -57,6 +57,8 @@ POINTER_SLOT_CALLS = frozenset(
 
 # open(2) flag vocabulary understood by the model.
 WRITE_INTENT_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"})
+# The flags that write to a file the open finds already in place.
+_WRITE_EXISTING_FLAGS = WRITE_INTENT_FLAGS - {"O_CREAT"}
 
 INIT_PID = 1
 
@@ -321,7 +323,7 @@ class Guest:
         parent = self._dir_node(posixpath.dirname(path))
         if parent is None:
             return None, SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
-        if not self._allows(parent, uid, gid, 2):
+        if not self._allows(parent, uid, gid, WRITE_BIT):
             return None, SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
         return parent, None
 
@@ -336,13 +338,13 @@ class Guest:
                 return err
             self.files[path] = GuestFile(path, uid, gid, _DEFAULT_FILE_PERMS)
             return SyscallOutcome.ok()
-        wants_write = bool(flags & {"O_WRONLY", "O_RDWR", "O_TRUNC", "O_APPEND"})
+        wants_write = not flags.isdisjoint(_WRITE_EXISTING_FLAGS)
         wants_read = "O_WRONLY" not in flags
         if node.is_directory and wants_write:
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
-        if wants_write and not self._allows(node, uid, gid, 2):
+        if wants_write and not self._allows(node, uid, gid, WRITE_BIT):
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
-        if wants_read and not self._allows(node, uid, gid, 4):
+        if wants_read and not self._allows(node, uid, gid, READ_BIT):
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
         return SyscallOutcome.ok()
 
@@ -350,7 +352,7 @@ class Guest:
         node = self.files.get(path)
         if node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
-        if node.is_directory or not self._allows(node, uid, gid, 2):
+        if node.is_directory or not self._allows(node, uid, gid, WRITE_BIT):
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
         return SyscallOutcome.ok()
 
@@ -409,6 +411,6 @@ class Guest:
         node = self.files.get(path)
         if node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
-        if node.is_directory or not self._allows(node, uid, gid, 1):
+        if node.is_directory or not self._allows(node, uid, gid, EXECUTE_BIT):
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
         return SyscallOutcome.ok()

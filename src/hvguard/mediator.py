@@ -24,6 +24,7 @@ from .guest import (
     RENAME_CALLS,
     SYMLINK_CALLS,
     UNLINK_CALLS,
+    WRITE_INTENT_FLAGS,
     SyscallEvent,
 )
 from .sacl import AccessKind, Decision, Sacl, check_access
@@ -134,10 +135,9 @@ class Verdict:
     resolved_uid: int
     resolved_gid: int
     mismatch: bool
-    probes: int  # SACL lookups performed, for the trap cost model
+    probes: int  # SACL lookups performed, priced by trap.cost_of
 
 
-_OPEN_WRITE_FLAGS = frozenset({"O_WRONLY", "O_CREAT", "O_TRUNC", "O_APPEND"})
 _NEW_NAME_CALLS = LINK_CALLS | SYMLINK_CALLS
 
 
@@ -159,7 +159,7 @@ def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
         flags = event.flags
         if "O_RDWR" in flags:
             checks = [(path, AccessKind.READ), (path, AccessKind.WRITE)]
-        elif flags.isdisjoint(_OPEN_WRITE_FLAGS):
+        elif flags.isdisjoint(WRITE_INTENT_FLAGS):
             checks = [(path, AccessKind.READ)]
         else:
             checks = [(path, AccessKind.WRITE)]
@@ -255,7 +255,6 @@ def mediate(
     options: PolicyOptions,
     config: AuthConfig,
     sessions: dict[int, int],
-    seq: int,
 ) -> Verdict:
     """Decide one trapped call.
 
@@ -264,9 +263,10 @@ def mediate(
     secret but no live session is denied any path that has a SACL entry;
     (5) under execute white-listing an unlisted exec target is denied; (6)
     every required (path, kind) pair is checked against the SACL with
-    unlisted paths permitted by default.
+    unlisted paths permitted by default.  The event's seq is the clock that
+    token sessions are opened and checked against.
     """
-    call = event.call
+    call, seq = event.call, event.seq
     resolved_uid, resolved_gid, mismatch = table.resolve_owner(
         event.pid, claimed_uid, claimed_gid
     )

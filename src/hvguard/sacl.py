@@ -4,7 +4,7 @@ The list lives outside the guest it protects and is invisible to it.  Each
 row pins one absolute path to a three-octet permission mask and an owning
 uid/gid; a decision for a requester cascades owner -> group -> other exactly
 like classic Unix mode bits.  Paths without a row are considered noncritical
-and fall through to a caller-chosen default decision.
+and permitted.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ class Decision(Enum):
 
 # Reading an enum member from its class runs Python-level code on CPython
 # 3.11.  check_access returns these module constants instead, so a SACL hit
-# does no more interpreter work than a miss returning its default.
+# and a miss do the same interpreter work.
 _PERMIT, _DENY = Decision.PERMIT, Decision.DENY
 
 
@@ -200,23 +200,15 @@ def effective_octet(node, uid: int, gid: int) -> int:
     return node.perms.other
 
 
-def check_access(
-    sacl: Sacl,
-    path: str,
-    uid: int,
-    gid: int,
-    kind: AccessKind,
-    default: Decision = Decision.PERMIT,
-) -> Decision:
+def check_access(sacl: Sacl, path: str, uid: int, gid: int, kind: AccessKind) -> Decision:
     """Decide one (path, requester, access kind) triple against the list.
 
-    A path with no entry yields ``default``: Permit under the normal
-    noncritical-by-default policy, Deny when the caller runs execute
-    white-listing.  Pure function; no state is touched.
+    A path with no entry is noncritical and yields Permit.  Pure function;
+    no state is touched.
     """
     entry = sacl.entries.get(path)
     if entry is None:
-        return default
+        return _PERMIT
     return _PERMIT if effective_octet(entry, uid, gid) & kind else _DENY
 
 

@@ -5,12 +5,13 @@ pointer cursor.  Arming writes the 0xCC breakpoint opcode over the original
 byte.  Handling a hit either walks the classic restore/single-step/re-inject
 dance (two VM-exit/VM-entry pairs) or, when the site was compiled with a NOP
 prologue, simply steps the instruction pointer past the permanently armed
-breakpoint (one pair).
+breakpoint (one pair).  The trap models only that mechanism; ``cost_of``
+prices a handled trap.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 BREAKPOINT_OPCODE = 0xCC
@@ -30,20 +31,13 @@ class TrapStateError(RuntimeError):
 
 @dataclass
 class TrapSite:
-    """First code byte and IP cursor for one trapped syscall symbol.
-
-    ``classic_records`` and ``nop_records`` hold the shared trap records of
-    this site, keyed by callback cost: every field of a record is fixed by
-    the symbol, the mode and that cost.
-    """
+    """First code byte and IP cursor for one trapped syscall symbol."""
 
     symbol: str
     original_opcode: int = DEFAULT_ORIGINAL_OPCODE
     armed: bool = False
-    current_byte: int = field(default=-1)
+    current_byte: int = -1
     ip: int = 0
-    classic_records: dict = field(default_factory=dict, repr=False, compare=False)
-    nop_records: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.current_byte == -1:
@@ -75,22 +69,19 @@ class CostModel:
     lookup_cost: float = 0.0
 
     def __post_init__(self):
-        # NaN fails this test too: a NaN cost would key a new shared trap
-        # record on every call.
+        # `c >= 0` is false for NaN, so NaN is rejected too.
         if not all(c >= 0 for c in (self.switch_cost, self.callback_base_cost, self.lookup_cost)):
             raise ValueError("costs must be non-negative")
 
 
 @dataclass(frozen=True)
 class TrapSequenceRecord:
-    """Exact switch sequence and cost for one handled trap."""
+    """Exact switch sequence of one handled trap; one instance per mode."""
 
-    symbol: str
     mode: TrapMode
     vm_exits: int
     vm_entries: int
     single_steps: int
-    callback_cost: float
     steps: tuple[str, ...]
 
 
@@ -115,33 +106,23 @@ NOP2_STEPS = (
     "VM-entry",
 )
 
+# (VM exits, VM entries, single-step exceptions) of each step sequence.
+CLASSIC4_RECORD = TrapSequenceRecord(TrapMode.CLASSIC4, 2, 2, 1, CLASSIC4_STEPS)
+NOP2_RECORD = TrapSequenceRecord(TrapMode.NOP2, 1, 1, 0, NOP2_STEPS)
+
 # Enum member lookups run Python-level code on CPython 3.11; handle_trap
 # compares against these instead.
 _CLASSIC4, _NOP2 = TrapMode.CLASSIC4, TrapMode.NOP2
 
 
-def _new_record(symbol: str, mode: TrapMode, callback_cost: float) -> TrapSequenceRecord:
-    # (VM exits, VM entries, single-step exceptions) of each step sequence.
-    if mode is _CLASSIC4:
-        return TrapSequenceRecord(symbol, mode, 2, 2, 1, callback_cost, CLASSIC4_STEPS)
-    return TrapSequenceRecord(symbol, mode, 1, 1, 0, callback_cost, NOP2_STEPS)
+def handle_trap(site: TrapSite, event, callback, mode: TrapMode):
+    """Handle one breakpoint hit; returns (record, ``callback(event)``).
 
-
-def handle_trap(
-    site: TrapSite,
-    event,
-    callback,
-    mode: TrapMode,
-    cost_model: CostModel | None = None,
-):
-    """Handle one breakpoint hit; returns (record, forwarded event).
-
-    ``callback(event)`` returns (forwarded event, SACL probe count).  Its
-    verdict, including any nulled path slot, is reflected in the forwarded
-    event, which the caller passes onward to the guest.  On return the site
-    is armed again in both modes, so no later instance of the same call can
-    be missed.  Denial is never an error at this layer.  The returned record
-    is shared by every call with the same site, mode and callback cost.
+    The callback runs between the VM-exit and the VM-entry, with the
+    breakpoint in place; its result is passed back untouched.  On return the
+    site is armed again in both modes, so no later instance of the same call
+    can be missed.  Denial is never an error at this layer.  The returned
+    record is ``CLASSIC4_RECORD`` or ``NOP2_RECORD``.
     """
     if not site.armed:
         raise TrapStateError(f"site {site.symbol} is not armed")
@@ -153,7 +134,7 @@ def handle_trap(
         )
 
     # VM-exit on the breakpoint, then the callback with the breakpoint in place.
-    forwarded, probes = callback(event)
+    result = callback(event)
     if mode is _CLASSIC4:
         # Restore the original byte and single-step it (VM-entry, one
         # instruction, single-step exception, VM-exit), then re-inject the
@@ -161,22 +142,18 @@ def handle_trap(
         site.current_byte = site.original_opcode
         site.ip += 1
         site.current_byte = BREAKPOINT_OPCODE
-        records = site.classic_records
+        record = CLASSIC4_RECORD
     else:
         # Step the instruction pointer past the permanent breakpoint; VM-entry.
         site.ip += 1
-        records = site.nop_records
-
-    callback_cost = 0.0
-    if cost_model is not None:
-        callback_cost = cost_model.callback_base_cost + probes * cost_model.lookup_cost
-    record = records.get(callback_cost)
-    if record is None:
-        record = records[callback_cost] = _new_record(site.symbol, mode, callback_cost)
+        record = NOP2_RECORD
     assert site.current_byte == BREAKPOINT_OPCODE  # re-arm guarantee
-    return record, forwarded
+    return record, result
 
 
-def cost_of(record: TrapSequenceRecord, model: CostModel) -> float:
-    """Modeled duration of one handled trap under the given cost model."""
-    return (record.vm_exits + record.vm_entries) * model.switch_cost + record.callback_cost
+def cost_of(record: TrapSequenceRecord, model: CostModel, probes: int = 0) -> float:
+    """Modeled duration of one handled trap whose callback made ``probes``
+    SACL lookups: its context switches plus the callback's work."""
+    return (record.vm_exits + record.vm_entries) * model.switch_cost + (
+        model.callback_base_cost + probes * model.lookup_cost
+    )

@@ -2,6 +2,7 @@
 
 import pytest
 
+from hvguard import cli
 from hvguard.cli import main
 
 
@@ -244,3 +245,50 @@ def test_non_ascii_id_or_nul_path_exits_two_with_line(tmp_path, capsys, kind, ro
     code, _, err = run_cli(["--scenario", scenario] + args, capsys)
     assert code == 2
     assert where in err
+
+
+# Every line break str.splitlines knows, the ones text-mode files use and
+# the ones they do not.
+LINE_BREAKS = ["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+THREE_ROWS = {
+    "sacl": ("/a 644 0 0", "/b 644 0 0", "/c 6x4 0 0"),
+    "scenario": ('{"ev":"user","uid":7,"gid":7}', '{"ev":"user","uid":8,"gid":8}', "{broken"),
+    "secrets": ("1000 a", "1001 b", "x"),
+}
+
+
+@pytest.mark.parametrize("kind", ["sacl", "scenario", "secrets"])
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=ascii)
+def test_loaders_and_decoder_number_lines_alike(tmp_path, capsys, kind, sep):
+    """A bad third row and an undecodable byte on the third line both report
+    line 3, whichever line break separates the rows."""
+    rows = THREE_ROWS[kind]
+    for data, detail in (
+        (sep.join(rows).encode(), ""),
+        ((sep.join(rows[:2]) + sep + "# ").encode() + b"\xff", "0xff"),
+    ):
+        path = tmp_path / kind
+        path.write_bytes(data)
+        if kind == "scenario":
+            args = ["--scenario", str(path)]
+        else:
+            flag = "--sacl" if kind == "sacl" else "--auth-secrets"
+            args = ["--scenario", write(tmp_path, "s.jsonl", SCENARIO_DENY), flag, str(path)]
+        code, _, err = run_cli(args, capsys)
+        assert code == 2
+        where = f"error: {path}:3:" if kind == "secrets" else "error: line 3:"
+        assert err.startswith(where) and detail in err, err
+
+
+def test_secrets_split_by_form_feed_are_two_rows(tmp_path):
+    path = write(tmp_path, "secrets.txt", "1000 a\x0c1001 b\n")
+    assert cli._load_secrets(path) == {1000: "a", 1001: "b"}
+
+
+def test_switch_cost_leaves_scenario_output_unchanged(tmp_path, capsys, scenario_dir):
+    args = ["--sacl", str(scenario_dir / "two_step.sacl"), "--scenario", str(scenario_dir / "token_auth_write.jsonl"),
+            "--auth-secrets", str(scenario_dir / "secrets.txt")]
+    outputs = [run_cli(args + ["--switch-cost", cost], capsys) for cost in ("1", "1000")]
+    assert outputs[0][0] == 0
+    assert len(outputs[0][1].splitlines()) > 1
+    assert outputs[0] == outputs[1]

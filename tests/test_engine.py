@@ -13,7 +13,8 @@ from hvguard.engine import (
 )
 from hvguard.mediator import AuthConfig, PolicyOptions
 from hvguard.sacl import Decision, PermissionOctets, parse_sacl
-from hvguard.trap import TrapMode
+from hvguard.guest import TRAPPED_CALLS
+from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
 
 BASIC = """\
 # comment lines and blanks are fine
@@ -41,14 +42,14 @@ def test_parse_scenario_rejects_bad_json_and_shape():
 
 def test_run_scenario_deny_expectation_met():
     result = run_scenario(BASIC, sacl=parse_sacl("/etc/shadow 400 0 0\n"))
-    assert result.ok
+    assert result.mismatches == []
     assert result.sys_events == 1
     assert result.expect_checks == 1
 
 
 def test_run_scenario_mismatch_reported_not_raised():
     result = run_scenario(BASIC)  # empty SACL: the open is permitted
-    assert not result.ok
+    assert len(result.mismatches) == 1
     assert "expected decision deny, got permit" in result.mismatches[0]
 
 
@@ -63,7 +64,7 @@ def test_expect_status_and_error_keys():
 {"ev":"sys","pid":2,"call":"open","path":"/nope","flags":["O_RDONLY"]}
 {"ev":"expect","decision":"permit","status":"error","error":"no_such_file"}
 """
-    assert run_scenario(text).ok
+    assert run_scenario(text).mismatches == []
 
 
 def test_decision_log_row_per_sys_event():
@@ -175,6 +176,18 @@ def test_nop_mode_runs_scenarios_with_two_switches():
     sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
     record = sim.records[-1]
     assert record.vm_exits + record.vm_entries == 2
+
+
+def test_every_record_is_the_modes_shared_record():
+    for mode, shared in ((TrapMode.CLASSIC4, CLASSIC4_RECORD), (TrapMode.NOP2, NOP2_RECORD)):
+        sim = Simulation(sacl=parse_sacl("/w/a 400 0 0\n"), options=PolicyOptions(trap_mode=mode))
+        sim.add_file("/w/a", 0, 0, PermissionOctets.from_text("644"))
+        for call in TRAPPED_CALLS:
+            pid = sim.spawn(1, 0, 0)
+            sim.syscall(pid, call, "/w/a", "/w/b", ["O_RDWR"])
+        assert len(sim.records) == len(TRAPPED_CALLS)
+        assert all(record is shared for record in sim.records), mode
+        assert {row.decision for row in sim.decisions} == {"permit", "deny"}
 
 
 def test_dead_pid_sys_event_is_scenario_error():

@@ -41,11 +41,8 @@ def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, window=300):
     return sacl, table, options, config, sessions
 
 
-def decide(event, claimed, sacl, table, options, config, sessions, seq=None):
-    return mediate(
-        event, claimed[0], claimed[1], sacl, table, options, config, sessions,
-        event.seq if seq is None else seq,
-    )
+def decide(event, claimed, sacl, table, options, config, sessions):
+    return mediate(event, claimed[0], claimed[1], sacl, table, options, config, sessions)
 
 
 # -- ownership table --------------------------------------------------------
@@ -364,7 +361,7 @@ def test_hard_denied_product_space():
                 if rng.random() < 0.5:
                     sessions[uid] = 10_000  # authenticated
                 verdict = mediate(
-                    ev(call, "/x"), uid, gid, sacl, table, PolicyOptions(), config, sessions, 5
+                    ev(call, "/x", seq=5), uid, gid, sacl, table, PolicyOptions(), config, sessions
                 )
                 assert (verdict.decision, verdict.reason) == (
                     Decision.DENY,

@@ -147,7 +147,6 @@ def test_check_access_absent_uses_default():
     sacl = Sacl()
     for kind in AccessKind:
         assert check_access(sacl, "/anything", 5, 5, kind) is Decision.PERMIT
-        assert check_access(sacl, "/anything", 5, 5, kind, Decision.DENY) is Decision.DENY
 
 
 def test_check_access_all_bits_set():

@@ -5,8 +5,10 @@ import pytest
 from hvguard.guest import SyscallEvent, TRAPPED_CALLS
 from hvguard.trap import (
     BREAKPOINT_OPCODE,
+    CLASSIC4_RECORD,
     CLASSIC4_STEPS,
     CostModel,
+    NOP2_RECORD,
     NOP2_STEPS,
     NOP_OPCODE,
     TrapMode,
@@ -19,7 +21,7 @@ from hvguard.trap import (
 
 
 def passthrough(event):
-    return event, 0
+    return event
 
 
 def armed_site(call="open", mode=TrapMode.CLASSIC4):
@@ -79,7 +81,7 @@ def test_breakpoint_present_during_callback_and_after_completion():
 
     def spy(event):
         seen.append(site.current_byte)
-        return event, 0
+        return event
 
     handle_trap(site, SyscallEvent(1, 2, "open", "/f"), spy, TrapMode.CLASSIC4)
     assert seen == [BREAKPOINT_OPCODE]
@@ -150,11 +152,9 @@ def test_switch_totals_are_linear():
 
 def test_cost_arithmetic():
     model = CostModel(switch_cost=3.0, callback_base_cost=5.0)
-    classic, _ = handle_trap(
-        armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4, model
-    )
+    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
     nop, _ = handle_trap(
-        armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2, model
+        armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2
     )
     assert cost_of(classic, model) == 4 * 3.0 + 5.0
     assert cost_of(nop, model) == 2 * 3.0 + 5.0
@@ -162,37 +162,30 @@ def test_cost_arithmetic():
 
 def test_cost_ratio_is_two_with_free_callback():
     model = CostModel(switch_cost=7.0)
-    classic, _ = handle_trap(
-        armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4, model
-    )
+    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
     nop, _ = handle_trap(
-        armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2, model
+        armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2
     )
     assert cost_of(classic, model) / cost_of(nop, model) == 2.0
 
 
 def test_callback_probes_are_priced():
     model = CostModel(switch_cost=1.0, callback_base_cost=2.0, lookup_cost=0.5)
-
-    def three_probes(event):
-        return event, 3
-
-    record, _ = handle_trap(
-        armed_site(), SyscallEvent(1, 2, "open", "/f"), three_probes, TrapMode.CLASSIC4, model
-    )
-    assert record.callback_cost == 2.0 + 3 * 0.5
-    assert cost_of(record, model) == 4 * 1.0 + 3.5
+    record, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
+    assert cost_of(record, model, 3) == 4 * 1.0 + (2.0 + 3 * 0.5)
+    assert cost_of(record, model) == 4 * 1.0 + 2.0
+    assert cost_of(NOP2_RECORD, model, 3) == 2 * 1.0 + (2.0 + 3 * 0.5)
 
 
 def test_forwarded_event_is_callbacks_output():
     site = armed_site()
-    nulled = SyscallEvent(1, 2, "open", None)
+    result = (SyscallEvent(1, 2, "open", None), "verdict")
 
     def denier(event):
-        return nulled, 1
+        return result
 
-    _, forwarded = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), denier, TrapMode.CLASSIC4)
-    assert forwarded is nulled
+    _, returned = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), denier, TrapMode.CLASSIC4)
+    assert returned is result
 
 
 def test_negative_costs_rejected():
@@ -202,18 +195,13 @@ def test_negative_costs_rejected():
         CostModel(lookup_cost=float("nan"))
 
 
-def test_records_are_shared_per_site_mode_and_cost():
-    model = CostModel(switch_cost=1.0, lookup_cost=0.5)
-    site = armed_site(mode=TrapMode.NOP2)
-
-    def three_probes(event):
-        return event, 3
-
-    first, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2, model)
-    again, _ = handle_trap(site, SyscallEvent(2, 2, "open", "/g"), passthrough, TrapMode.NOP2, model)
-    priced, _ = handle_trap(site, SyscallEvent(3, 2, "open", "/f"), three_probes, TrapMode.NOP2, model)
-    classic, _ = handle_trap(site, SyscallEvent(4, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4, model)
-    assert again is first
-    assert priced is not first and priced.callback_cost == 1.5
-    assert classic.mode is TrapMode.CLASSIC4 and classic.vm_exits == 2
-    assert site.ip == 4
+def test_one_record_per_mode_for_every_site():
+    for call in ("open", "unlink"):
+        site = armed_site(call, TrapMode.NOP2)
+        first, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough, TrapMode.NOP2)
+        again, _ = handle_trap(site, SyscallEvent(2, 2, call, "/g"), passthrough, TrapMode.NOP2)
+        classic, _ = handle_trap(site, SyscallEvent(3, 2, call, "/f"), passthrough, TrapMode.CLASSIC4)
+        assert first is again is NOP2_RECORD
+        assert classic is CLASSIC4_RECORD
+        assert site.ip == 3
+    assert (CLASSIC4_RECORD.mode, NOP2_RECORD.mode) == (TrapMode.CLASSIC4, TrapMode.NOP2)
