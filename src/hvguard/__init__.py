@@ -36,7 +36,6 @@ from .guest import (
     SyscallEvent,
     SyscallOutcome,
     TRAPPED_CALLS,
-    UserAccount,
 )
 from .mediator import (
     AuthConfig,
@@ -58,7 +57,7 @@ from .sacl import (
     Decision,
     PermissionOctets,
     Sacl,
-    SaclEntry,
+    SaclRule,
     SaclParseError,
     check_access,
     effective_octet,

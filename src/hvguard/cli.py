@@ -44,6 +44,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--switch-cost", type=float, default=1.0, metavar="COST",
         help="modeled cost of one context switch, for --bench",
     )
+    parser.add_argument("--callback-cost", type=float, default=0.0, metavar="COST",
+                        help="modeled base cost of one mediation callback, for --bench")
+    parser.add_argument("--lookup-cost", type=float, default=0.0, metavar="COST",
+                        help="modeled cost of one SACL probe in the callback, for --bench")
     parser.add_argument("--bench", action="store_true", help="run the benchmark instead of a scenario")
     parser.add_argument("--sizes", default="100,1000,10000,100000", metavar="N,N,...")
     parser.add_argument("--reps", type=int, default=1000, metavar="N")
@@ -123,7 +127,7 @@ def _run_bench_mode(args) -> int:
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
     mode = TrapMode.NOP2 if args.trap_mode == "nop" else TrapMode.CLASSIC4
-    cost_model = CostModel(switch_cost=args.switch_cost)
+    cost_model = CostModel(args.switch_cost, args.callback_cost, args.lookup_cost)
     results = []
     for call in BENCH_CALLS:
         results.extend(sacl_scaling(call, sizes, args.reps, trap_mode=mode, cost_model=cost_model))

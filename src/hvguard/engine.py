@@ -123,9 +123,9 @@ class Simulation:
 
     # -- scenario events ----------------------------------------------------
 
-    def add_user(self, uid: int, gid: int, name: str) -> None:
+    def add_user(self, uid: int) -> None:
         self._tick()
-        self.guest.add_user(uid, gid, name)
+        self.guest.add_user(uid)
 
     def add_file(self, path, uid, gid, perms: PermissionOctets, is_directory=False) -> None:
         self._tick()
@@ -284,7 +284,12 @@ def run_scenario(
     result = ScenarioResult(sim)
     last: tuple[Verdict, SyscallOutcome] | None = None
 
-    for line_no, obj in parse_scenario(text):
+    # Reversed so that pop() hands out the events in order and drops each
+    # (line, event) pair once it has run.
+    events = parse_scenario(text)
+    events.reverse()
+    while events:
+        line_no, obj = events.pop()
         ev = obj["ev"]
         try:
             if ev == "sys":
@@ -306,7 +311,8 @@ def run_scenario(
                     raise ScenarioError(line_no, "'expect' with no preceding sys event")
                 _check_expect(line_no, obj, last, result)
             elif ev == "user":
-                sim.add_user(*_ids(line_no, obj), obj.get("name", ""))
+                uid, _ = _ids(line_no, obj)
+                sim.add_user(uid)
             elif ev == "file":
                 path = _need(line_no, obj, "path")
                 is_dir = obj.get("dir", False)

@@ -99,13 +99,6 @@ _FAILURES = {code: SyscallOutcome(code) for code in ErrorCode}
 
 
 @dataclass(frozen=True, slots=True)
-class UserAccount:
-    uid: int
-    gid: int
-    name: str
-
-
-@dataclass(frozen=True, slots=True)
 class GuestFile:
     path: str
     owner_uid: int
@@ -122,7 +115,6 @@ class Process:
     pid: int
     claimed_uid: int
     claimed_gid: int
-    parent_pid: int
     alive: bool = True
 
 
@@ -177,9 +169,9 @@ class Guest:
     """Mutable guest state, owned by a single simulator loop."""
 
     def __init__(self):
-        self.users: dict[int, UserAccount] = {}
+        self.uids: set[int] = set()
         self.files: dict[str, GuestFile] = {}
-        self.processes: dict[int, Process] = {INIT_PID: Process(INIT_PID, 0, 0, 0)}
+        self.processes: dict[int, Process] = {INIT_PID: Process(INIT_PID, 0, 0)}
         # Callables (child pid, parent pid) invoked after a clone syscall
         # spawned the child.
         self.clone_listeners: list = []
@@ -187,12 +179,10 @@ class Guest:
 
     # -- construction -----------------------------------------------------
 
-    def add_user(self, uid: int, gid: int, name: str) -> UserAccount:
-        if uid in self.users:
+    def add_user(self, uid: int) -> None:
+        if uid in self.uids:
             raise GuestError(f"duplicate uid: {uid}")
-        account = UserAccount(uid, gid, name)
-        self.users[uid] = account
-        return account
+        self.uids.add(uid)
 
     def add_file(
         self,
@@ -237,7 +227,7 @@ class Guest:
         elif self.is_alive(pid):
             raise GuestError(f"pid {pid} already alive")
         self._next_pid = max(self._next_pid, pid + 1)
-        self.processes[pid] = Process(pid, uid, gid, parent_pid)
+        self.processes[pid] = Process(pid, uid, gid)
         return pid
 
     def set_claimed(self, pid: int, uid: int, gid: int) -> None:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator
 
 READ_BIT = 4
 WRITE_BIT = 2
@@ -85,52 +84,31 @@ _OCTETS_BY_TEXT = {
 
 
 @dataclass(frozen=True, slots=True)
-class SaclEntry:
-    """One row: absolute path, permission octets, and owner uid/gid.
+class SaclRule:
+    """Permission octets and owner uid/gid, shared by every row naming the
+    same triple.  uid/gid 0 denote the root user and root group."""
 
-    uid/gid 0 denote the root user and root group.
-    """
-
-    path: str
     perms: PermissionOctets
     owner_uid: int
     owner_gid: int
 
     def __post_init__(self):
-        if not self.path.startswith("/"):
-            raise ValueError(f"path is not absolute: {self.path!r}")
         if self.owner_uid < 0 or self.owner_gid < 0:
             raise ValueError("owner uid/gid must be non-negative")
 
 
 class Sacl:
-    """The shadow list, a hashtable keyed by full path (amortized O(1))."""
+    """The shadow list, a plain dict from full path to a shared rule (amortized O(1))."""
 
-    def __init__(self, entries: Iterable[SaclEntry] = ()):
-        self.entries: dict[str, SaclEntry] = {}
-        for entry in entries:
-            self.add(entry)
+    def __init__(self):
+        self.entries: dict[str, SaclRule] = {}
 
-    def add(self, entry: SaclEntry) -> None:
-        if entry.path in self.entries:
-            raise ValueError(f"duplicate path: {entry.path}")
-        self.entries[entry.path] = entry
-
-    def lookup(self, path: str) -> SaclEntry | None:
+    def lookup(self, path: str) -> SaclRule | None:
         """Exact full-path match; no prefix or glob semantics."""
         return self.entries.get(path)
 
-    def remove(self, path: str) -> None:
-        self.entries.pop(path, None)
-
     def __len__(self) -> int:
         return len(self.entries)
-
-    def __contains__(self, path: str) -> bool:
-        return path in self.entries
-
-    def __iter__(self) -> Iterator[SaclEntry]:
-        return iter(self.entries.values())
 
 
 def is_decimal(text: str) -> bool:
@@ -147,9 +125,13 @@ def parse_sacl(text: str) -> Sacl:
     lines are skipped.  Paths may not contain whitespace or NUL.  Duplicate
     or relative paths, bad octal digits, uid/gid other than ASCII decimal
     digits, and missing columns raise SaclParseError naming the line.
+
+    Rows with the same (perm, uid, gid) texts share one SaclRule; a triple
+    is validated the first time it is seen.
     """
     sacl = Sacl()
     entries = sacl.entries
+    rules: dict[tuple[str, str, str], SaclRule] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -162,26 +144,30 @@ def parse_sacl(text: str) -> Sacl:
             raise SaclParseError(line_no, f"path is not absolute: {path!r}")
         if "\0" in path:
             raise SaclParseError(line_no, f"path contains NUL: {path!r}")
-        try:
-            perms = PermissionOctets.from_text(perm_text)
-        except ValueError as exc:
-            raise SaclParseError(line_no, str(exc)) from None
-        if not is_decimal(uid_text) or not is_decimal(gid_text):
-            raise SaclParseError(line_no, "uid/gid must be decimal non-negative integers")
-        try:
-            uid, gid = int(uid_text), int(gid_text)
-        except ValueError:  # more digits than int() converts
-            raise SaclParseError(line_no, "uid/gid too large") from None
+        key = (perm_text, uid_text, gid_text)
+        rule = rules.get(key)
+        if rule is None:
+            try:
+                perms = PermissionOctets.from_text(perm_text)
+            except ValueError as exc:
+                raise SaclParseError(line_no, str(exc)) from None
+            if not is_decimal(uid_text) or not is_decimal(gid_text):
+                raise SaclParseError(line_no, "uid/gid must be decimal non-negative integers")
+            try:
+                uid, gid = int(uid_text), int(gid_text)
+            except ValueError:  # more digits than int() converts
+                raise SaclParseError(line_no, "uid/gid too large") from None
+            rule = rules[key] = SaclRule(perms, uid, gid)
         if path in entries:
             raise SaclParseError(line_no, f"duplicate path: {path}")
-        entries[path] = SaclEntry(path, perms, uid, gid)
+        entries[path] = rule
     return sacl
 
 
 def serialize_sacl(sacl: Sacl) -> str:
     """Canonical text form: parse(serialize(s)) reproduces s."""
     lines = [
-        f"{e.path} {e.perms.to_text()} {e.owner_uid} {e.owner_gid}" for e in sacl
+        f"{path} {r.perms.to_text()} {r.owner_uid} {r.owner_gid}" for path, r in sacl.entries.items()
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -189,7 +175,7 @@ def serialize_sacl(sacl: Sacl) -> str:
 def effective_octet(node, uid: int, gid: int) -> int:
     """Select the octet governing a requester: owner, then group, then other.
 
-    ``node`` is a SaclEntry or a GuestFile, or anything else that carries
+    ``node`` is a SaclRule or a GuestFile, or anything else that carries
     owner_uid, owner_gid and perms.  Exactly one octet applies; the cascade
     is on uid first, gid second.
     """
@@ -217,10 +203,21 @@ def generate_full_sacl(guest_fs) -> Sacl:
 
     Accepts a Guest or any iterable of objects carrying path, owner_uid,
     owner_gid, and perms attributes; emits one entry per tree node
-    with the node's own permissions and owner copied verbatim.
+    with the node's own permissions and owner copied verbatim.  Nodes with
+    the same (perms, uid, gid) share one SaclRule.
     """
     files = guest_fs.files.values() if hasattr(guest_fs, "files") else guest_fs
     sacl = Sacl()
+    entries = sacl.entries
+    rules: dict[tuple[PermissionOctets, int, int], SaclRule] = {}
     for f in files:
-        sacl.add(SaclEntry(f.path, f.perms, f.owner_uid, f.owner_gid))
+        if not f.path.startswith("/"):
+            raise ValueError(f"path is not absolute: {f.path!r}")
+        if f.path in entries:
+            raise ValueError(f"duplicate path: {f.path}")
+        key = (f.perms, f.owner_uid, f.owner_gid)
+        rule = rules.get(key)
+        if rule is None:
+            rule = rules[key] = SaclRule(*key)
+        entries[f.path] = rule
     return sacl

@@ -24,7 +24,7 @@ from hvguard.mediator import (
     is_authenticated,
     try_token_auth,
 )
-from hvguard.sacl import AccessKind, Decision, Sacl, SaclEntry, PermissionOctets, check_access, parse_sacl
+from hvguard.sacl import AccessKind, Decision, Sacl, SaclRule, PermissionOctets, check_access, parse_sacl
 from hvguard.trap import CostModel, TrapMode, arm, cost_of, handle_trap, make_site
 from sha512_oracle import sha512_hex
 
@@ -98,7 +98,8 @@ def test_criterion_2_oracle_equivalence():
         cases = 0
         for n in range(512):
             perm_text = f"{n >> 6 & 7}{n >> 3 & 7}{n & 7}"
-            sacl = Sacl([SaclEntry("/f", PermissionOctets.from_text(perm_text), 1000, 1000)])
+            sacl = Sacl()
+            sacl.entries["/f"] = SaclRule(PermissionOctets.from_text(perm_text), 1000, 1000)
             for req_name, (uid, gid) in requesters.items():
                 for kind_name, kind in kinds.items():
                     expected = Decision.PERMIT if brute_force_allows(perm_text, req_name, kind_name) else Decision.DENY

@@ -102,6 +102,45 @@ def test_bench_nop_mode_switch_column(tmp_path, capsys):
         assert row.split(",")[-1] == str(2 * 8)
 
 
+def test_bench_prices_the_callback(capsys):
+    # Verdicts do not depend on the trap mode, so on every row the modes
+    # differ by exactly the two switches NOP saves, and their ratio is
+    # (4s+c)/(2s+c) with c the row's mean callback cost.
+    s, base, lookup = 2.5, 3.0, 0.5
+    costs = {}
+    for mode in ("classic", "nop"):
+        code, out, _ = run_cli(
+            ["--bench", "--sizes", "100,1000", "--reps", "50", "--trap-mode", mode,
+             "--switch-cost", str(s), "--callback-cost", str(base), "--lookup-cost", str(lookup)],
+            capsys,
+        )
+        assert code == 0
+        for row in out.strip().splitlines()[1:]:
+            fields = row.split(",")
+            costs[mode, fields[0], fields[1], fields[3]] = float(fields[5])
+    rows = [key[1:] for key in costs if key[0] == "classic"]
+    assert len(rows) == 6 and all(scenario in ("S2_EmptySacl", "S3_FullSacl") for _, scenario, _ in rows)
+    for row in rows:
+        classic, nop = costs[("classic",) + row], costs[("nop",) + row]
+        assert abs((classic - nop) - 2 * s) < 1e-9, row
+        c_bar = nop - 2 * s
+        # Every S3 target is listed, so the callback probes at least once.
+        probes = (c_bar - base) / lookup
+        assert probes >= 1 and abs(probes - round(probes)) < 1e-9, row
+        assert abs(classic / nop - (4 * s + c_bar) / (2 * s + c_bar)) < 1e-9, row
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--callback-cost", "-1"), ("--callback-cost", "nan"), ("--lookup-cost", "-0.5"), ("--lookup-cost", "nan")],
+)
+def test_bench_bad_cost_exits_two(flag, value, capsys):
+    code, out, err = run_cli(["--bench", "--sizes", "100", "--reps", "5", flag, value], capsys)
+    assert code == 2
+    assert out == ""
+    assert "costs must be non-negative" in err
+
+
 def test_bench_zero_reps_exits_two(capsys):
     code, _, err = run_cli(["--bench", "--reps", "0"], capsys)
     assert code == 2

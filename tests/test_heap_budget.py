@@ -1,0 +1,109 @@
+"""What a replay keeps alive: objects that scale with the guest, not with the
+rows and lines read.
+
+The cyclic collector walks every tracked object on each full collection, so
+a replay that keeps one object per SACL row or per parsed scenario line pays
+for it again and again.  These tests count tracked objects at the first
+trapped call, and watch scenario events with weak references.
+"""
+
+import gc
+import json
+import random
+import weakref
+
+from hvguard import engine
+from hvguard.engine import Simulation, run_scenario
+from hvguard.sacl import parse_sacl
+
+N_FILES = 5000
+N_SYS = 300
+# The Simulation, its trap sites and the sys events still to run (a tuple,
+# a dict and a flags list each): far fewer than N_FILES.
+SMALL = 1500
+
+
+def make_workload(seed=3):
+    """A forged-root attack on a guest of N_FILES files, every one of them
+    listed in the SACL under a handful of (perm, uid, gid) triples."""
+    rng = random.Random(seed)
+    users = [(1000 + i, 1000 + i) for i in range(8)]
+    events = [{"ev": "user", "uid": uid, "gid": gid, "name": f"u{uid}"} for uid, gid in users]
+    events += [{"ev": "file", "path": f"/d{d:02d}", "uid": 0, "gid": 0, "perm": "755", "dir": True}
+               for d in range(50)]
+    rows, paths = [], []
+    for i in range(N_FILES):
+        path = f"/d{i % 50:02d}/f{i:05d}"
+        uid, gid = rng.choice(users + [(0, 0)])
+        perm = rng.choice(["644", "640", "600", "400"])
+        events.append({"ev": "file", "path": path, "uid": uid, "gid": gid, "perm": perm})
+        rows.append(f"{path} {perm} {uid} {gid}")
+        paths.append(path)
+    events.append({"ev": "spawn", "pid": 2, "parent": 1, "uid": 1000, "gid": 1000})
+    events.append({"ev": "forge", "pid": 2, "uid": 0, "gid": 0})
+    for _ in range(N_SYS):
+        call = rng.choice(["open", "unlink", "truncate"])
+        event = {"ev": "sys", "pid": 2, "call": call, "path": rng.choice(paths)}
+        if call == "open":
+            event["flags"] = ["O_WRONLY"]
+        events.append(event)
+        events.append({"ev": "expect", "decision": "permit"})
+    scenario = "\n".join(json.dumps(e) for e in events) + "\n"
+    return "\n".join(rows) + "\n", scenario, len(events)
+
+
+def test_replay_heap_scales_with_files_not_rows_or_lines(monkeypatch):
+    sacl_text, scenario, _ = make_workload()
+    counts = []
+    real_syscall = Simulation.syscall
+
+    def syscall(self, *args, **kwargs):
+        if not counts:
+            gc.collect()
+            counts.append((len(gc.get_objects()), len(self.guest.files)))
+        return real_syscall(self, *args, **kwargs)
+
+    monkeypatch.setattr(Simulation, "syscall", syscall)
+    gc.collect()
+    before = len(gc.get_objects())
+    result = run_scenario(scenario, sacl=parse_sacl(sacl_text))
+    assert result.sys_events == N_SYS
+    tracked, files = counts[0]
+    assert files == N_FILES + 50
+    assert tracked - before < files + SMALL
+
+
+class Event(dict):
+    """A scenario event that a weak reference can watch."""
+
+
+def test_each_event_is_freed_once_run(monkeypatch):
+    sacl_text, scenario, n_events = make_workload()
+    refs = []
+    real_parse = engine.parse_scenario
+
+    def parse_scenario(text):
+        events = [(line_no, Event(obj)) for line_no, obj in real_parse(text)]
+        refs.extend(weakref.ref(obj) for _, obj in events)
+        return events
+
+    live_at_syscalls = []
+    real_syscall = Simulation.syscall
+
+    def syscall(self, *args, **kwargs):
+        live_at_syscalls.append(sum(ref() is not None for ref in refs))
+        return real_syscall(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "parse_scenario", parse_scenario)
+    monkeypatch.setattr(Simulation, "syscall", syscall)
+    gc.disable()  # freed by reference counting, not by a collection
+    try:
+        result = run_scenario(scenario, sacl=parse_sacl(sacl_text))
+        # The k-th sys event (0-based) is followed by its expect and the
+        # remaining sys/expect pairs: every earlier event is gone.
+        assert live_at_syscalls == [2 * (N_SYS - k) for k in range(N_SYS)]
+        assert len(refs) == n_events
+        assert all(ref() is None for ref in refs)
+        assert result.sys_events == N_SYS
+    finally:
+        gc.enable()

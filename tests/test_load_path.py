@@ -1,20 +1,23 @@
 """The load path against the plain rules it replaced.
 
-``PermissionOctets.from_text`` returns shared instances from a table, and
-``parse_scenario`` decodes with ``JSONDecoder.raw_decode``.  Both are checked
-against straightforward references: the length-and-alphabet rule for octal
-permission texts, and a per-line ``json.loads`` scenario parser.
+``PermissionOctets.from_text`` returns shared instances from a table,
+``parse_sacl`` shares one rule per (perm, uid, gid) text triple, and
+``parse_scenario`` decodes with ``JSONDecoder.raw_decode``.  Each is checked
+against a straightforward reference: the length-and-alphabet rule for octal
+permission texts, a row-by-row SACL parser, and a per-line ``json.loads``
+scenario parser.
 """
 
 import itertools
 import json
+import random
 import sys
 
 import pytest
 
 from conftest import REPO_ROOT
 from hvguard.engine import ScenarioError, parse_scenario
-from hvguard.sacl import PermissionOctets
+from hvguard.sacl import PermissionOctets, SaclParseError, parse_sacl
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
@@ -149,3 +152,116 @@ def test_json_loads_errors_beyond_decode_errors_name_the_line(value, message):
     text = '{"ev":"user","uid":0,"gid":0}\n{"ev":"user","x":' + value + "}\n"
     with pytest.raises(ScenarioError, match=rf"^line 2: bad JSON: {message}"):
         parse_scenario(text)
+
+
+def reference_parse_sacl(text):
+    """Row by row, each row checked in full, as SACL rows were read before
+    rules were shared.  Returns {path: ((u, g, o), uid, gid)}, or
+    (line_no, message) for the first bad row."""
+    rows = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if len(fields) != 4:
+            return line_no, f"expected 4 fields, got {len(fields)}"
+        path, perm, uid, gid = fields
+        if not path.startswith("/"):
+            return line_no, f"path is not absolute: {path!r}"
+        if "\0" in path:
+            return line_no, f"path contains NUL: {path!r}"
+        if len(perm) != 3 or any(c not in "01234567" for c in perm):
+            return line_no, f"not a 3-digit octal permission: {perm!r}"
+        if not all(ids and all(c in "0123456789" for c in ids) for ids in (uid, gid)):
+            return line_no, "uid/gid must be decimal non-negative integers"
+        try:
+            ids = int(uid), int(gid)
+        except ValueError:
+            return line_no, "uid/gid too large"
+        if path in rows:
+            return line_no, f"duplicate path: {path}"
+        rows[path] = (tuple(int(c) for c in perm), *ids)
+    return rows
+
+
+PERM_TEXTS = ["644", "600", "400", "755", "000", "777"]
+ID_TEXTS = ["0", "00", "7", "007", "1000", "01000", "65534"]
+BAD_ROWS = [
+    "/bad 8xx 0 0",
+    "/bad 6440 0 0",
+    "/bad 644 x 0",
+    "/bad 644 0 -1",
+    "/bad 644 \u0663 0",
+    "/bad 644 0 \u00b2",
+    "/bad 644 " + "9" * 5000 + " 0",
+    "relative 644 0 0",
+    "/bad\0nul 644 0 0",
+    "/bad 644 0",
+    "/bad 644 0 0 extra",
+]
+
+
+def random_sacl_rows(rng, n):
+    """n valid rows over a few (perm, uid, gid) texts, leading zeros included,
+    with comments, blank lines and mixed separators between them."""
+    triples = [("640", "7", "7"), ("640", "007", "07")]
+    triples += [(rng.choice(PERM_TEXTS), rng.choice(ID_TEXTS), rng.choice(ID_TEXTS)) for _ in range(4)]
+    rows = []
+    for i in range(n):
+        perm, uid, gid = rng.choice(triples)
+        rows.append(rng.choice([" ", "\t", "  "]).join((f"/d{i % 7}/f{i}", perm, uid, gid)))
+        if rng.random() < 0.1:
+            rows.append(rng.choice(["", "# note", "   "]))
+    return rows
+
+
+def sacl_error(text):
+    try:
+        parse_sacl(text)
+    except SaclParseError as exc:
+        return exc.line_no, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parse_sacl_matches_a_row_by_row_parse(seed):
+    rng = random.Random(seed)
+    rows = random_sacl_rows(rng, 400)
+    text = "\n".join(rows) + "\n"
+    expected = reference_parse_sacl(text)
+    sacl = parse_sacl(text)
+    assert len(sacl) == len(expected) == 400
+    for path, (octets, uid, gid) in expected.items():
+        rule = sacl.entries[path]
+        assert ((rule.perms.user, rule.perms.group, rule.perms.other), rule.owner_uid, rule.owner_gid) == (
+            octets, uid, gid
+        )
+    # Rows with equal triple texts hold the very same rule object.
+    by_text = {}
+    for row in rows:
+        if row.strip() and not row.startswith("#"):
+            path, *triple = row.split()
+            assert by_text.setdefault(tuple(triple), sacl.entries[path]) is sacl.entries[path]
+    assert len({id(rule) for rule in sacl.entries.values()}) <= len(by_text)
+    # Leading zeros name the same ids.
+    assert by_text["640", "7", "7"] == by_text["640", "007", "07"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_parse_sacl_errors_match_a_row_by_row_parse(seed):
+    # A bad row, a duplicate path or a bad row whose triple repeats an
+    # earlier one: same line number and message as checking every row.
+    rng = random.Random(seed)
+    for _ in range(60):
+        rows = random_sacl_rows(rng, 30)
+        at = rng.randrange(1, len(rows))
+        bad = rng.choice(BAD_ROWS + ["repeat"] * 3)
+        if bad == "repeat":
+            earlier, *triple = rng.choice([r for r in rows[:at] if r.startswith("/")]).split()
+            bad = " ".join([rng.choice(["relative", "/bad\0nul", earlier])] + triple)
+        rows.insert(at, bad)
+        text = "\n".join(rows) + "\n"
+        expected = reference_parse_sacl(text)
+        assert isinstance(expected, tuple), bad
+        assert sacl_error(text) == (expected[0], f"line {expected[0]}: {expected[1]}")

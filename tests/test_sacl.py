@@ -10,7 +10,7 @@ from hvguard.sacl import (
     Decision,
     PermissionOctets,
     Sacl,
-    SaclEntry,
+    SaclRule,
     SaclParseError,
     check_access,
     effective_octet,
@@ -30,7 +30,7 @@ SAMPLE = """\
 def test_parse_single_entry():
     sacl = parse_sacl("/etc/shadow 400 0 0\n")
     entry = sacl.lookup("/etc/shadow")
-    assert entry == SaclEntry("/etc/shadow", PermissionOctets(4, 0, 0), 0, 0)
+    assert entry == SaclRule(PermissionOctets(4, 0, 0), 0, 0)
 
 
 def test_parse_sample_and_lookup():
@@ -90,7 +90,7 @@ def test_lookup_exact_match_only():
 
 def test_lookup_after_remove_is_absent():
     sacl = parse_sacl("/a 644 0 0\n")
-    sacl.remove("/a")
+    del sacl.entries["/a"]
     assert sacl.lookup("/a") is None
 
 
@@ -100,7 +100,7 @@ def test_roundtrip_identity_random():
         sacl = Sacl()
         for i in range(rng.randrange(0, 30)):
             perms = PermissionOctets(rng.randrange(8), rng.randrange(8), rng.randrange(8))
-            sacl.add(SaclEntry(f"/d{i}/f{rng.randrange(1000)}", perms, rng.randrange(5000), rng.randrange(5000)))
+            sacl.entries[f"/d{i}/f{rng.randrange(1000)}"] = SaclRule(perms, rng.randrange(5000), rng.randrange(5000))
         again = parse_sacl(serialize_sacl(sacl))
         assert again.entries == sacl.entries
 
@@ -113,12 +113,15 @@ def test_roundtrip_whitespace_normalization():
 
 def test_effective_octet_cascade():
     # The SACL and the guest decide through the same cascade.
-    for node_type in (SaclEntry, GuestFile):
-        node = node_type(path="/f", perms=PermissionOctets(6, 4, 0), owner_uid=1000, owner_gid=1000)
+    perms, root_perms = PermissionOctets(6, 4, 0), PermissionOctets(4, 0, 0)
+    pairs = [
+        (SaclRule(perms, 1000, 1000), SaclRule(root_perms, 0, 0)),
+        (GuestFile("/f", 1000, 1000, perms), GuestFile("/f", 0, 0, root_perms)),
+    ]
+    for node, root_node in pairs:
         assert effective_octet(node, 1000, 1000) == 6   # owner
         assert effective_octet(node, 2000, 1000) == 4   # same group
         assert effective_octet(node, 2000, 2000) == 0   # other
-        root_node = node_type(path="/f", perms=PermissionOctets(4, 0, 0), owner_uid=0, owner_gid=0)
         assert effective_octet(root_node, 0, 0) == 4    # root is just a uid
 
 
@@ -126,7 +129,7 @@ def test_effective_octet_selects_exactly_one():
     rng = random.Random(7)
     for _ in range(300):
         perms = PermissionOctets(rng.randrange(8), rng.randrange(8), rng.randrange(8))
-        entry = SaclEntry("/f", perms, rng.randrange(4), rng.randrange(4))
+        entry = SaclRule(perms, rng.randrange(4), rng.randrange(4))
         uid, gid = rng.randrange(4), rng.randrange(4)
         octet = effective_octet(entry, uid, gid)
         if uid == entry.owner_uid:
@@ -210,5 +213,10 @@ def test_permission_octets_reject_out_of_range():
 
 
 def test_entry_requires_absolute_path():
+    with pytest.raises(ValueError, match="not absolute"):
+        generate_full_sacl([GuestFile("relative", 0, 0, PermissionOctets(6, 4, 4))])
+
+
+def test_rule_rejects_negative_ids():
     with pytest.raises(ValueError):
-        SaclEntry("relative", PermissionOctets(6, 4, 4), 0, 0)
+        SaclRule(PermissionOctets(6, 4, 4), -1, 0)
