@@ -115,7 +115,7 @@ class Simulation:
         parent (init) passes on the credentials the guest gave the child."""
         proc = self.guest.processes[child]
         uid, gid, _ = self.table.resolve_owner(parent, proc.claimed_uid, proc.claimed_gid)
-        self.table.on_fork(child, uid, gid, self.clock)
+        self.table.on_fork(child, uid, gid)
 
     def _tick(self) -> int:
         self.clock += 1
@@ -135,7 +135,7 @@ class Simulation:
         """Trusted process creation: the given credentials are recorded."""
         self._tick()
         pid = self.guest.spawn_process(parent_pid, uid, gid, pid=pid)
-        self.table.on_fork(pid, uid, gid, self.clock)
+        self.table.on_fork(pid, uid, gid)
         return pid
 
     def sudo(self, pid: int, uid: int, gid: int) -> None:

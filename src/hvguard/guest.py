@@ -12,6 +12,7 @@ from __future__ import annotations
 import posixpath
 from dataclasses import dataclass, replace
 from enum import Enum
+from typing import NamedTuple
 
 from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, PermissionOctets, effective_octet
 
@@ -65,6 +66,7 @@ INIT_PID = 1
 _DEFAULT_FILE_PERMS = PermissionOctets.from_text("644")
 _DEFAULT_DIR_PERMS = PermissionOctets.from_text("755")
 _SYMLINK_PERMS = PermissionOctets.from_text("777")
+_tuple_new = tuple.__new__
 
 
 class ErrorCode(Enum):
@@ -107,6 +109,9 @@ class GuestFile:
     is_directory: bool = False
 
 
+_ROOT_DIR = GuestFile("/", 0, 0, _DEFAULT_DIR_PERMS, True)  # "/" exists implicitly
+
+
 @dataclass
 class Process:
     """claimed_uid/gid are what the guest kernel believes; the mediation
@@ -118,17 +123,7 @@ class Process:
     alive: bool = True
 
 
-@dataclass(frozen=True, slots=True)
-class SyscallEvent:
-    """One trapped call.
-
-    Argument slots mirror the 64-bit calling convention's register order:
-    ``path`` is the first pointer-carrying slot (source for rename, target
-    for symlink, module image for init_module), ``path2`` the second (rename
-    destination, new name for link/symlink).  None is the null-address
-    marker a denial writes into a slot.
-    """
-
+class _EventFields(NamedTuple):
     seq: int
     pid: int
     call: str
@@ -136,12 +131,34 @@ class SyscallEvent:
     path2: str | None = None
     flags: frozenset[str] = frozenset()
 
-    def __post_init__(self):
-        if not isinstance(self.call, str) or self.call not in _TRAPPED_CALL_SET:
-            raise ValueError(f"unknown syscall: {self.call!r}")
-        for p in (self.path, self.path2):
+
+class SyscallEvent(_EventFields):
+    """One trapped call, validated once when it is built.
+
+    Argument slots mirror the 64-bit calling convention's register order:
+    ``path`` is the first pointer-carrying slot (source for rename, target
+    for symlink, module image for init_module), ``path2`` the second (rename
+    destination, new name for link/symlink).  None is the null-address
+    marker a denial writes into a slot through ``nulled``, unvalidated.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, seq, pid, call, path=None, path2=None, flags=frozenset()):
+        if type(call) is not str or call not in _TRAPPED_CALL_SET:
+            raise ValueError(f"unknown syscall: {call!r}")
+        for p in (path, path2):
             if p is not None and not p.startswith("/"):
                 raise ValueError(f"path argument is not absolute: {p!r}")
+        return _tuple_new(cls, (seq, pid, call, path, path2, flags))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def nulled(self) -> "SyscallEvent":
+        """This event with ``path`` nulled; a valid event stays valid."""
+        return _tuple_new(type(self), (self[0], self[1], self[2], None, self[4], self[5]))
 
 
 class GuestError(RuntimeError):
@@ -266,14 +283,11 @@ class Guest:
             for listener in self.clone_listeners:
                 listener(child, event.pid)
             return SyscallOutcome.ok()
-        if call in POINTER_SLOT_CALLS:
-            if event.path is None:
-                return SyscallOutcome.fail(nulled_error_code(call, event.flags))
-            return SyscallOutcome.ok()
-
-        # Every remaining call resolves a path from its first slot.
+        # Every remaining call reads its first slot, which a denial nulls.
         if event.path is None:
             return SyscallOutcome.fail(nulled_error_code(call, event.flags))
+        if call in POINTER_SLOT_CALLS:
+            return SyscallOutcome.ok()
         uid, gid = proc.claimed_uid, proc.claimed_gid
 
         if call in OPEN_CALLS:
@@ -302,10 +316,7 @@ class Guest:
         return bool(effective_octet(node, uid, gid) & bit)
 
     def _dir_node(self, path: str) -> GuestFile | None:
-        # "/" exists implicitly and behaves like a root-owned 755 directory.
-        if path == "/":
-            return GuestFile("/", 0, 0, _DEFAULT_DIR_PERMS, True)
-        node = self.files.get(path)
+        node = _ROOT_DIR if path == "/" else self.files.get(path)
         return node if node is not None and node.is_directory else None
 
     def _parent_writable(self, path: str, uid: int, gid: int):

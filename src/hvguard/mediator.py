@@ -57,7 +57,6 @@ class OwnershipRecord:
     pid: int
     uid: int
     gid: int
-    recorded_at: int
 
 
 class OwnershipTable:
@@ -71,17 +70,16 @@ class OwnershipTable:
     def __init__(self):
         self._records: dict[int, OwnershipRecord] = {}
 
-    def on_fork(self, pid: int, uid: int, gid: int, seq: int) -> None:
+    def on_fork(self, pid: int, uid: int, gid: int) -> None:
         if pid in self._records:
             raise ValueError(f"pid {pid} already tracked")
-        self._records[pid] = OwnershipRecord(pid, uid, gid, seq)
+        self._records[pid] = OwnershipRecord(pid, uid, gid)
 
     def on_sudo(self, pid: int, new_uid: int, new_gid: int) -> None:
-        """Legitimate ownership change; keeps the original capture seq."""
-        record = self._records.get(pid)
-        if record is None:
+        """Legitimate ownership change of a tracked pid."""
+        if pid not in self._records:
             raise KeyError(f"pid {pid} not tracked")
-        self._records[pid] = OwnershipRecord(pid, new_uid, new_gid, record.recorded_at)
+        self._records[pid] = OwnershipRecord(pid, new_uid, new_gid)
 
     def on_exit(self, pid: int) -> None:
         self._records.pop(pid, None)
@@ -96,9 +94,6 @@ class OwnershipTable:
             return claimed_uid, claimed_gid, False
         mismatch = record.uid != claimed_uid or record.gid != claimed_gid
         return record.uid, record.gid, mismatch
-
-    def __len__(self) -> int:
-        return len(self._records)
 
     def __contains__(self, pid: int) -> bool:
         return pid in self._records
@@ -320,7 +315,9 @@ def mediate(
 
 def apply_verdict(event: SyscallEvent, verdict: Verdict) -> SyscallEvent:
     """Permit forwards the event untouched; deny nulls its first pointer
-    slot so the guest fails the call naturally instead of being told no."""
+    slot so the guest fails the call naturally instead of being told no.
+    ``nulled`` does not validate the event a second time.  ``Verdict`` stays
+    a frozen dataclass for acceptance criterion 6 (see README)."""
     if verdict.decision is Decision.PERMIT or event.path is None:
         return event
-    return SyscallEvent(event.seq, event.pid, event.call, None, event.path2, event.flags)
+    return event.nulled()

@@ -230,7 +230,7 @@ def test_criterion_7_auth_protocol():
             response = sha512_hex((challenge + secret).encode())
 
             table = OwnershipTable()
-            table.on_fork(2, 1000, 1000, seq=1)
+            table.on_fork(2, 1000, 1000)
             config = AuthConfig(secrets={1000: secret}, window=50)
             sessions = {}
             handled = try_token_auth("/tokens/" + challenge + response, 2, table, config, sessions, seq=7)

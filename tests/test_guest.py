@@ -12,7 +12,8 @@ from hvguard.guest import (
     TRAPPED_CALLS,
     nulled_error_code,
 )
-from hvguard.sacl import PermissionOctets
+from hvguard.mediator import Reason, Verdict, apply_verdict
+from hvguard.sacl import Decision, PermissionOctets
 
 RW = PermissionOctets(6, 4, 4)
 DIR = PermissionOctets(7, 5, 5)
@@ -210,6 +211,92 @@ def test_event_paths_must_be_absolute_or_null():
     with pytest.raises(ValueError):
         SyscallEvent(1, 1, "open", "relative.txt")
     SyscallEvent(1, 1, "open", None)  # null marker is fine
+
+
+# -- event invariants -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("call", [["open"], 2, None])
+def test_event_call_that_is_not_a_string_is_value_error(call):
+    # A list is unhashable: the type test must come before the set lookup.
+    with pytest.raises(ValueError, match="unknown syscall"):
+        SyscallEvent(1, 1, call)
+
+
+@pytest.mark.parametrize("slot", ["path", "path2"])
+def test_event_relative_path_in_either_slot_is_value_error(slot):
+    with pytest.raises(ValueError, match="path argument is not absolute: 'rel'"):
+        SyscallEvent(1, 1, "rename", **{"path": "/a", "path2": "/b", slot: "rel"})
+
+
+def test_event_keyword_construction_and_defaults():
+    event = SyscallEvent(seq=1, pid=2, call="open", path="/etc/hosts", flags=frozenset({"O_RDONLY"}))
+    assert (event.seq, event.pid, event.call, event.path, event.path2, event.flags) == (
+        1, 2, "open", "/etc/hosts", None, frozenset({"O_RDONLY"}),
+    )
+    bare = SyscallEvent(3, 4, "clone")
+    assert (bare.path, bare.path2, bare.flags) == (None, None, frozenset())
+
+
+@pytest.mark.parametrize("field", ["seq", "pid", "call", "path", "path2", "flags"])
+def test_event_fields_cannot_be_set(field):
+    event = SyscallEvent(1, 2, "open", "/a")
+    with pytest.raises(AttributeError):
+        setattr(event, field, None)
+    with pytest.raises(AttributeError):
+        event.extra = 1
+
+
+def test_event_replace_and_make_validate():
+    event = SyscallEvent(1, 2, "rename", "/a", "/b")
+    with pytest.raises(ValueError, match="not absolute"):
+        event._replace(path="rel")
+    with pytest.raises(ValueError, match="not absolute"):
+        SyscallEvent._make((1, 2, "rename", "/a", "rel", frozenset()))
+    with pytest.raises(ValueError, match="unknown syscall"):
+        event._replace(call="getpid")
+    assert event._replace(path2="/c") == SyscallEvent(1, 2, "rename", "/a", "/c")
+    assert type(SyscallEvent._make(event)) is SyscallEvent
+
+
+def test_nulled_and_deny_verdict_null_only_the_first_slot():
+    event = SyscallEvent(7, 2, "rename", "/a", "/b", frozenset({"X"}))
+    expected = SyscallEvent(7, 2, "rename", None, "/b", frozenset({"X"}))
+    deny = Verdict(Decision.DENY, Reason.SACL_DENY, (), 0, 0, True, 1)
+    for forwarded in (event.nulled(), apply_verdict(event, deny)):
+        assert type(forwarded) is SyscallEvent
+        assert forwarded == expected
+    assert event.path == "/a"  # the original is untouched
+
+
+# -- the implicit root directory --------------------------------------------------
+
+
+def test_root_dir_node_is_one_shared_root_owned_755_directory():
+    guest = Guest()
+    root = guest._dir_node("/")
+    assert root is guest._dir_node("/")
+    assert (root.path, root.owner_uid, root.owner_gid, root.is_directory) == ("/", 0, 0, True)
+    assert root.perms == PermissionOctets(7, 5, 5)
+
+
+@pytest.mark.parametrize("uid, expected", [(0, None), (1000, ErrorCode.PERMISSION_DENIED)])
+def test_root_level_parent_checks(uid, expected):
+    # "/" is root-owned 755: only uid 0 may create, rename, unlink or link
+    # directly under it, whoever owns the file itself.
+    guest = Guest()
+    guest.add_file("/f", uid, uid, RW)
+    guest.add_file("/g", uid, uid, RW)
+    pid = guest.spawn_process(1, uid, uid)
+    calls = [
+        ev(pid, "open", "/new", flags=["O_CREAT", "O_WRONLY"]),
+        ev(pid, "rename", "/f", "/moved"),
+        ev(pid, "unlink", "/g"),
+        ev(pid, "link", "/f" if uid else "/moved", "/hard"),
+    ]
+    assert [guest.execute_syscall(c).error for c in calls] == [expected] * 4
+    after = {"/new", "/moved", "/hard"} if uid == 0 else {"/f", "/g"}
+    assert set(guest.files) == after
 
 
 def test_replay_is_deterministic():

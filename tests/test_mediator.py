@@ -50,16 +50,16 @@ def decide(event, claimed, sacl, table, options, config, sessions):
 
 def test_on_fork_and_duplicate():
     table = OwnershipTable()
-    table.on_fork(7, 1000, 1000, seq=3)
+    table.on_fork(7, 1000, 1000)
     record = table.get(7)
-    assert (record.uid, record.gid, record.recorded_at) == (1000, 1000, 3)
+    assert (record.uid, record.gid) == (1000, 1000)
     with pytest.raises(ValueError):
-        table.on_fork(7, 0, 0, seq=4)
+        table.on_fork(7, 0, 0)
 
 
 def test_on_sudo_updates_and_requires_known_pid():
     table = OwnershipTable()
-    table.on_fork(7, 1000, 1000, seq=1)
+    table.on_fork(7, 1000, 1000)
     table.on_sudo(7, 0, 0)
     assert (table.get(7).uid, table.get(7).gid) == (0, 0)
     table.on_sudo(7, 0, 0)  # idempotent, no error
@@ -69,7 +69,7 @@ def test_on_sudo_updates_and_requires_known_pid():
 
 def test_on_exit_removes_and_tolerates_unknown():
     table = OwnershipTable()
-    table.on_fork(7, 1000, 1000, seq=1)
+    table.on_fork(7, 1000, 1000)
     table.on_exit(7)
     assert table.get(7) is None
     table.on_exit(7)  # no-op
@@ -77,7 +77,7 @@ def test_on_exit_removes_and_tolerates_unknown():
 
 def test_resolve_owner_record_is_authoritative():
     table = OwnershipTable()
-    table.on_fork(7, 1000, 1000, seq=1)
+    table.on_fork(7, 1000, 1000)
     assert table.resolve_owner(7, 0, 0) == (1000, 1000, True)
     assert table.resolve_owner(7, 1000, 1000) == (1000, 1000, False)
     assert table.resolve_owner(8, 42, 43) == (42, 43, False)  # untracked passes through
@@ -154,7 +154,7 @@ def test_token_response_matches_independent_oracle():
 
 def test_token_auth_success_sets_window():
     table = OwnershipTable()
-    table.on_fork(2, 1000, 1000, seq=1)
+    table.on_fork(2, 1000, 1000)
     config = AuthConfig(secrets={1000: "s"}, window=300)
     sessions = {}
     handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, config, sessions, seq=10)
@@ -166,7 +166,7 @@ def test_token_auth_success_sets_window():
 
 def test_token_auth_wrong_response_handled_but_no_session():
     table = OwnershipTable()
-    table.on_fork(2, 1000, 1000, seq=1)
+    table.on_fork(2, 1000, 1000)
     config = AuthConfig(secrets={1000: "s"})
     sessions = {}
     bad = ABCS_DIGEST[:-1] + ("0" if ABCS_DIGEST[-1] != "0" else "1")
@@ -200,7 +200,7 @@ def test_hard_denied_calls_always_deny():
 
 def test_sacl_deny_root_write_to_shadow():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
-    table.on_fork(2, 0, 0, seq=1)
+    table.on_fork(2, 0, 0)
     verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.SACL_DENY)
     assert ("/etc/shadow", AccessKind.WRITE, Decision.DENY) in verdict.checks
@@ -217,7 +217,7 @@ def test_unauthenticated_denies_only_listed_paths():
         "/home/user/test1.txt 644 1000 1000\n",
         secrets={1000: "gatekeeper"},
     )
-    table.on_fork(2, 1000, 1000, seq=1)
+    table.on_fork(2, 1000, 1000)
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=5)
     verdict = decide(listed, (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
@@ -231,7 +231,7 @@ def test_token_then_listed_write_permits_until_expiry():
         secrets={1000: "gatekeeper"},
         window=300,
     )
-    table.on_fork(2, 1000, 1000, seq=1)
+    table.on_fork(2, 1000, 1000)
     token = "/tokens/111" + token_response("111", "gatekeeper")
     token_ev = ev("open", token, flags=["O_CREAT", "O_WRONLY"], seq=10)
     verdict = decide(token_ev, (1000, 1000), sacl, table, options, config, sessions)
@@ -249,7 +249,7 @@ def test_exec_whitelist_miss_and_hit():
     sacl, table, options, config, sessions = fresh_state(
         "/home/user/test 755 1000 1000\n", exec_whitelist=True
     )
-    table.on_fork(2, 1000, 1000, seq=1)
+    table.on_fork(2, 1000, 1000)
     hit = decide(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, config, sessions)
     assert hit.decision is Decision.PERMIT
     miss = decide(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, config, sessions)
@@ -266,7 +266,7 @@ def test_exec_whitelist_listed_but_no_execute_bit():
 
 def test_mismatched_claims_use_fork_time_credentials():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 600 0 0\n")
-    table.on_fork(2, 1000, 1000, seq=1)
+    table.on_fork(2, 1000, 1000)
     # claims root, recorded as 1000: decided as 1000, flagged as mismatch
     verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert verdict.mismatch
@@ -313,7 +313,7 @@ def test_denial_never_raises_and_yields_guest_error():
     guest.add_file("/a/x", 0, 0, PermissionOctets(7, 7, 7))
     guest.add_file("/a/y", 0, 0, PermissionOctets(7, 7, 7))
     pid = guest.spawn_process(1, 0, 0)
-    table.on_fork(pid, 0, 0, seq=1)
+    table.on_fork(pid, 0, 0)
 
     cases = [
         (ev("open", "/a/x", flags=["O_WRONLY"], pid=pid), ErrorCode.BAD_FILE_DESCRIPTOR),
