@@ -40,7 +40,6 @@ CSV_COLUMNS = (
 )
 
 _WORKLOAD_PERMS = PermissionOctets(6, 4, 4)
-_DEFAULT_POOL = 1000
 
 
 class ScenarioKind(Enum):
@@ -51,32 +50,19 @@ class ScenarioKind(Enum):
 
 @dataclass(frozen=True)
 class BenchScenario:
-    """file_pool is the guest file count the workload draws targets from;
-    None means sacl_size for S3 (the full list covers every file) and a
-    small default pool otherwise.  Comparisons across scenarios should pin
-    file_pool so only the SACL differs."""
+    """pool is the guest file count the workload draws targets from; S3's
+    full list has one row per file, so its size is pool too.  Comparisons
+    across scenarios pin pool so only the SACL differs."""
 
     kind: ScenarioKind
     trap_mode: TrapMode = TrapMode.CLASSIC4
     cost_model: CostModel = CostModel(switch_cost=1.0)
-    sacl_size: int = 0
+    pool: int = 1000
     seed: int = 0
-    file_pool: int | None = None
 
     def __post_init__(self):
-        if self.kind is ScenarioKind.S3_FULL_SACL:
-            if self.sacl_size < 1:
-                raise ValueError("S3 requires sacl_size >= 1")
-            if self.file_pool is not None and self.file_pool != self.sacl_size:
-                raise ValueError("S3 covers every guest file; file_pool must equal sacl_size")
-        if self.file_pool is not None and self.file_pool < 1:
-            raise ValueError("file_pool must be >= 1")
-
-    @property
-    def pool(self) -> int:
-        if self.kind is ScenarioKind.S3_FULL_SACL:
-            return self.sacl_size
-        return self.file_pool if self.file_pool is not None else _DEFAULT_POOL
+        if self.pool < 1:
+            raise ValueError("pool must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -173,7 +159,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
         raise ValueError("n must be >= 1")
 
     paths = [f"/f{i:07d}" for i in range(scenario.pool)]
-    files = {p: GuestFile(p, 0, 0, _WORKLOAD_PERMS) for p in paths}
+    files = {p: GuestFile(0, 0, _WORKLOAD_PERMS) for p in paths}
     bare_ns = _bare_mean_ns(call, n, files, scenario.seed)
 
     if scenario.kind is ScenarioKind.S1_NO_TRAP:
@@ -191,7 +177,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
 
     full = scenario.kind is ScenarioKind.S3_FULL_SACL
     sim = _TimedSimulation(
-        sacl=generate_full_sacl(files.values()) if full else Sacl(),
+        sacl=generate_full_sacl(files) if full else Sacl(),
         options=PolicyOptions(trap_mode=scenario.trap_mode),
     )
     sim.guest.files.update(files)
@@ -254,7 +240,7 @@ def sacl_scaling(
             ScenarioKind.S3_FULL_SACL,
             trap_mode=trap_mode,
             cost_model=cost_model,
-            sacl_size=size,
+            pool=size,
             seed=seed,
         )
         results.append(run_workload(call, n, scenario))

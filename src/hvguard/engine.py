@@ -107,7 +107,7 @@ class Simulation:
         self.records: list[TrapSequenceRecord] = []
         self.decisions: list[DecisionRow] = []
         self.outcomes: list[SyscallOutcome] = []
-        self.guest.clone_listeners.append(self._on_clone)
+        self.guest.on_clone = self._on_clone
 
     def _on_clone(self, child: int, parent: int) -> None:
         """A clone runs inside the guest, where credentials can be forged, so
@@ -158,8 +158,7 @@ class Simulation:
         flags=(),
     ) -> tuple[Verdict, SyscallOutcome]:
         seq = self._tick()
-        proc = self.guest.processes.get(pid)
-        if proc is None or not proc.alive:
+        if pid not in self.guest.processes:
             raise GuestError(f"pid {pid} is not alive")
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
         record, (forwarded, verdict) = handle_trap(

@@ -10,7 +10,7 @@ File contents are not modeled, only existence, ownership, and permissions.
 from __future__ import annotations
 
 import posixpath
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -102,25 +102,26 @@ _FAILURES = {code: SyscallOutcome(code) for code in ErrorCode}
 
 @dataclass(frozen=True, slots=True)
 class GuestFile:
-    path: str
+    """One tree node; ``Guest.files`` maps each of its names to it, so hard
+    links share one node and a rename moves it."""
+
     owner_uid: int
     owner_gid: int
     perms: PermissionOctets
     is_directory: bool = False
 
 
-_ROOT_DIR = GuestFile("/", 0, 0, _DEFAULT_DIR_PERMS, True)  # "/" exists implicitly
+_ROOT_DIR = GuestFile(0, 0, _DEFAULT_DIR_PERMS, True)  # "/" exists implicitly
 
 
 @dataclass
 class Process:
     """claimed_uid/gid are what the guest kernel believes; the mediation
-    layer keeps its own fork-time record and treats that as authoritative."""
+    layer keeps its own fork-time record and treats that as authoritative.
+    ``Guest.processes`` holds live processes only; exit removes the entry."""
 
-    pid: int
     claimed_uid: int
     claimed_gid: int
-    alive: bool = True
 
 
 class _EventFields(NamedTuple):
@@ -188,10 +189,10 @@ class Guest:
     def __init__(self):
         self.uids: set[int] = set()
         self.files: dict[str, GuestFile] = {}
-        self.processes: dict[int, Process] = {INIT_PID: Process(INIT_PID, 0, 0)}
-        # Callables (child pid, parent pid) invoked after a clone syscall
+        self.processes: dict[int, Process] = {INIT_PID: Process(0, 0)}
+        # Called as on_clone(child pid, parent pid) after a clone syscall
         # spawned the child.
-        self.clone_listeners: list = []
+        self.on_clone = None
         self._next_pid = INIT_PID + 1
 
     # -- construction -----------------------------------------------------
@@ -208,7 +209,7 @@ class Guest:
         owner_gid: int,
         perms: PermissionOctets,
         is_directory: bool = False,
-    ) -> GuestFile:
+    ) -> None:
         """Insert a tree node, creating missing parent directories as
         root-owned 755 entries.  The nearest existing ancestor must be a
         directory.  A path starting with "//" is refused: its dirname chain
@@ -230,36 +231,31 @@ class Guest:
             missing.append(parent)
             parent = posixpath.dirname(parent)
         for parent in reversed(missing):
-            files[parent] = GuestFile(parent, 0, 0, _DEFAULT_DIR_PERMS, True)
-        node = files[path] = GuestFile(path, owner_uid, owner_gid, perms, is_directory)
-        return node
+            files[parent] = GuestFile(0, 0, _DEFAULT_DIR_PERMS, True)
+        files[path] = GuestFile(owner_uid, owner_gid, perms, is_directory)
 
     # -- processes --------------------------------------------------------
 
     def spawn_process(self, parent_pid: int, uid: int, gid: int, pid: int | None = None) -> int:
-        if not self.is_alive(parent_pid):
+        if parent_pid not in self.processes:
             raise GuestError(f"parent pid {parent_pid} is not alive")
         if pid is None:
             pid = self._next_pid
-        elif self.is_alive(pid):
+        elif pid in self.processes:
             raise GuestError(f"pid {pid} already alive")
         self._next_pid = max(self._next_pid, pid + 1)
-        self.processes[pid] = Process(pid, uid, gid)
+        self.processes[pid] = Process(uid, gid)
         return pid
 
     def set_claimed(self, pid: int, uid: int, gid: int) -> None:
         proc = self.processes.get(pid)
-        if proc is None or not proc.alive:
+        if proc is None:
             raise GuestError(f"pid {pid} is not alive")
         proc.claimed_uid = uid
         proc.claimed_gid = gid
 
-    def is_alive(self, pid: int) -> bool:
-        proc = self.processes.get(pid)
-        return proc is not None and proc.alive
-
     def live_pids(self) -> set[int]:
-        return {p.pid for p in self.processes.values() if p.alive}
+        return set(self.processes)
 
     # -- syscall semantics ------------------------------------------------
 
@@ -271,17 +267,17 @@ class Guest:
         credentials; uid 0 bypasses them, as a root attacker would expect.
         """
         proc = self.processes.get(event.pid)
-        if proc is None or not proc.alive:
+        if proc is None:
             raise GuestError(f"pid {event.pid} is not alive")
         call = event.call
 
         if call in EXIT_CALLS:
-            proc.alive = False
+            del self.processes[event.pid]
             return SyscallOutcome.ok()
         if call == "clone":
             child = self.spawn_process(event.pid, proc.claimed_uid, proc.claimed_gid)
-            for listener in self.clone_listeners:
-                listener(child, event.pid)
+            if self.on_clone is not None:
+                self.on_clone(child, event.pid)
             return SyscallOutcome.ok()
         # Every remaining call reads its first slot, which a denial nulls.
         if event.path is None:
@@ -303,7 +299,7 @@ class Guest:
         if call in EXEC_CALLS:
             return self._do_exec(event.path, uid, gid)
         if call == "name_to_handle_at":
-            if event.path not in self.files:
+            if self._node(event.path) is None:
                 return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
             return SyscallOutcome.ok()
         raise GuestError(f"unhandled call: {call}")  # pragma: no cover
@@ -315,8 +311,12 @@ class Guest:
             return True
         return bool(effective_octet(node, uid, gid) & bit)
 
+    def _node(self, path: str) -> GuestFile | None:
+        """The node a path names; "/" is always the implicit root directory."""
+        return _ROOT_DIR if path == "/" else self.files.get(path)
+
     def _dir_node(self, path: str) -> GuestFile | None:
-        node = _ROOT_DIR if path == "/" else self.files.get(path)
+        node = self._node(path)
         return node if node is not None and node.is_directory else None
 
     def _parent_writable(self, path: str, uid: int, gid: int):
@@ -330,14 +330,14 @@ class Guest:
 
     def _do_open(self, event: SyscallEvent, uid: int, gid: int) -> SyscallOutcome:
         path, flags = event.path, event.flags
-        node = self.files.get(path)
+        node = self._node(path)
         if node is None:
             if "O_CREAT" not in flags:
                 return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
             _, err = self._parent_writable(path, uid, gid)
             if err is not None:
                 return err
-            self.files[path] = GuestFile(path, uid, gid, _DEFAULT_FILE_PERMS)
+            self.files[path] = GuestFile(uid, gid, _DEFAULT_FILE_PERMS)
             return SyscallOutcome.ok()
         wants_write = not flags.isdisjoint(_WRITE_EXISTING_FLAGS)
         wants_read = "O_WRONLY" not in flags
@@ -350,7 +350,7 @@ class Guest:
         return SyscallOutcome.ok()
 
     def _do_truncate(self, path: str, uid: int, gid: int) -> SyscallOutcome:
-        node = self.files.get(path)
+        node = self._node(path)
         if node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
         if node.is_directory or not self._allows(node, uid, gid, WRITE_BIT):
@@ -361,7 +361,7 @@ class Guest:
         src, dst = event.path, event.path2
         if dst is None:
             return SyscallOutcome.fail(ErrorCode.BAD_ADDRESS)
-        node = self.files.get(src)
+        node = self._node(src)
         if node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
         if node.is_directory:
@@ -371,15 +371,14 @@ class Guest:
             _, err = self._parent_writable(endpoint, uid, gid)
             if err is not None:
                 return err
-        existing = self.files.get(dst)
+        existing = self._node(dst)
         if existing is not None and existing.is_directory:
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
-        del self.files[src]
-        self.files[dst] = replace(node, path=dst)
+        self.files[dst] = self.files.pop(src)
         return SyscallOutcome.ok()
 
     def _do_unlink(self, path: str, uid: int, gid: int) -> SyscallOutcome:
-        node = self.files.get(path)
+        node = self._node(path)
         if node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
         if node.is_directory:
@@ -394,22 +393,22 @@ class Guest:
         target, newpath = event.path, event.path2
         if newpath is None:
             return SyscallOutcome.fail(ErrorCode.BAD_ADDRESS)
-        node = self.files.get(target)
+        node = self._node(target)
         if not symbolic and node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
-        if newpath in self.files:
+        if not symbolic and node.is_directory:
+            # As for rename: the second name would have none of the children.
+            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+        if self._node(newpath) is not None:
             return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
         _, err = self._parent_writable(newpath, uid, gid)
         if err is not None:
             return err
-        if symbolic:
-            self.files[newpath] = GuestFile(newpath, uid, gid, _SYMLINK_PERMS)
-        else:
-            self.files[newpath] = replace(node, path=newpath)
+        self.files[newpath] = GuestFile(uid, gid, _SYMLINK_PERMS) if symbolic else node
         return SyscallOutcome.ok()
 
     def _do_exec(self, path: str, uid: int, gid: int) -> SyscallOutcome:
-        node = self.files.get(path)
+        node = self._node(path)
         if node is None:
             return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
         if node.is_directory or not self._allows(node, uid, gid, EXECUTE_BIT):

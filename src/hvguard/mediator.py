@@ -54,7 +54,6 @@ class Reason(Enum):
 
 @dataclass(frozen=True, slots=True)
 class OwnershipRecord:
-    pid: int
     uid: int
     gid: int
 
@@ -73,13 +72,13 @@ class OwnershipTable:
     def on_fork(self, pid: int, uid: int, gid: int) -> None:
         if pid in self._records:
             raise ValueError(f"pid {pid} already tracked")
-        self._records[pid] = OwnershipRecord(pid, uid, gid)
+        self._records[pid] = OwnershipRecord(uid, gid)
 
     def on_sudo(self, pid: int, new_uid: int, new_gid: int) -> None:
         """Legitimate ownership change of a tracked pid."""
         if pid not in self._records:
             raise KeyError(f"pid {pid} not tracked")
-        self._records[pid] = OwnershipRecord(pid, new_uid, new_gid)
+        self._records[pid] = OwnershipRecord(new_uid, new_gid)
 
     def on_exit(self, pid: int) -> None:
         self._records.pop(pid, None)

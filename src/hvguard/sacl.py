@@ -9,6 +9,7 @@ and permitted.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum, IntEnum
 
@@ -198,26 +199,23 @@ def check_access(sacl: Sacl, path: str, uid: int, gid: int, kind: AccessKind) ->
     return _PERMIT if effective_octet(entry, uid, gid) & kind else _DENY
 
 
-def generate_full_sacl(guest_fs) -> Sacl:
+def generate_full_sacl(files: Mapping) -> Sacl:
     """Build a permit-style list mirroring a guest tree's own metadata.
 
-    Accepts a Guest or any iterable of objects carrying path, owner_uid,
-    owner_gid, and perms attributes; emits one entry per tree node
-    with the node's own permissions and owner copied verbatim.  Nodes with
-    the same (perms, uid, gid) share one SaclRule.
+    ``files`` maps each path to a node carrying owner_uid, owner_gid and
+    perms, as ``Guest.files`` does; emits one entry per path with the node's
+    own permissions and owner copied verbatim.  Nodes with the same
+    (perms, uid, gid) share one SaclRule.
     """
-    files = guest_fs.files.values() if hasattr(guest_fs, "files") else guest_fs
     sacl = Sacl()
     entries = sacl.entries
     rules: dict[tuple[PermissionOctets, int, int], SaclRule] = {}
-    for f in files:
-        if not f.path.startswith("/"):
-            raise ValueError(f"path is not absolute: {f.path!r}")
-        if f.path in entries:
-            raise ValueError(f"duplicate path: {f.path}")
+    for path, f in files.items():
+        if not path.startswith("/"):
+            raise ValueError(f"path is not absolute: {path!r}")
         key = (f.perms, f.owner_uid, f.owner_gid)
         rule = rules.get(key)
         if rule is None:
             rule = rules[key] = SaclRule(*key)
-        entries[f.path] = rule
+        entries[path] = rule
     return sacl

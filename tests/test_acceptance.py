@@ -200,8 +200,8 @@ def _empty_vs_full_ratio(call, rounds=3, n=2000):
     pool = 100_000
     empty_means, full_means = [], []
     for r in range(rounds):
-        s2 = run_workload(call, n, BenchScenario(ScenarioKind.S2_EMPTY_SACL, seed=r, file_pool=pool))
-        s3 = run_workload(call, n, BenchScenario(ScenarioKind.S3_FULL_SACL, seed=r, sacl_size=pool))
+        s2 = run_workload(call, n, BenchScenario(ScenarioKind.S2_EMPTY_SACL, seed=r, pool=pool))
+        s3 = run_workload(call, n, BenchScenario(ScenarioKind.S3_FULL_SACL, seed=r, pool=pool))
         empty_means.append(s2.mean_wall_ns)
         full_means.append(s3.mean_wall_ns)
     a, b = statistics.mean(empty_means), statistics.mean(full_means)

@@ -34,7 +34,7 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
         return syscall(self, *args, **kwargs)
 
     monkeypatch.setattr(Simulation, "syscall", counting)
-    for scenario in (BenchScenario(ScenarioKind.S2_EMPTY_SACL), BenchScenario(ScenarioKind.S3_FULL_SACL, sacl_size=200)):
+    for scenario in (BenchScenario(ScenarioKind.S2_EMPTY_SACL), BenchScenario(ScenarioKind.S3_FULL_SACL, pool=200)):
         calls.clear()
         run_workload("rename", n, scenario)
         assert calls == ["rename"] * (warm + n)
@@ -46,9 +46,9 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
 @pytest.mark.parametrize(
     "scenario,executed",
     [
-        (BenchScenario(ScenarioKind.S1_NO_TRAP, file_pool=100), 200),
-        (BenchScenario(ScenarioKind.S2_EMPTY_SACL, file_pool=100), 200 + 100 + 200),
-        (BenchScenario(ScenarioKind.S3_FULL_SACL, sacl_size=100), 200 + 100 + 200),
+        (BenchScenario(ScenarioKind.S1_NO_TRAP, pool=100), 200),
+        (BenchScenario(ScenarioKind.S2_EMPTY_SACL, pool=100), 200 + 100 + 200),
+        (BenchScenario(ScenarioKind.S3_FULL_SACL, pool=100), 200 + 100 + 200),
     ],
 )
 def test_every_measured_unlink_finds_its_file(monkeypatch, scenario, executed):
@@ -76,7 +76,7 @@ def test_switch_totals_by_mode():
 
 
 def test_modeled_cost_deterministic_under_seed():
-    scenario = BenchScenario(ScenarioKind.S3_FULL_SACL, sacl_size=500, seed=9)
+    scenario = BenchScenario(ScenarioKind.S3_FULL_SACL, pool=500, seed=9)
     a = run_workload("rename", 100, scenario)
     b = run_workload("rename", 100, scenario)
     assert a.mean_model_cost == b.mean_model_cost
@@ -113,10 +113,9 @@ def test_workload_argument_validation():
         run_workload("getpid", 10, BenchScenario(ScenarioKind.S1_NO_TRAP))
     with pytest.raises(ValueError):
         run_workload("open", 0, BenchScenario(ScenarioKind.S1_NO_TRAP))
-    with pytest.raises(ValueError):
-        BenchScenario(ScenarioKind.S3_FULL_SACL)  # sacl_size missing
-    with pytest.raises(ValueError):
-        BenchScenario(ScenarioKind.S3_FULL_SACL, sacl_size=10, file_pool=20)
+    for kind in ScenarioKind:
+        with pytest.raises(ValueError, match="pool must be >= 1"):
+            BenchScenario(kind, pool=0)
 
 
 def test_csv_columns_exact():

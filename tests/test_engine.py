@@ -13,7 +13,7 @@ from hvguard.engine import (
 )
 from hvguard.mediator import AuthConfig, PolicyOptions
 from hvguard.sacl import Decision, PermissionOctets, parse_sacl
-from hvguard.guest import TRAPPED_CALLS
+from hvguard.guest import TRAPPED_CALLS, GuestError
 from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
 
 BASIC = """\
@@ -107,6 +107,30 @@ def test_exit_cleans_ownership_table():
     assert 2 in sim.table
     sim.syscall(2, "exit")
     assert 2 not in sim.table
+
+
+def test_clone_exit_cycles_keep_the_process_table_bounded():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=2)
+    size = len(sim.guest.processes)
+    children = []
+    for _ in range(1000):
+        before = set(sim.guest.processes)
+        sim.syscall(2, "clone")
+        (child,) = set(sim.guest.processes) - before
+        assert child in sim.table
+        sim.syscall(child, "exit")
+        children.append(child)
+    assert len(sim.guest.processes) == size
+    assert set(sim.guest.processes) == sim.guest.live_pids() == {1, 2}
+    assert 2 in sim.table
+    assert not any(child in sim.table for child in children)
+    with pytest.raises(GuestError):
+        sim.guest.set_claimed(children[-1], 0, 0)
+    # An exited pid can be handed out again by a trusted spawn.
+    assert sim.spawn(1, 0, 0, pid=children[0]) == children[0]
+    assert (sim.table.get(children[0]).uid, sim.table.get(children[0]).gid) == (0, 0)
+    assert len(sim.guest.processes) == size + 1
 
 
 def test_clone_registers_child_in_table():

@@ -163,6 +163,9 @@ def test_link_and_symlink():
     guest, pid = make_guest()
     assert guest.execute_syscall(ev(pid, "link", "/home/user/a.txt", "/home/user/hard")).success
     assert guest.execute_syscall(ev(pid, "link", "/home/user/nope", "/home/user/x")).error is ErrorCode.NO_SUCH_FILE
+    # a directory gets no second name
+    assert guest.execute_syscall(ev(pid, "link", "/home/user", "/home/user/d")).error is ErrorCode.PERMISSION_DENIED
+    assert "/home/user/d" not in guest.files
     # symlink target may dangle
     assert guest.execute_syscall(ev(pid, "symlink", "/home/user/nope", "/home/user/soft")).success
 
@@ -275,8 +278,9 @@ def test_nulled_and_deny_verdict_null_only_the_first_slot():
 def test_root_dir_node_is_one_shared_root_owned_755_directory():
     guest = Guest()
     root = guest._dir_node("/")
-    assert root is guest._dir_node("/")
-    assert (root.path, root.owner_uid, root.owner_gid, root.is_directory) == ("/", 0, 0, True)
+    assert root is guest._dir_node("/") is guest._node("/")
+    assert (root.owner_uid, root.owner_gid, root.is_directory) == (0, 0, True)
+    assert "/" not in guest.files
     assert root.perms == PermissionOctets(7, 5, 5)
 
 
@@ -297,6 +301,46 @@ def test_root_level_parent_checks(uid, expected):
     assert [guest.execute_syscall(c).error for c in calls] == [expected] * 4
     after = {"/new", "/moved", "/hard"} if uid == 0 else {"/f", "/g"}
     assert set(guest.files) == after
+
+
+DENIED = ErrorCode.PERMISSION_DENIED
+
+
+@pytest.mark.parametrize(
+    "call, path, path2, flags, expected",
+    [
+        ("open", "/", None, ["O_CREAT", "O_WRONLY"], DENIED),
+        ("open", "/", None, ["O_RDONLY"], None),
+        ("rename", "/f", "/", [], DENIED),
+        ("link", "/f", "/", [], DENIED),
+        ("link", "/", "/x", [], DENIED),
+        ("rename", "/", "/x", [], DENIED),
+        ("unlink", "/", None, [], DENIED),
+        ("truncate", "/", None, [], DENIED),
+        ("execve", "/", None, [], DENIED),
+    ],
+)
+def test_root_is_one_directory_for_every_call(call, path, path2, flags, expected):
+    # uid 0 passes every permission bit, so only "/" being the implicit
+    # root directory decides these calls.
+    guest = Guest()
+    guest.add_file("/f", 0, 0, RW)
+    pid = guest.spawn_process(1, 0, 0)
+    assert guest.execute_syscall(ev(pid, call, path, path2, flags)).error is expected
+    assert set(guest.files) == {"/f"}
+
+
+def test_link_shares_the_node_and_rename_moves_it():
+    guest = Guest()
+    guest.add_file("/a", 0, 0, RW)
+    pid = guest.spawn_process(1, 0, 0)
+    node = guest.files["/a"]
+    assert guest.execute_syscall(ev(pid, "link", "/a", "/b")).success
+    assert guest.files["/b"] is guest.files["/a"] is node
+    assert guest.execute_syscall(ev(pid, "rename", "/a", "/c")).success
+    assert "/a" not in guest.files
+    assert guest.files["/c"] is node
+    assert guest.files["/b"] is node
 
 
 def test_replay_is_deterministic():

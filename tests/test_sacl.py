@@ -116,7 +116,7 @@ def test_effective_octet_cascade():
     perms, root_perms = PermissionOctets(6, 4, 0), PermissionOctets(4, 0, 0)
     pairs = [
         (SaclRule(perms, 1000, 1000), SaclRule(root_perms, 0, 0)),
-        (GuestFile("/f", 1000, 1000, perms), GuestFile("/f", 0, 0, root_perms)),
+        (GuestFile(1000, 1000, perms), GuestFile(0, 0, root_perms)),
     ]
     for node, root_node in pairs:
         assert effective_octet(node, 1000, 1000) == 6   # owner
@@ -173,13 +173,13 @@ def test_generate_full_sacl_small():
     guest.add_file("/a", 1000, 1000, PermissionOctets(6, 4, 4))
     guest.add_file("/b", 0, 0, PermissionOctets(4, 0, 0))
     guest.add_file("/c", 1000, 1000, PermissionOctets(7, 5, 5), is_directory=True)
-    sacl = generate_full_sacl(guest)
+    sacl = generate_full_sacl(guest.files)
     assert len(sacl) == 3
     assert sacl.lookup("/b").perms == PermissionOctets(4, 0, 0)
 
 
 def test_generate_full_sacl_empty_guest():
-    assert len(generate_full_sacl(Guest())) == 0
+    assert len(generate_full_sacl(Guest().files)) == 0
 
 
 def test_generate_full_sacl_large_tree_path_sets_match():
@@ -190,8 +190,8 @@ def test_generate_full_sacl_large_tree_path_sets_match():
     perms = PermissionOctets(6, 4, 4)
     for i in range(100_000):
         p = f"/f{i:06d}"
-        guest.files[p] = GuestFile(p, i % 3000, i % 100, perms)
-    sacl = generate_full_sacl(guest)
+        guest.files[p] = GuestFile(i % 3000, i % 100, perms)
+    sacl = generate_full_sacl(guest.files)
     assert len(sacl) == 100_000
     assert set(sacl.entries) == set(guest.files)
     probe = guest.files["/f054321"]
@@ -214,7 +214,7 @@ def test_permission_octets_reject_out_of_range():
 
 def test_entry_requires_absolute_path():
     with pytest.raises(ValueError, match="not absolute"):
-        generate_full_sacl([GuestFile("relative", 0, 0, PermissionOctets(6, 4, 4))])
+        generate_full_sacl({"relative": GuestFile(0, 0, PermissionOctets(6, 4, 4))})
 
 
 def test_rule_rejects_negative_ids():

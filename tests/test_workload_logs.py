@@ -8,6 +8,12 @@ unauthenticated-deny and exec-whitelist branches, and sessions that expire
 mid-run, so a per-call refactor that changes any verdict, reason, resolved
 credential or outcome shows up here.
 
+The decision log does not record what the guest did with a call, so the
+same replay also pins the guest side: the SHA-256 of the outcome error
+sequence, of the final file set (sorted path, owner uid, owner gid,
+permission text, is_directory) and the process count left at the end,
+which is the number of live processes.
+
 The digests depend on the generator as much as on the simulator: they are
 re-recorded only in a benchmark change that alters ``perfbench/gen.py``,
 never to make a change to ``src/`` pass.
@@ -26,7 +32,7 @@ sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
 import gen  # noqa: E402
 
-from hvguard.cli import main as cli_main  # noqa: E402
+import hvguard.cli  # noqa: E402
 
 # workload: (SHA-256 of the decision log, SHA-256 of stderr), seed 7
 DIGESTS = {
@@ -41,24 +47,79 @@ DIGESTS = {
 }
 
 
+# workload: (SHA-256 of the outcome error sequence, SHA-256 of the final
+# file set, processes left), seed 7
+GUEST_DIGESTS = {
+    "mixed_replay": (
+        "cc2e125a847cadbf0703f2a56538ce63f466633b9e2165e544a2c0c5b8f90277",
+        "e9e23bc5c01fe77c827baccc071e8fdbc3dd8c7bed462ac9da9072f1b328e560",
+        54,
+    ),
+    "token_gate": (
+        "3ccf0de7ab9c090d1e1488de86b3245159264c8cafc04757818df642ed12d756",
+        "3502f7801a9e887a43bdbc0c981df503bbad89e2939a796f0c436e1a1eacc1e6",
+        17,
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def replays(tmp_path_factory):
+    """Each workload replayed once: (log digest, stderr digest, simulation)."""
+    done, sims = {}, []
+    real_run = hvguard.cli.run_scenario
+
+    def run_scenario(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        sims.append(result.simulation)
+        return result
+
+    for workload in DIGESTS:
+        tmp_path = tmp_path_factory.mktemp(workload)
+        manifest = gen.generate(workload, 7, tmp_path)
+        files = manifest["files"]
+        log = tmp_path / "log.csv"
+        argv = [
+            "--sacl", str(tmp_path / files["sacl"]),
+            "--scenario", str(tmp_path / files["scenario"]),
+            "--out", str(log),
+        ]
+        if "secrets" in files:
+            argv += ["--auth-secrets", str(tmp_path / files["secrets"])]
+        err = io.StringIO()
+        hvguard.cli.run_scenario = run_scenario
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = hvguard.cli.main(argv + manifest["cli_args"])
+        finally:
+            hvguard.cli.run_scenario = real_run
+        assert rc == 0, err.getvalue()[-2000:]
+        done[workload] = (
+            hashlib.sha256(log.read_bytes()).hexdigest(),
+            hashlib.sha256(err.getvalue().encode()).hexdigest(),
+            sims[-1],
+        )
+    return done
+
+
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
-def test_seed_7_decision_log_and_stderr_digests(workload, tmp_path):
-    manifest = gen.generate(workload, 7, tmp_path)
-    files = manifest["files"]
-    log = tmp_path / "log.csv"
-    argv = [
-        "--sacl", str(tmp_path / files["sacl"]),
-        "--scenario", str(tmp_path / files["scenario"]),
-        "--out", str(log),
-    ]
-    if "secrets" in files:
-        argv += ["--auth-secrets", str(tmp_path / files["secrets"])]
-    err = io.StringIO()
-    with contextlib.redirect_stderr(err):
-        rc = cli_main(argv + manifest["cli_args"])
-    assert rc == 0, err.getvalue()[-2000:]
-    got = (
-        hashlib.sha256(log.read_bytes()).hexdigest(),
-        hashlib.sha256(err.getvalue().encode()).hexdigest(),
+def test_seed_7_decision_log_and_stderr_digests(workload, replays):
+    log_digest, err_digest, _ = replays[workload]
+    assert (log_digest, err_digest) == DIGESTS[workload]
+
+
+@pytest.mark.parametrize("workload", sorted(GUEST_DIGESTS))
+def test_seed_7_outcome_and_file_set_digests(workload, replays):
+    sim = replays[workload][2]
+    errors = "\n".join("none" if o.error is None else o.error.value for o in sim.outcomes)
+    file_set = "\n".join(
+        repr((path, f.owner_uid, f.owner_gid, f.perms.to_text(), f.is_directory))
+        for path, f in sorted(sim.guest.files.items())
     )
-    assert got == DIGESTS[workload]
+    got = (
+        hashlib.sha256(errors.encode()).hexdigest(),
+        hashlib.sha256(file_set.encode()).hexdigest(),
+        len(sim.guest.processes),
+    )
+    assert got == GUEST_DIGESTS[workload]
+    assert set(sim.guest.processes) == sim.guest.live_pids()
