@@ -27,7 +27,9 @@ from .engine import (
     run_scenario,
 )
 from .guest import (
+    CALL_FAMILY,
     ErrorCode,
+    Family,
     Guest,
     GuestError,
     GuestFile,

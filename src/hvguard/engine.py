@@ -25,7 +25,7 @@ import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .guest import EXIT_CALLS, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
+from .guest import CALL_FAMILY, EXIT, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
 from .mediator import (
     AuthConfig,
     OwnershipTable,
@@ -36,18 +36,6 @@ from .mediator import (
 )
 from .sacl import PermissionOctets, Sacl
 from .trap import TrapMode, TrapSequenceRecord, arm, handle_trap, make_site
-
-DECISION_LOG_COLUMNS = (
-    "seq",
-    "pid",
-    "call",
-    "resolved_uid",
-    "resolved_gid",
-    "decision",
-    "reason",
-    "mismatch",
-)
-
 
 class ScenarioError(ValueError):
     """Invalid scenario text or an event the guest state cannot accept."""
@@ -79,6 +67,9 @@ class DecisionRow(NamedTuple):
             f"{self.resolved_gid},{self.decision},{self.reason},"
             f"{'true' if self.mismatch else 'false'}"
         )
+
+
+DECISION_LOG_COLUMNS = DecisionRow._fields
 
 
 class Simulation:
@@ -165,7 +156,7 @@ class Simulation:
             self.sites[call], event, self._on_trap, self.options.trap_mode
         )
         outcome = self.guest.execute_syscall(forwarded)
-        if call in EXIT_CALLS:
+        if CALL_FAMILY[call] is EXIT:
             self.table.on_exit(pid)
         self.records.append(record)
         self.outcomes.append(outcome)
@@ -331,8 +322,11 @@ def run_scenario(
                 raise ScenarioError(line_no, f"unknown event type {ev!r}")
         except ScenarioError:
             raise
-        except (GuestError, ValueError, KeyError) as exc:
+        except (GuestError, ValueError) as exc:
             raise ScenarioError(line_no, str(exc)) from None
+        except KeyError as exc:
+            # str() of a KeyError quotes its message.
+            raise ScenarioError(line_no, exc.args[0]) from None
     return result
 
 

@@ -16,45 +16,43 @@ from typing import NamedTuple
 
 from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, PermissionOctets, effective_octet
 
-# Calls interposed by the hypervisor layer: every file-operation and
-# kernel-access call, plus clone for process tracking.
-INTERPOSED_CALLS = (
-    "open",
-    "openat",
-    "name_to_handle_at",
-    "open_by_handle_at",
-    "rename",
-    "renameat",
-    "renameat2",
-    "unlink",
-    "unlinkat",
-    "truncate",
-    "link",
-    "linkat",
-    "symlink",
-    "symlinkat",
-    "execve",
-    "execveat",
-    "exit",
-    "exit_group",
-    "init_module",
-    "finit_module",
-    "kexec_load",
-)
-TRAPPED_CALLS = INTERPOSED_CALLS + ("clone",)
-_TRAPPED_CALL_SET = frozenset(TRAPPED_CALLS)
+# Every layer branches on a call's family, never on its name.  IMAGE: module
+# loading and the handle open, whose first slot the guest never resolves as
+# a path; KEXEC: kernel swapping; HANDLE: a path turned into a handle.
+# Reading a member from its class runs Python-level code on CPython 3.11, so
+# the layers compare against these module constants.
+Family = Enum("Family", "OPEN RENAME UNLINK TRUNCATE LINK SYMLINK EXEC EXIT CLONE IMAGE KEXEC HANDLE")
+OPEN, RENAME, UNLINK, TRUNCATE, LINK, SYMLINK, EXEC, EXIT, CLONE, IMAGE, KEXEC, HANDLE = Family
 
-OPEN_CALLS = frozenset({"open", "openat"})
-RENAME_CALLS = frozenset({"rename", "renameat", "renameat2"})
-UNLINK_CALLS = frozenset({"unlink", "unlinkat"})
-LINK_CALLS = frozenset({"link", "linkat"})
-SYMLINK_CALLS = frozenset({"symlink", "symlinkat"})
-EXEC_CALLS = frozenset({"execve", "execveat"})
-EXIT_CALLS = frozenset({"exit", "exit_group"})
-# Calls whose pointer slot is not a resolvable path (module image, handle).
-POINTER_SLOT_CALLS = frozenset(
-    {"init_module", "finit_module", "kexec_load", "open_by_handle_at"}
-)
+# The one place a call is declared: every trapped call and its family.  The
+# hypervisor interposes on every file-operation and kernel-access call, and
+# traps clone only to track processes.
+CALL_FAMILY = {
+    "open": OPEN,
+    "openat": OPEN,
+    "name_to_handle_at": HANDLE,
+    "open_by_handle_at": IMAGE,
+    "rename": RENAME,
+    "renameat": RENAME,
+    "renameat2": RENAME,
+    "unlink": UNLINK,
+    "unlinkat": UNLINK,
+    "truncate": TRUNCATE,
+    "link": LINK,
+    "linkat": LINK,
+    "symlink": SYMLINK,
+    "symlinkat": SYMLINK,
+    "execve": EXEC,
+    "execveat": EXEC,
+    "exit": EXIT,
+    "exit_group": EXIT,
+    "init_module": IMAGE,
+    "finit_module": IMAGE,
+    "kexec_load": KEXEC,
+    "clone": CLONE,
+}
+TRAPPED_CALLS = tuple(CALL_FAMILY)
+INTERPOSED_CALLS = tuple(call for call, family in CALL_FAMILY.items() if family is not CLONE)
 
 # open(2) flag vocabulary understood by the model.
 WRITE_INTENT_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"})
@@ -146,7 +144,7 @@ class SyscallEvent(_EventFields):
     __slots__ = ()
 
     def __new__(cls, seq, pid, call, path=None, path2=None, flags=frozenset()):
-        if type(call) is not str or call not in _TRAPPED_CALL_SET:
+        if type(call) is not str or call not in CALL_FAMILY:
             raise ValueError(f"unknown syscall: {call!r}")
         for p in (path, path2):
             if p is not None and not p.startswith("/"):
@@ -169,16 +167,13 @@ class GuestError(RuntimeError):
 def nulled_error_code(call: str, flags: frozenset[str]) -> ErrorCode:
     """Error a call yields when its pointer slot was nulled by a denial.
 
-    Fixed per call: a write-intent open surfaces at the shell-redirection
+    Fixed per family: a write-intent open surfaces at the shell-redirection
     level as a bad descriptor, a read-only open fails the address lookup
-    itself; module loading reports a bad descriptor; every other path call
-    faults on the null address.
+    itself; an IMAGE call reports a bad descriptor; every other call faults
+    on the null address.
     """
-    if call in OPEN_CALLS:
-        if flags & WRITE_INTENT_FLAGS:
-            return ErrorCode.BAD_FILE_DESCRIPTOR
-        return ErrorCode.BAD_ADDRESS
-    if call in ("init_module", "finit_module", "open_by_handle_at"):
+    family = CALL_FAMILY[call]
+    if family is IMAGE or (family is OPEN and not flags.isdisjoint(WRITE_INTENT_FLAGS)):
         return ErrorCode.BAD_FILE_DESCRIPTOR
     return ErrorCode.BAD_ADDRESS
 
@@ -269,40 +264,36 @@ class Guest:
         proc = self.processes.get(event.pid)
         if proc is None:
             raise GuestError(f"pid {event.pid} is not alive")
-        call = event.call
+        family = CALL_FAMILY[event.call]
 
-        if call in EXIT_CALLS:
+        if family is EXIT:
             del self.processes[event.pid]
             return SyscallOutcome.ok()
-        if call == "clone":
+        if family is CLONE:
             child = self.spawn_process(event.pid, proc.claimed_uid, proc.claimed_gid)
             if self.on_clone is not None:
                 self.on_clone(child, event.pid)
             return SyscallOutcome.ok()
         # Every remaining call reads its first slot, which a denial nulls.
         if event.path is None:
-            return SyscallOutcome.fail(nulled_error_code(call, event.flags))
-        if call in POINTER_SLOT_CALLS:
-            return SyscallOutcome.ok()
+            return SyscallOutcome.fail(nulled_error_code(event.call, event.flags))
         uid, gid = proc.claimed_uid, proc.claimed_gid
 
-        if call in OPEN_CALLS:
+        if family is OPEN:
             return self._do_open(event, uid, gid)
-        if call == "truncate":
+        if family is TRUNCATE:
             return self._do_truncate(event.path, uid, gid)
-        if call in RENAME_CALLS:
+        if family is RENAME:
             return self._do_rename(event, uid, gid)
-        if call in UNLINK_CALLS:
+        if family is UNLINK:
             return self._do_unlink(event.path, uid, gid)
-        if call in LINK_CALLS or call in SYMLINK_CALLS:
-            return self._do_link(event, uid, gid, symbolic=call in SYMLINK_CALLS)
-        if call in EXEC_CALLS:
+        if family is LINK or family is SYMLINK:
+            return self._do_link(event, uid, gid, symbolic=family is SYMLINK)
+        if family is EXEC:
             return self._do_exec(event.path, uid, gid)
-        if call == "name_to_handle_at":
-            if self._node(event.path) is None:
-                return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
-            return SyscallOutcome.ok()
-        raise GuestError(f"unhandled call: {call}")  # pragma: no cover
+        # Mediation denies IMAGE, KEXEC and HANDLE calls unconditionally, so
+        # they reach the guest only with their slot nulled.
+        raise GuestError(f"unhandled call: {event.call}")
 
     # -- helpers ----------------------------------------------------------
 

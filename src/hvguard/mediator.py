@@ -18,12 +18,19 @@ from enum import Enum
 from typing import Mapping
 
 from .guest import (
-    EXEC_CALLS,
-    LINK_CALLS,
-    OPEN_CALLS,
-    RENAME_CALLS,
-    SYMLINK_CALLS,
-    UNLINK_CALLS,
+    CALL_FAMILY,
+    CLONE,
+    EXEC,
+    EXIT,
+    HANDLE,
+    IMAGE,
+    KEXEC,
+    LINK,
+    OPEN,
+    RENAME,
+    SYMLINK,
+    TRUNCATE,
+    UNLINK,
     WRITE_INTENT_FLAGS,
     SyscallEvent,
 )
@@ -33,14 +40,11 @@ from .trap import TrapMode
 TOKEN_PREFIX = "/tokens/"
 RESPONSE_HEX_LEN = 128  # SHA-512 digest length in hex characters
 
-# Unconditionally blocked calls: module loading, kernel swapping, and the
+# Unconditionally blocked families: module loading, kernel swapping, and the
 # two handle-based calls that bypass path-based checks.
+_HARD_DENIED_FAMILIES = (IMAGE, KEXEC, HANDLE)
 HARD_DENIED_CALLS = frozenset(
-    {"init_module", "finit_module", "kexec_load", "name_to_handle_at", "open_by_handle_at"}
-)
-
-FILE_OP_CALLS = (
-    OPEN_CALLS | RENAME_CALLS | UNLINK_CALLS | {"truncate"} | LINK_CALLS | SYMLINK_CALLS | EXEC_CALLS
+    call for call, family in CALL_FAMILY.items() if family in _HARD_DENIED_FAMILIES
 )
 
 
@@ -132,9 +136,6 @@ class Verdict:
     probes: int  # SACL lookups performed, priced by trap.cost_of
 
 
-_NEW_NAME_CALLS = LINK_CALLS | SYMLINK_CALLS
-
-
 def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
     """The (path, access kind) pairs a file-operation call must pass.
 
@@ -145,9 +146,9 @@ def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
     execute on the target.  Null slots contribute no checks; non-file calls
     are a caller error.
     """
-    call = event.call
+    family = CALL_FAMILY[event.call]
     path = event.path
-    if call in OPEN_CALLS:
+    if family is OPEN:
         if path is None:
             return []
         flags = event.flags
@@ -160,7 +161,7 @@ def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
         if "O_CREAT" in flags:
             checks.append((posixpath.dirname(path), AccessKind.WRITE))
         return checks
-    if call in RENAME_CALLS:
+    if family is RENAME:
         path2 = event.path2
         if path is not None and path2 is not None:
             return [
@@ -170,15 +171,15 @@ def required_checks(event: SyscallEvent) -> list[tuple[str, AccessKind]]:
                 (posixpath.dirname(path2), AccessKind.WRITE),
             ]
         return _write_with_parent(path if path2 is None else path2)
-    if call in UNLINK_CALLS:
+    if family is UNLINK:
         return _write_with_parent(path)
-    if call == "truncate":
+    if family is TRUNCATE:
         return [] if path is None else [(path, AccessKind.WRITE)]
-    if call in _NEW_NAME_CALLS:
+    if family is LINK or family is SYMLINK:
         return _write_with_parent(event.path2)
-    if call in EXEC_CALLS:
+    if family is EXEC:
         return [] if path is None else [(path, AccessKind.EXECUTE)]
-    raise ValueError(f"not a file-operation call: {call!r}")
+    raise ValueError(f"not a file-operation call: {event.call!r}")
 
 
 def _write_with_parent(path: str | None) -> list[tuple[str, AccessKind]]:
@@ -260,20 +261,20 @@ def mediate(
     unlisted paths permitted by default.  The event's seq is the clock that
     token sessions are opened and checked against.
     """
-    call, seq = event.call, event.seq
+    family, seq = CALL_FAMILY[event.call], event.seq
     resolved_uid, resolved_gid, mismatch = table.resolve_owner(
         event.pid, claimed_uid, claimed_gid
     )
 
-    if call in HARD_DENIED_CALLS:
+    if family in _HARD_DENIED_FAMILIES:
         return Verdict(
             Decision.DENY, Reason.HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0
         )
 
-    if call in OPEN_CALLS:
+    if family is OPEN:
         try_token_auth(event.path, event.pid, table, config, sessions, seq)
 
-    checks = required_checks(event) if call in FILE_OP_CALLS else ()
+    checks = () if family is EXIT or family is CLONE else required_checks(event)
 
     probes = 0
     if not is_authenticated(sessions, resolved_uid, config, seq):
@@ -288,7 +289,7 @@ def mediate(
                     Decision.DENY, Reason.UNAUTHENTICATED, (), resolved_uid, resolved_gid, mismatch, probes
                 )
 
-    if options.exec_whitelist and call in EXEC_CALLS:
+    if options.exec_whitelist and family is EXEC:
         probes += 1
         if event.path is None or sacl.lookup(event.path) is None:
             return Verdict(

@@ -238,6 +238,14 @@ def test_file_under_regular_file_exits_two_with_line(tmp_path, capsys):
     assert "error: line 2: parent is not a directory: /a" in err
 
 
+def test_sudo_of_untracked_pid_exits_two_unquoted(tmp_path, capsys):
+    # Init has no fork-time record, so the ownership table refuses the sudo.
+    scenario = write(tmp_path, "s.jsonl", '{"ev":"sudo","pid":1,"uid":0,"gid":0}\n')
+    code, _, err = run_cli(["--scenario", scenario], capsys)
+    assert code == 2
+    assert err == "error: line 1: pid 1 not tracked\n"
+
+
 @pytest.mark.parametrize("kind", ["sacl", "scenario", "secrets"])
 def test_undecodable_byte_exits_two_with_line(tmp_path, capsys, kind):
     good = {

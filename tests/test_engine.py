@@ -278,3 +278,105 @@ def test_auth_config_window_flows_from_simulation():
         sim.syscall(2, "clone")  # burn ticks past the window
     verdict, _ = sim.syscall(2, "open", "/f", flags=["O_WRONLY"])
     assert verdict.decision is Decision.DENY
+
+
+# Per trapped call: (path, path2, flags).  The SACL lists /d, /d/f and /d/run
+# as root's 755, 644 and 755; /u and /u/a are the caller's own and unlisted.
+PINNED_CALL_ARGS = {
+    "open": ("/d/f", None, ["O_RDONLY"]),
+    "openat": ("/d/new", None, ["O_CREAT", "O_WRONLY"]),
+    "name_to_handle_at": ("/d/f", None, []),
+    "open_by_handle_at": ("/d/f", None, []),
+    "rename": ("/d/f", "/d/g", []),
+    "renameat": ("/u/a", "/d/f", []),
+    "renameat2": ("/u/a", "/u/b", []),
+    "unlink": ("/d/f", None, []),
+    "unlinkat": ("/u/a", None, []),
+    "truncate": ("/d/f", None, []),
+    "link": ("/d/f", "/u/l", []),
+    "linkat": ("/d/f", "/d/l", []),
+    "symlink": ("/d/f", "/u/s", []),
+    "symlinkat": ("/d/f", "/d/s", []),
+    "execve": ("/d/run", None, []),
+    "execveat": ("/d/f", None, []),
+    "exit": (None, None, []),
+    "exit_group": (None, None, []),
+    "init_module": ("/d/f", None, []),
+    "finit_module": ("/d/f", None, []),
+    "kexec_load": ("/d/f", None, []),
+    "clone": (None, None, []),
+}
+
+# (decision, reason, outcome error, probes) with the slots above, then with
+# path null.  Only the new name of a link or symlink is checked, so naming a
+# listed target under an unlisted new name is permitted.
+PINNED_OUTCOMES = {
+    "open": (("permit", "permit", None, 1), ("permit", "permit", "bad_address", 0)),
+    "openat": (
+        ("deny", "sacl_deny", "bad_file_descriptor", 2),
+        ("permit", "permit", "bad_file_descriptor", 0),
+    ),
+    "name_to_handle_at": (
+        ("deny", "hard_denied_call", "bad_address", 0),
+        ("deny", "hard_denied_call", "bad_address", 0),
+    ),
+    "open_by_handle_at": (
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+    ),
+    "rename": (("deny", "sacl_deny", "bad_address", 4), ("deny", "sacl_deny", "bad_address", 2)),
+    "renameat": (("deny", "sacl_deny", "bad_address", 4), ("deny", "sacl_deny", "bad_address", 2)),
+    "renameat2": (("permit", "permit", None, 4), ("permit", "permit", "bad_address", 2)),
+    "unlink": (("deny", "sacl_deny", "bad_address", 2), ("permit", "permit", "bad_address", 0)),
+    "unlinkat": (("permit", "permit", None, 2), ("permit", "permit", "bad_address", 0)),
+    "truncate": (("deny", "sacl_deny", "bad_address", 1), ("permit", "permit", "bad_address", 0)),
+    "link": (("permit", "permit", None, 2), ("permit", "permit", "bad_address", 2)),
+    "linkat": (("deny", "sacl_deny", "bad_address", 2), ("deny", "sacl_deny", "bad_address", 2)),
+    "symlink": (("permit", "permit", None, 2), ("permit", "permit", "bad_address", 2)),
+    "symlinkat": (("deny", "sacl_deny", "bad_address", 2), ("deny", "sacl_deny", "bad_address", 2)),
+    "execve": (("permit", "permit", None, 1), ("permit", "permit", "bad_address", 0)),
+    "execveat": (("deny", "sacl_deny", "bad_address", 1), ("permit", "permit", "bad_address", 0)),
+    "exit": (("permit", "permit", None, 0), ("permit", "permit", None, 0)),
+    "exit_group": (("permit", "permit", None, 0), ("permit", "permit", None, 0)),
+    "init_module": (
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+    ),
+    "finit_module": (
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+    ),
+    "kexec_load": (
+        ("deny", "hard_denied_call", "bad_address", 0),
+        ("deny", "hard_denied_call", "bad_address", 0),
+    ),
+    "clone": (("permit", "permit", None, 0), ("permit", "permit", None, 0)),
+}
+
+
+def _pinned_run(call, path_null):
+    sim = Simulation(sacl=parse_sacl("/d 755 0 0\n/d/f 644 0 0\n/d/run 755 0 0\n"))
+    sim.add_user(1000)
+    for path, uid, perm, is_dir in (
+        ("/d", 0, "755", True),
+        ("/d/f", 0, "644", False),
+        ("/d/run", 0, "755", False),
+        ("/u", 1000, "755", True),
+        ("/u/a", 1000, "644", False),
+    ):
+        sim.add_file(path, uid, uid, PermissionOctets.from_text(perm), is_dir)
+    pid = sim.spawn(1, 1000, 1000)
+    sim.forge_credentials(pid, 0, 0)
+    path, path2, flags = PINNED_CALL_ARGS[call]
+    verdict, outcome = sim.syscall(pid, call, None if path_null else path, path2, flags)
+    error = outcome.error.value if outcome.error else None
+    return verdict.decision.value, verdict.reason.value, error, verdict.probes
+
+
+def test_every_trapped_call_pinned_through_syscall():
+    # A uid-1000 caller forged to root; both runs of every call start from a
+    # fresh simulation.
+    assert set(PINNED_OUTCOMES) == set(TRAPPED_CALLS)
+    for call, (with_slots, with_null_path) in PINNED_OUTCOMES.items():
+        assert _pinned_run(call, False) == with_slots, call
+        assert _pinned_run(call, True) == with_null_path, call

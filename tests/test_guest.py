@@ -178,20 +178,55 @@ def test_execve_semantics():
     assert guest.execute_syscall(ev(pid, "execve", "/home/user/noexec")).error is ErrorCode.PERMISSION_DENIED
 
 
+_A, _FD = ErrorCode.BAD_ADDRESS, ErrorCode.BAD_FILE_DESCRIPTOR
+# Per trapped call: its nulled-slot error with read-only flags, then with
+# write flags.
+NULLED_ERRORS = {
+    "open": (_A, _FD),
+    "openat": (_A, _FD),
+    "name_to_handle_at": (_A, _A),
+    "open_by_handle_at": (_FD, _FD),
+    "rename": (_A, _A),
+    "renameat": (_A, _A),
+    "renameat2": (_A, _A),
+    "unlink": (_A, _A),
+    "unlinkat": (_A, _A),
+    "truncate": (_A, _A),
+    "link": (_A, _A),
+    "linkat": (_A, _A),
+    "symlink": (_A, _A),
+    "symlinkat": (_A, _A),
+    "execve": (_A, _A),
+    "execveat": (_A, _A),
+    "exit": (_A, _A),
+    "exit_group": (_A, _A),
+    "init_module": (_FD, _FD),
+    "finit_module": (_FD, _FD),
+    "kexec_load": (_A, _A),
+    "clone": (_A, _A),
+}
+
+
 def test_nulled_slot_error_codes():
     # write-intent opens surface as a bad descriptor, read-only opens and
     # other path calls fault on the address, module loading reports a bad
     # descriptor
-    assert nulled_error_code("open", frozenset({"O_WRONLY"})) is ErrorCode.BAD_FILE_DESCRIPTOR
+    assert set(NULLED_ERRORS) == set(TRAPPED_CALLS)
+    for call, (read_only, write) in NULLED_ERRORS.items():
+        assert nulled_error_code(call, frozenset({"O_RDONLY"})) is read_only, call
+        assert nulled_error_code(call, frozenset({"O_WRONLY"})) is write, call
     assert nulled_error_code("open", frozenset({"O_CREAT", "O_WRONLY"})) is ErrorCode.BAD_FILE_DESCRIPTOR
-    assert nulled_error_code("open", frozenset({"O_RDONLY"})) is ErrorCode.BAD_ADDRESS
     assert nulled_error_code("openat", frozenset()) is ErrorCode.BAD_ADDRESS
-    assert nulled_error_code("execve", frozenset()) is ErrorCode.BAD_ADDRESS
-    assert nulled_error_code("rename", frozenset()) is ErrorCode.BAD_ADDRESS
-    assert nulled_error_code("init_module", frozenset()) is ErrorCode.BAD_FILE_DESCRIPTOR
-    assert nulled_error_code("finit_module", frozenset()) is ErrorCode.BAD_FILE_DESCRIPTOR
-    assert nulled_error_code("open_by_handle_at", frozenset()) is ErrorCode.BAD_FILE_DESCRIPTOR
-    assert nulled_error_code("kexec_load", frozenset()) is ErrorCode.BAD_ADDRESS
+
+
+def test_hard_denied_calls_reach_the_guest_only_nulled():
+    # Mediation denies these calls unconditionally, so the guest has no
+    # semantics for one whose slot is still set.
+    guest, pid = make_guest()
+    for call in ("init_module", "finit_module", "open_by_handle_at", "kexec_load", "name_to_handle_at"):
+        with pytest.raises(GuestError):
+            guest.execute_syscall(ev(pid, call, "/home/user/a.txt"))
+        assert guest.execute_syscall(ev(pid, call, None)).error is NULLED_ERRORS[call][0]
 
 
 def test_nulled_slot_outcomes_through_guest():
