@@ -6,16 +6,17 @@ trapped call.  A site compiled with a NOP prologue keeps its breakpoint
 permanently and only advances the instruction pointer: one pair.
 """
 
-from hvguard import CostModel, SyscallEvent, TrapMode, arm, cost_of, handle_trap, make_site
+from hvguard import CostModel, SyscallEvent, arm, cost_of, handle_trap, make_site
 
 event = SyscallEvent(seq=1, pid=2, call="open", path="/etc/hosts", flags=frozenset({"O_RDONLY"}))
 model = CostModel(switch_cost=1.0)
 
 
-def show(mode, nop):
+def show(nop):
+    # The site's first byte picks the handling.
     site = arm(make_site("open", nop_prologue=nop))
-    record, _ = handle_trap(site, event, lambda ev: ev, mode)
-    print(f"\n{mode.value} handling of one open():")
+    record, _ = handle_trap(site, event, lambda ev: ev)
+    print(f"\n{record.mode.value} handling of one open():")
     for step in record.steps:
         print("   ", step)
     print(
@@ -25,8 +26,8 @@ def show(mode, nop):
     return record
 
 
-classic = show(TrapMode.CLASSIC4, nop=False)
-nop = show(TrapMode.NOP2, nop=True)
+classic = show(nop=False)
+nop = show(nop=True)
 
 ratio = cost_of(classic, model) / cost_of(nop, model)
 print(f"\nwith a free callback, the NOP-prologue mode halves the overhead: ratio = {ratio:.2f}")

@@ -6,7 +6,8 @@ is authoritative over claimed credentials; kernel-integrity calls are
 unconditionally denied; a challenge-response step can gate listed files
 behind a second authentication.  The trap layer models both the classic
 four-context-switch breakpoint sequence and the two-switch NOP-prologue
-variant, with a pluggable switch-cost ledger and a benchmark harness.
+variant, each priced by ``cost_of`` over a ``CostModel``, and a benchmark
+harness.
 """
 
 from .bench import (

@@ -37,7 +37,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--auth-window", type=int, default=300, metavar="TICKS")
     parser.add_argument(
-        "--trap-mode", choices=["classic", "nop"], default="classic",
+        "--trap-mode", choices=[m.value for m in TrapMode], default=TrapMode.CLASSIC4.value,
         help="4-switch breakpoint handling or 2-switch NOP-prologue handling",
     )
     parser.add_argument(
@@ -104,7 +104,7 @@ def _run_scenario_mode(args) -> int:
     auth = AuthConfig(secrets=secrets, window=args.auth_window)
     options = PolicyOptions(
         exec_whitelist=args.whitelist_exec,
-        trap_mode=TrapMode.NOP2 if args.trap_mode == "nop" else TrapMode.CLASSIC4,
+        trap_mode=args.trap_mode,
     )
     # The scenario text is not bound to a name, so it is freed before the
     # decision log is built.
@@ -126,11 +126,10 @@ def _run_bench_mode(args) -> int:
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if args.reps < 1:
         raise ValueError("--reps must be >= 1")
-    mode = TrapMode.NOP2 if args.trap_mode == "nop" else TrapMode.CLASSIC4
     cost_model = CostModel(args.switch_cost, args.callback_cost, args.lookup_cost)
     results = []
     for call in BENCH_CALLS:
-        results.extend(sacl_scaling(call, sizes, args.reps, trap_mode=mode, cost_model=cost_model))
+        results.extend(sacl_scaling(call, sizes, args.reps, trap_mode=args.trap_mode, cost_model=cost_model))
     _emit(results_csv(results), args.out)
     if args.out:
         print(summary_table(results))
@@ -139,6 +138,7 @@ def _run_bench_mode(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.trap_mode = TrapMode(args.trap_mode)
     try:
         if args.bench:
             if args.scenario:

@@ -77,7 +77,8 @@ class Simulation:
 
     Every trapped call flows breakpoint-hit -> mediation callback ->
     forwarded (possibly nulled) event -> guest execution, with one trap
-    record (the trap mode's shared one) and one decision-log row per call.
+    record (the shared one its site's prologue picks) and one decision-log
+    row per call.
     """
 
     def __init__(
@@ -130,9 +131,12 @@ class Simulation:
         return pid
 
     def sudo(self, pid: int, uid: int, gid: int) -> None:
+        """Legitimate credential change; a refused one (dead or untracked
+        pid) leaves the guest and the ownership table as they were."""
         self._tick()
+        if pid in self.guest.processes:
+            self.table.on_sudo(pid, uid, gid)
         self.guest.set_claimed(pid, uid, gid)
-        self.table.on_sudo(pid, uid, gid)
 
     def forge_credentials(self, pid: int, uid: int, gid: int) -> None:
         """Attacker-style credential rewrite: the guest believes it, the
@@ -152,9 +156,7 @@ class Simulation:
         if pid not in self.guest.processes:
             raise GuestError(f"pid {pid} is not alive")
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
-        record, (forwarded, verdict) = handle_trap(
-            self.sites[call], event, self._on_trap, self.options.trap_mode
-        )
+        record, (forwarded, verdict) = handle_trap(self.sites[call], event, self._on_trap)
         outcome = self.guest.execute_syscall(forwarded)
         if CALL_FAMILY[call] is EXIT:
             self.table.on_exit(pid)

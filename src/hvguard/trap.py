@@ -2,11 +2,11 @@
 
 A trap site models the first byte of a syscall's code plus an instruction
 pointer cursor.  Arming writes the 0xCC breakpoint opcode over the original
-byte.  Handling a hit either walks the classic restore/single-step/re-inject
-dance (two VM-exit/VM-entry pairs) or, when the site was compiled with a NOP
-prologue, simply steps the instruction pointer past the permanently armed
-breakpoint (one pair).  The trap models only that mechanism; ``cost_of``
-prices a handled trap.
+byte.  The site's first byte picks how a hit is handled: an ordinary
+prologue needs the classic restore/single-step/re-inject dance (two
+VM-exit/VM-entry pairs), while a NOP prologue lets the handler step the
+instruction pointer past the permanently armed breakpoint (one pair).  The
+trap models only that mechanism; ``cost_of`` prices a handled trap.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ class TrapMode(Enum):
 
 
 class TrapStateError(RuntimeError):
-    """Illegal transition: double-arm, unarmed handle, mode/site mismatch."""
+    """Illegal transition: double-arm, unarmed handle, wrong symbol."""
 
 
 @dataclass
@@ -34,21 +34,20 @@ class TrapSite:
     """First code byte and IP cursor for one trapped syscall symbol."""
 
     symbol: str
-    original_opcode: int = DEFAULT_ORIGINAL_OPCODE
-    armed: bool = False
-    current_byte: int = -1
+    original_opcode: int
+    current_byte: int
     ip: int = 0
 
-    def __post_init__(self):
-        if self.current_byte == -1:
-            self.current_byte = self.original_opcode
+    @property
+    def armed(self) -> bool:
+        return self.current_byte == BREAKPOINT_OPCODE
 
 
 def make_site(symbol: str, nop_prologue: bool = False) -> TrapSite:
     """A fresh, unarmed site; nop_prologue marks code compiled with a
     leading 0x90 so the breakpoint can stay in place permanently."""
     original = NOP_OPCODE if nop_prologue else DEFAULT_ORIGINAL_OPCODE
-    return TrapSite(symbol=symbol, original_opcode=original)
+    return TrapSite(symbol, original, original)
 
 
 def arm(site: TrapSite) -> TrapSite:
@@ -56,7 +55,6 @@ def arm(site: TrapSite) -> TrapSite:
     if site.armed:
         raise TrapStateError(f"site {site.symbol} already armed")
     site.current_byte = BREAKPOINT_OPCODE
-    site.armed = True
     return site
 
 
@@ -110,45 +108,28 @@ NOP2_STEPS = (
 CLASSIC4_RECORD = TrapSequenceRecord(TrapMode.CLASSIC4, 2, 2, 1, CLASSIC4_STEPS)
 NOP2_RECORD = TrapSequenceRecord(TrapMode.NOP2, 1, 1, 0, NOP2_STEPS)
 
-# Enum member lookups run Python-level code on CPython 3.11; handle_trap
-# compares against these instead.
-_CLASSIC4, _NOP2 = TrapMode.CLASSIC4, TrapMode.NOP2
 
-
-def handle_trap(site: TrapSite, event, callback, mode: TrapMode):
+def handle_trap(site: TrapSite, event, callback):
     """Handle one breakpoint hit; returns (record, ``callback(event)``).
 
     The callback runs between the VM-exit and the VM-entry, with the
-    breakpoint in place; its result is passed back untouched.  On return the
-    site is armed again in both modes, so no later instance of the same call
-    can be missed.  Denial is never an error at this layer.  The returned
-    record is ``CLASSIC4_RECORD`` or ``NOP2_RECORD``.
+    breakpoint in place; its result is passed back untouched.  The site's
+    first byte picks the handling: a NOP prologue steps past the permanent
+    breakpoint (``NOP2_RECORD``); any other byte is restored, single-stepped
+    and re-injected (``CLASSIC4_RECORD``), which nothing can observe, so only
+    the instruction pointer's advance is modeled.  On return the site is
+    armed again, so no later instance of the same call can be missed.
+    Denial is never an error at this layer.
     """
     if not site.armed:
         raise TrapStateError(f"site {site.symbol} is not armed")
     if event.call != site.symbol:
         raise TrapStateError(f"event {event.call!r} hit site {site.symbol!r}")
-    if mode is _NOP2 and site.original_opcode != NOP_OPCODE:
-        raise TrapStateError(
-            f"site {site.symbol} lacks a NOP prologue; cannot skip its first instruction"
-        )
-
-    # VM-exit on the breakpoint, then the callback with the breakpoint in place.
     result = callback(event)
-    if mode is _CLASSIC4:
-        # Restore the original byte and single-step it (VM-entry, one
-        # instruction, single-step exception, VM-exit), then re-inject the
-        # breakpoint and VM-entry.
-        site.current_byte = site.original_opcode
-        site.ip += 1
-        site.current_byte = BREAKPOINT_OPCODE
-        record = CLASSIC4_RECORD
-    else:
-        # Step the instruction pointer past the permanent breakpoint; VM-entry.
-        site.ip += 1
-        record = NOP2_RECORD
-    assert site.current_byte == BREAKPOINT_OPCODE  # re-arm guarantee
-    return record, result
+    site.ip += 1
+    if site.original_opcode == NOP_OPCODE:
+        return NOP2_RECORD, result
+    return CLASSIC4_RECORD, result
 
 
 def cost_of(record: TrapSequenceRecord, model: CostModel, probes: int = 0) -> float:

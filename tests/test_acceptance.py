@@ -72,12 +72,15 @@ def test_criterion_1_transcript_suite(scenario_dir):
 
 def test_transcript_decision_logs_match_golden(scenario_dir, tmp_path):
     # tests/golden/ holds the expected decision log of each transcript; a
-    # refactor of the per-call path must reproduce it byte for byte.
+    # refactor of the per-call path must reproduce it byte for byte.  Verdicts
+    # do not depend on the trap mode, so both modes match the same log.
     golden_dir = Path(__file__).resolve().parent / "golden"
-    for name, extra in TRANSCRIPTS:
-        log = tmp_path / f"{name}.csv"
-        assert cli_main(_transcript_args(scenario_dir, name, extra) + ["--out", str(log)]) == 0, name
-        assert log.read_bytes() == (golden_dir / f"{name}.csv").read_bytes(), name
+    for mode in ("classic", "nop"):
+        for name, extra in TRANSCRIPTS:
+            log = tmp_path / f"{name}.{mode}.csv"
+            args = _transcript_args(scenario_dir, name, extra) + ["--trap-mode", mode, "--out", str(log)]
+            assert cli_main(args) == 0, (name, mode)
+            assert log.read_bytes() == (golden_dir / f"{name}.csv").read_bytes(), (name, mode)
 
 
 # -- 2: permission-decision oracle -------------------------------------------
@@ -156,8 +159,8 @@ def test_criterion_3_trap_count_exactness():
 def _modeled_ratio(switch_cost, callback_cost):
     model = CostModel(switch_cost=switch_cost, callback_base_cost=callback_cost)
     event = SyscallEvent(1, 2, "open", "/f", flags=frozenset({"O_RDONLY"}))
-    classic, _ = handle_trap(arm(make_site("open")), event, lambda e: e, TrapMode.CLASSIC4)
-    nop, _ = handle_trap(arm(make_site("open", nop_prologue=True)), event, lambda e: e, TrapMode.NOP2)
+    classic, _ = handle_trap(arm(make_site("open")), event, lambda e: e)
+    nop, _ = handle_trap(arm(make_site("open", nop_prologue=True)), event, lambda e: e)
     return cost_of(classic, model) / cost_of(nop, model)
 
 

@@ -91,6 +91,18 @@ def test_sudo_updates_both_guest_and_table():
     assert not verdict.mismatch
 
 
+def test_refused_sudo_changes_neither_guest_nor_table():
+    sim = Simulation()
+    with pytest.raises(KeyError, match="pid 1 not tracked"):
+        sim.sudo(1, 1000, 1000)  # init has no fork-time record
+    init = sim.guest.processes[1]
+    assert (init.claimed_uid, init.claimed_gid) == (0, 0)
+    assert sim.table.get(1) is None
+    with pytest.raises(GuestError, match="pid 7 is not alive"):
+        sim.sudo(7, 0, 0)
+    assert 7 not in sim.guest.processes and sim.table.get(7) is None
+
+
 def test_forged_credentials_flagged_and_ignored():
     sim = Simulation(sacl=parse_sacl("/etc/shadow 600 0 0\n"))
     sim.add_file("/etc/shadow", 0, 0, PermissionOctets(6, 4, 0))

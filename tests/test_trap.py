@@ -52,14 +52,14 @@ def test_nop_site_original_is_nop():
 
 def test_classic_sequence_counts():
     site = armed_site()
-    record, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
+    record, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert (record.vm_exits, record.vm_entries, record.single_steps) == (2, 2, 1)
     assert record.steps == CLASSIC4_STEPS
 
 
 def test_nop_sequence_counts():
     site = armed_site(mode=TrapMode.NOP2)
-    record, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2)
+    record, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert (record.vm_exits, record.vm_entries, record.single_steps) == (1, 1, 0)
     assert record.steps == NOP2_STEPS
 
@@ -83,7 +83,7 @@ def test_breakpoint_present_during_callback_and_after_completion():
         seen.append(site.current_byte)
         return event
 
-    handle_trap(site, SyscallEvent(1, 2, "open", "/f"), spy, TrapMode.CLASSIC4)
+    handle_trap(site, SyscallEvent(1, 2, "open", "/f"), spy)
     assert seen == [BREAKPOINT_OPCODE]
     assert site.current_byte == BREAKPOINT_OPCODE
     assert site.armed
@@ -92,17 +92,17 @@ def test_breakpoint_present_during_callback_and_after_completion():
 def test_nop_site_never_shows_nop_after_arming():
     site = armed_site(mode=TrapMode.NOP2)
     for seq in range(1, 20):
-        handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough, TrapMode.NOP2)
+        handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough)
         assert site.current_byte == BREAKPOINT_OPCODE
     assert "restore-original" not in NOP2_STEPS
 
 
 def test_instruction_pointer_advances_in_both_modes():
     classic = armed_site()
-    handle_trap(classic, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
+    handle_trap(classic, SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert classic.ip == 1
     nop = armed_site(mode=TrapMode.NOP2)
-    handle_trap(nop, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2)
+    handle_trap(nop, SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert nop.ip == 1
 
 
@@ -110,7 +110,7 @@ def test_rearm_guarantee_back_to_back():
     site = armed_site()
     records = []
     for seq in (1, 2):
-        record, _ = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
+        record, _ = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough)
         records.append(record)
     assert len(records) == 2
     assert all(r.vm_exits == 2 for r in records)
@@ -119,23 +119,17 @@ def test_rearm_guarantee_back_to_back():
 def test_unarmed_or_mismatched_site_rejected():
     site = make_site("open")
     with pytest.raises(TrapStateError):
-        handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
+        handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough)
     arm(site)
     with pytest.raises(TrapStateError):
-        handle_trap(site, SyscallEvent(1, 2, "unlink", "/f"), passthrough, TrapMode.CLASSIC4)
-
-
-def test_nop_mode_requires_nop_prologue():
-    site = armed_site()  # ordinary original opcode
-    with pytest.raises(TrapStateError):
-        handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2)
+        handle_trap(site, SyscallEvent(1, 2, "unlink", "/f"), passthrough)
 
 
 def test_switch_counts_hold_for_every_trapped_call():
     for call in TRAPPED_CALLS:
         for mode, exits in ((TrapMode.CLASSIC4, 2), (TrapMode.NOP2, 1)):
             site = armed_site(call, mode)
-            record, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough, mode)
+            record, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough)
             assert record.vm_exits == record.vm_entries == exits
             assert site.armed
 
@@ -145,33 +139,29 @@ def test_switch_totals_are_linear():
         site = armed_site(mode=mode)
         total = 0
         for seq in range(1, 51):
-            record, _ = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough, mode)
+            record, _ = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough)
             total += record.vm_exits + record.vm_entries
         assert total == per * 50
 
 
 def test_cost_arithmetic():
     model = CostModel(switch_cost=3.0, callback_base_cost=5.0)
-    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
-    nop, _ = handle_trap(
-        armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2
-    )
+    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough)
+    nop, _ = handle_trap(armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert cost_of(classic, model) == 4 * 3.0 + 5.0
     assert cost_of(nop, model) == 2 * 3.0 + 5.0
 
 
 def test_cost_ratio_is_two_with_free_callback():
     model = CostModel(switch_cost=7.0)
-    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
-    nop, _ = handle_trap(
-        armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.NOP2
-    )
+    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough)
+    nop, _ = handle_trap(armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert cost_of(classic, model) / cost_of(nop, model) == 2.0
 
 
 def test_callback_probes_are_priced():
     model = CostModel(switch_cost=1.0, callback_base_cost=2.0, lookup_cost=0.5)
-    record, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough, TrapMode.CLASSIC4)
+    record, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough)
     assert cost_of(record, model, 3) == 4 * 1.0 + (2.0 + 3 * 0.5)
     assert cost_of(record, model) == 4 * 1.0 + 2.0
     assert cost_of(NOP2_RECORD, model, 3) == 2 * 1.0 + (2.0 + 3 * 0.5)
@@ -184,7 +174,7 @@ def test_forwarded_event_is_callbacks_output():
     def denier(event):
         return result
 
-    _, returned = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), denier, TrapMode.CLASSIC4)
+    _, returned = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), denier)
     assert returned is result
 
 
@@ -198,10 +188,11 @@ def test_negative_costs_rejected():
 def test_one_record_per_mode_for_every_site():
     for call in ("open", "unlink"):
         site = armed_site(call, TrapMode.NOP2)
-        first, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough, TrapMode.NOP2)
-        again, _ = handle_trap(site, SyscallEvent(2, 2, call, "/g"), passthrough, TrapMode.NOP2)
-        classic, _ = handle_trap(site, SyscallEvent(3, 2, call, "/f"), passthrough, TrapMode.CLASSIC4)
+        first, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough)
+        again, _ = handle_trap(site, SyscallEvent(2, 2, call, "/g"), passthrough)
+        ordinary = armed_site(call)
+        classic, _ = handle_trap(ordinary, SyscallEvent(3, 2, call, "/f"), passthrough)
         assert first is again is NOP2_RECORD
         assert classic is CLASSIC4_RECORD
-        assert site.ip == 3
+        assert (site.ip, ordinary.ip) == (2, 1)
     assert (CLASSIC4_RECORD.mode, NOP2_RECORD.mode) == (TrapMode.CLASSIC4, TrapMode.NOP2)
