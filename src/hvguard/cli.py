@@ -86,6 +86,8 @@ def _load_secrets(path: str) -> dict[int, str]:
             uid = int(parts[0])
         except ValueError:  # more digits than int() converts
             raise error(line_no, "uid too large") from None
+        if uid in secrets:
+            raise error(line_no, f"duplicate uid: {uid}")
         secrets[uid] = parts[1]
     return secrets
 

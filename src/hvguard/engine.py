@@ -22,6 +22,7 @@ preceding sys event: required key "decision" (permit|deny), optional
 from __future__ import annotations
 
 import json
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -214,14 +215,13 @@ class ScenarioResult:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-def parse_scenario(text: str) -> list[tuple[int, dict]]:
-    """JSON-lines to (line_no, event dict) pairs, validated structurally.
+def decode_scenario(text: str) -> Iterator[tuple[int, dict]]:
+    """JSON-lines to (line_no, event dict) pairs, one line at a time.
 
     A stripped line is one JSON document exactly when ``raw_decode`` ends at
     its end; any other line goes through ``json.loads`` so that the error
     message is the one ``json.loads`` gives.
     """
-    events = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -239,7 +239,111 @@ def parse_scenario(text: str) -> list[tuple[int, dict]]:
                 raise ScenarioError(line_no, f"bad JSON: {exc}") from None
         if not isinstance(obj, dict) or "ev" not in obj:
             raise ScenarioError(line_no, "event must be an object with an 'ev' key")
-        events.append((line_no, obj))
+        yield line_no, obj
+
+
+# The kind of a parsed event, its second field.
+SYS, EXPECT, USER, FILE, SPAWN, SUDO, FORGE, ERROR = range(8)
+
+# An expect line's "status" or "error" key that is not there (null is a value).
+_ABSENT = object()
+_NO_FLAGS = frozenset()
+# One str per call name, shared by every sys event instead of a decoded copy.
+_CALL_NAMES = {call: call for call in CALL_FAMILY}
+_ID_FIELDS = (("uid", 0), ("gid", 0))
+_SPAWN_FIELDS = (("parent", 1), ("uid", 0), ("gid", 0), ("pid", 1))
+_CREDENTIAL_FIELDS = (("pid", 1), ("uid", 0), ("gid", 0))
+
+
+def parse_scenario(text: str) -> list[tuple]:
+    """Scenario text to one flat tuple per event, in line order:
+
+        (line_no, SYS, pid, call, path, path2, flags)
+        (line_no, EXPECT, decision, status, error)   status, error may be _ABSENT
+        (line_no, USER, uid)
+        (line_no, FILE, path, uid, gid, perms, is_dir)
+        (line_no, SPAWN, parent, uid, gid, pid)
+        (line_no, SUDO or FORGE, pid, uid, gid)
+        (line_no, ERROR, ScenarioError)
+
+    A line that does not decode raises here, so nothing is replayed.  A line
+    whose fields are wrong becomes an ERROR event in its place, which
+    ``run_scenario`` raises when the replay reaches it, so a guest error on
+    an earlier line still wins.  Fields are type-tested inline, in the order
+    their errors take precedence; ``_need`` and ``_int`` only word an error.
+    Whether a call name is known and a path absolute depends on the pid
+    being alive first, so ``SyscallEvent`` still checks both.  Every sys
+    event with the same flag list holds the same frozenset.
+    """
+    events = []
+    append = events.append
+    flag_sets = {(): _NO_FLAGS}
+    seen_sys = False
+    for line_no, obj in decode_scenario(text):
+        ev = obj["ev"]
+        try:
+            if ev == "sys":
+                pid, call = obj.get("pid"), obj.get("call", _ABSENT)
+                if type(pid) is not int or pid < 1:
+                    _int(line_no, obj, "pid", 1)  # raises
+                if call is _ABSENT:
+                    _need(line_no, obj, "call")  # raises
+                if type(call) is str:
+                    call = _CALL_NAMES.get(call, call)
+                path, path2 = obj.get("path"), obj.get("path2")
+                if not (path is None or type(path) is str) or not (path2 is None or type(path2) is str):
+                    raise ScenarioError(line_no, "'path' and 'path2' must be strings")
+                flags = obj.get("flags", _NO_FLAGS)
+                if flags is not _NO_FLAGS:
+                    if type(flags) is not list:
+                        raise ScenarioError(line_no, "'flags' must be a list of strings")
+                    try:
+                        flags = flag_sets[tuple(flags)]
+                    except (KeyError, TypeError):  # new, or holding an unhashable value
+                        if not all(type(flag) is str for flag in flags):
+                            raise ScenarioError(line_no, "'flags' must be a list of strings") from None
+                        flags = flag_sets[tuple(flags)] = frozenset(flags)
+                append((line_no, SYS, pid, call, path, path2, flags))
+                seen_sys = True
+            elif ev == "expect":
+                if not seen_sys:
+                    raise ScenarioError(line_no, "'expect' with no preceding sys event")
+                wanted = obj.get("decision")
+                if wanted not in ("permit", "deny"):
+                    _need(line_no, obj, "decision")
+                    raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
+                wanted = "deny" if wanted == "deny" else "permit"  # a shared str, not the decoded one
+                append((line_no, EXPECT, wanted, obj.get("status", _ABSENT), obj.get("error", _ABSENT)))
+            elif ev == "file":
+                path, is_dir, perm = obj.get("path"), obj.get("dir", False), obj.get("perm")
+                if type(path) is not str:
+                    _need(line_no, obj, "path")
+                    raise ScenarioError(line_no, f"'path' must be a string, got {path!r}")
+                if type(is_dir) is not bool:
+                    raise ScenarioError(line_no, f"'dir' must be true or false, got {is_dir!r}")
+                if type(perm) is not str:
+                    _need(line_no, obj, "perm")
+                    raise ScenarioError(line_no, f"'perm' must be a string, got {perm!r}")
+                try:
+                    perms = PermissionOctets.from_text(perm)
+                except ValueError as exc:
+                    raise ScenarioError(line_no, str(exc)) from None
+                uid, gid = obj.get("uid"), obj.get("gid")
+                if type(uid) is not int or uid < 0 or type(gid) is not int or gid < 0:
+                    _int_fields(line_no, obj, _ID_FIELDS)  # raises
+                append((line_no, FILE, path, uid, gid, perms, is_dir))
+            elif ev == "user":
+                append((line_no, USER, _int_fields(line_no, obj, _ID_FIELDS)[0]))
+            elif ev == "spawn":
+                append((line_no, SPAWN, *_int_fields(line_no, obj, _SPAWN_FIELDS)))
+            elif ev == "sudo":
+                append((line_no, SUDO, *_int_fields(line_no, obj, _CREDENTIAL_FIELDS)))
+            elif ev == "forge":
+                append((line_no, FORGE, *_int_fields(line_no, obj, _CREDENTIAL_FIELDS)))
+            else:
+                raise ScenarioError(line_no, f"unknown event type {ev!r}")
+        except ScenarioError as exc:
+            append((line_no, ERROR, exc))
     return events
 
 
@@ -257,12 +361,9 @@ def _int(line_no: int, obj: dict, key: str, least: int) -> int:
     return value
 
 
-def _pid(line_no: int, obj: dict, key: str = "pid") -> int:
-    return _int(line_no, obj, key, 1)
-
-
-def _ids(line_no: int, obj: dict) -> tuple[int, int]:
-    return _int(line_no, obj, "uid", 0), _int(line_no, obj, "gid", 0)
+def _int_fields(line_no: int, obj: dict, fields: tuple[tuple[str, int], ...]) -> tuple[int, ...]:
+    """The (key, least) integer fields, checked in order."""
+    return tuple(_int(line_no, obj, key, least) for key, least in fields)
 
 
 def run_scenario(
@@ -277,79 +378,60 @@ def run_scenario(
     last: tuple[Verdict, SyscallOutcome] | None = None
 
     # Reversed so that pop() hands out the events in order and drops each
-    # (line, event) pair once it has run.
+    # one once it has run.
     events = parse_scenario(text)
+    del text  # the replay needs only the events; a caller may hold none
     events.reverse()
     while events:
-        line_no, obj = events.pop()
-        ev = obj["ev"]
+        event = events.pop()
+        kind = event[1]
         try:
-            if ev == "sys":
-                pid = _pid(line_no, obj)
-                call = _need(line_no, obj, "call")
-                path, path2 = obj.get("path"), obj.get("path2")
-                flags = obj.get("flags", [])
-                if not (path is None or type(path) is str) or not (path2 is None or type(path2) is str):
-                    raise ScenarioError(line_no, "'path' and 'path2' must be strings")
-                if type(flags) is not list:
-                    raise ScenarioError(line_no, "'flags' must be a list of strings")
-                for flag in flags:
-                    if type(flag) is not str:
-                        raise ScenarioError(line_no, "'flags' must be a list of strings")
+            if kind == SYS:
+                _, _, pid, call, path, path2, flags = event
                 last = sim.syscall(pid, call, path, path2, flags)
                 result.sys_events += 1
-            elif ev == "expect":
-                if last is None:
-                    raise ScenarioError(line_no, "'expect' with no preceding sys event")
-                _check_expect(line_no, obj, last, result)
-            elif ev == "user":
-                uid, _ = _ids(line_no, obj)
-                sim.add_user(uid)
-            elif ev == "file":
-                path = _need(line_no, obj, "path")
-                is_dir = obj.get("dir", False)
-                if type(path) is not str:
-                    raise ScenarioError(line_no, f"'path' must be a string, got {path!r}")
-                if type(is_dir) is not bool:
-                    raise ScenarioError(line_no, f"'dir' must be true or false, got {is_dir!r}")
-                perms = PermissionOctets.from_text(str(_need(line_no, obj, "perm")))
-                sim.add_file(path, *_ids(line_no, obj), perms, is_dir)
-            elif ev == "spawn":
-                sim.spawn(_pid(line_no, obj, "parent"), *_ids(line_no, obj), pid=_pid(line_no, obj))
-            elif ev == "sudo":
-                sim.sudo(_pid(line_no, obj), *_ids(line_no, obj))
-            elif ev == "forge":
-                sim.forge_credentials(_pid(line_no, obj), *_ids(line_no, obj))
+            elif kind == EXPECT:
+                _check_expect(event, last, result)
+            elif kind == FILE:
+                _, _, path, uid, gid, perms, is_dir = event
+                sim.add_file(path, uid, gid, perms, is_dir)
+            elif kind == USER:
+                sim.add_user(event[2])
+            elif kind == SPAWN:
+                _, _, parent, uid, gid, pid = event
+                sim.spawn(parent, uid, gid, pid=pid)
+            elif kind == SUDO:
+                _, _, pid, uid, gid = event
+                sim.sudo(pid, uid, gid)
+            elif kind == FORGE:
+                _, _, pid, uid, gid = event
+                sim.forge_credentials(pid, uid, gid)
             else:
-                raise ScenarioError(line_no, f"unknown event type {ev!r}")
+                raise event[2]
         except ScenarioError:
             raise
         except (GuestError, ValueError) as exc:
-            raise ScenarioError(line_no, str(exc)) from None
+            raise ScenarioError(event[0], str(exc)) from None
         except KeyError as exc:
             # str() of a KeyError quotes its message.
-            raise ScenarioError(line_no, exc.args[0]) from None
+            raise ScenarioError(event[0], exc.args[0]) from None
     return result
 
 
-def _check_expect(line_no: int, obj: dict, last, result: ScenarioResult) -> None:
+def _check_expect(event: tuple, last, result: ScenarioResult) -> None:
+    """An expect event always follows a sys event that has run: parse_scenario
+    turns one without a sys line before it into an ERROR event."""
+    line_no, _, wanted, status, error = event
     verdict, outcome = last
     result.expect_checks += 1
-    wanted = _need(line_no, obj, "decision")
-    if wanted not in ("permit", "deny"):
-        raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
     got = verdict.decision._value_
     if got != wanted:
         result.mismatches.append(f"line {line_no}: expected decision {wanted}, got {got}")
-    if "status" in obj:
+    if status is not _ABSENT:
         actual = "success" if outcome.success else "error"
-        if obj["status"] != actual:
-            result.mismatches.append(
-                f"line {line_no}: expected status {obj['status']}, got {actual}"
-            )
-    if "error" in obj:
+        if status != actual:
+            result.mismatches.append(f"line {line_no}: expected status {status}, got {actual}")
+    if error is not _ABSENT:
         actual_err = outcome.error.value if outcome.error else "none"
-        if obj["error"] != actual_err:
-            result.mismatches.append(
-                f"line {line_no}: expected error {obj['error']}, got {actual_err}"
-            )
+        if error != actual_err:
+            result.mismatches.append(f"line {line_no}: expected error {error}, got {actual_err}")

@@ -182,6 +182,15 @@ def test_bad_secrets_file_exits_two(tmp_path, capsys):
     assert code == 2
 
 
+def test_repeated_secrets_uid_exits_two(tmp_path, capsys):
+    # Leading zeros name the same uid, as they do in the SACL.
+    scenario = write(tmp_path, "s.jsonl", SCENARIO_DENY)
+    secrets = write(tmp_path, "secrets.txt", "1000 first\n# note\n1001 other\n01000 second\n")
+    code, _, err = run_cli(["--scenario", scenario, "--auth-secrets", secrets], capsys)
+    assert code == 2
+    assert err == f"error: {secrets}:4: duplicate uid: 1000\n"
+
+
 @pytest.mark.parametrize(
     "sys_event",
     [
@@ -215,6 +224,8 @@ def test_malformed_sys_event_exits_two_with_line(tmp_path, capsys, sys_event):
         '{"ev":"spawn","pid":3,"parent":1,"uid":0,"gid":1.5}',
         '{"ev":"sudo","pid":2,"uid":"x","gid":0}',
         '{"ev":"forge","pid":2,"uid":true,"gid":0}',
+        '{"ev":"file","path":"/f","uid":0,"gid":0,"perm":644}',
+        '{"ev":"file","path":"/f","uid":0,"gid":0,"perm":null}',
     ],
 )
 def test_malformed_setup_event_exits_two_with_line(tmp_path, capsys, setup_event):

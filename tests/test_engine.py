@@ -6,6 +6,12 @@ import pytest
 
 from hvguard.engine import (
     DECISION_LOG_COLUMNS,
+    ERROR,
+    EXPECT,
+    FILE,
+    SPAWN,
+    SYS,
+    USER,
     ScenarioError,
     Simulation,
     parse_scenario,
@@ -29,8 +35,43 @@ BASIC = """\
 
 def test_parse_scenario_shapes():
     events = parse_scenario(BASIC)
-    assert [e["ev"] for _, e in events] == ["user", "file", "spawn", "sys", "expect"]
+    assert [e[1] for e in events] == [USER, FILE, SPAWN, SYS, EXPECT]
     assert events[0][0] == 3  # line numbers skip comments and blanks
+    assert [e[0] for e in events] == [3, 4, 5, 6, 7]
+    assert events[3][2:6] == (2, "open", "/etc/shadow", None)
+    assert events[3][6] == frozenset({"O_WRONLY"})
+    assert events[4][2] == "deny"
+    # A line whose fields are wrong is kept as an error in its place.
+    bad = parse_scenario(BASIC + '{"ev":"user","uid":-1,"gid":0}\n')[-1]
+    assert bad[:2] == (8, ERROR)
+    assert str(bad[2]) == "line 8: 'uid' must be an integer >= 0, got -1"
+
+
+def test_parse_scenario_shares_one_flag_set_per_flag_list():
+    line = '{"ev":"sys","pid":2,"call":"open","path":"/a","flags":%s}\n'
+    text = "".join(line % flags for flags in ('["O_WRONLY"]', '["O_RDONLY"]', '["O_WRONLY"]', "[]"))
+    text += '{"ev":"sys","pid":2,"call":"getpid"}\n'
+    flag_sets = [e[6] for e in parse_scenario(text)]
+    assert flag_sets[0] is flag_sets[2] == frozenset({"O_WRONLY"})
+    assert flag_sets[1] == frozenset({"O_RDONLY"})
+    assert flag_sets[3] is flag_sets[4] == frozenset()
+    # Simulation.syscall's frozenset() hands the shared set on unchanged.
+    assert frozenset(flag_sets[0]) is flag_sets[0]
+
+
+def test_field_errors_wait_for_the_replay_to_reach_their_line():
+    # Line 6's pid is dead, a guest error found only by replaying; line 8's
+    # path is no string, found by the parser.  The replay stops at line 6.
+    text = BASIC.replace('"pid":2,"call"', '"pid":9,"call"') + (
+        '{"ev":"sys","pid":2,"call":"open","path":5}\n'
+    )
+    with pytest.raises(ScenarioError) as exc:
+        run_scenario(text)
+    assert exc.value.line_no == 6
+    assert str(exc.value) == "line 6: pid 9 is not alive"
+    # With the dead pid mended, the same scenario stops at the bad field.
+    with pytest.raises(ScenarioError, match=r"^line 8: 'path' and 'path2' must be strings$"):
+        run_scenario(BASIC + '{"ev":"sys","pid":2,"call":"open","path":5}\n')
 
 
 def test_parse_scenario_rejects_bad_json_and_shape():

@@ -4,22 +4,30 @@ rows and lines read.
 The cyclic collector walks every tracked object on each full collection, so
 a replay that keeps one object per SACL row or per parsed scenario line pays
 for it again and again.  These tests count tracked objects at the first
-trapped call, and watch scenario events with weak references.
+trapped call, watch scenario events with weak references, and weigh the
+parsed scenario with tracemalloc.
 """
 
 import gc
 import json
 import random
+import sys
+import tracemalloc
 import weakref
 
+from conftest import REPO_ROOT
 from hvguard import engine
 from hvguard.engine import Simulation, run_scenario
 from hvguard.sacl import parse_sacl
 
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+import gen  # noqa: E402
+
 N_FILES = 5000
 N_SYS = 300
-# The Simulation, its trap sites and the sys events still to run (a tuple,
-# a dict and a flags list each): far fewer than N_FILES.
+# The Simulation, its trap sites and the sys events still to run (one tuple
+# each, holding a shared flag set): far fewer than N_FILES.
 SMALL = 1500
 
 
@@ -73,8 +81,9 @@ def test_replay_heap_scales_with_files_not_rows_or_lines(monkeypatch):
     assert tracked - before < files + SMALL
 
 
-class Event(dict):
-    """A scenario event that a weak reference can watch."""
+class Event(list):
+    """A parsed scenario event that a weak reference can watch (a tuple
+    cannot take one)."""
 
 
 def test_each_event_is_freed_once_run(monkeypatch):
@@ -83,8 +92,8 @@ def test_each_event_is_freed_once_run(monkeypatch):
     real_parse = engine.parse_scenario
 
     def parse_scenario(text):
-        events = [(line_no, Event(obj)) for line_no, obj in real_parse(text)]
-        refs.extend(weakref.ref(obj) for _, obj in events)
+        events = [Event(event) for event in real_parse(text)]
+        refs.extend(weakref.ref(event) for event in events)
         return events
 
     live_at_syscalls = []
@@ -107,3 +116,22 @@ def test_each_event_is_freed_once_run(monkeypatch):
         assert result.sys_events == N_SYS
     finally:
         gc.enable()
+
+
+# Bytes the parsed scenario keeps per line.  One (line, dict) pair per line
+# kept about 690; a flat tuple of shared values keeps about 200.
+BYTES_PER_LINE = 300
+
+
+def test_parsed_scenario_retains_at_most_300_bytes_a_line(tmp_path):
+    gen.generate("mixed_replay", 7, tmp_path)
+    text = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
+    tracemalloc.start()
+    try:
+        events = engine.parse_scenario(text)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 30_000
+    assert {event[1] for event in events} >= {engine.SYS, engine.EXPECT, engine.FILE, engine.SPAWN}
+    assert retained / len(events) <= BYTES_PER_LINE

@@ -2,10 +2,10 @@
 
 ``PermissionOctets.from_text`` returns shared instances from a table,
 ``parse_sacl`` shares one rule per (perm, uid, gid) text triple, and
-``parse_scenario`` decodes with ``JSONDecoder.raw_decode``.  Each is checked
-against a straightforward reference: the length-and-alphabet rule for octal
-permission texts, a row-by-row SACL parser, and a per-line ``json.loads``
-scenario parser.
+``decode_scenario``, the first stage of ``parse_scenario``, decodes with
+``JSONDecoder.raw_decode``.  Each is checked against a straightforward
+reference: the length-and-alphabet rule for octal permission texts, a
+row-by-row SACL parser, and a per-line ``json.loads`` scenario parser.
 """
 
 import itertools
@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
-from hvguard.engine import ScenarioError, parse_scenario
+from hvguard.engine import ScenarioError, decode_scenario, parse_scenario
 from hvguard.sacl import PermissionOctets, SaclParseError, parse_sacl
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
@@ -117,14 +117,14 @@ def workload_text(tmp_path_factory):
 
 
 def test_parse_scenario_matches_json_loads_on_a_generated_workload(workload_text):
-    events = parse_scenario(workload_text)
+    events = list(decode_scenario(workload_text))
     assert events == reference_parse_scenario(workload_text)
     assert len(events) > 10_000
 
 
 def test_parse_scenario_matches_json_loads_on_odd_but_valid_lines():
     text = "# odd lines\n\n" + "\n".join(ODD_BUT_VALID) + "\n"
-    events = parse_scenario(text)
+    events = list(decode_scenario(text))
     assert repr(events) == repr(reference_parse_scenario(text))
     assert [line_no for line_no, _ in events] == list(range(3, 3 + len(ODD_BUT_VALID)))
 

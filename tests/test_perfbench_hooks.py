@@ -34,3 +34,5 @@ def test_untraced_and_traced_replay_pass(tmp_path):
         assert result["failed"] == 0, result["problems"]
         assert result["problems"] == []
     assert result["layers"]
+    # parse_scenario is wrapped where run_scenario looks it up, so it is timed.
+    assert result["layers"]["engine.parse_scenario_s"] > 0

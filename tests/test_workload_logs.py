@@ -1,12 +1,14 @@
-"""Decision logs of two generated perfbench workloads stay byte-identical.
+"""Decision logs of the three generated perfbench workloads stay byte-identical.
 
-Generates ``mixed_replay`` and ``token_gate`` at seed 7 with
-``perfbench/gen.py``, replays each in-process through ``hvguard.cli.main``
-and compares the SHA-256 of the decision log and of stderr with recorded
-digests.  Together the two workloads cover all 22 trapped calls, the token,
-unauthenticated-deny and exec-whitelist branches, and sessions that expire
-mid-run, so a per-call refactor that changes any verdict, reason, resolved
-credential or outcome shows up here.
+Generates ``mixed_replay``, ``root_attack_100k`` and ``token_gate`` at seed 7
+with ``perfbench/gen.py``, replays each in-process through
+``hvguard.cli.main`` and compares the SHA-256 of the decision log and of
+stderr with recorded digests.  ``mixed_replay`` and ``token_gate`` together
+cover all 22 trapped calls, the token, unauthenticated-deny and
+exec-whitelist branches, and sessions that expire mid-run, so a per-call
+refactor that changes any verdict, reason, resolved credential or outcome
+shows up here.  ``root_attack_100k`` is the one with 100 000 ``file``
+events, so it pins the load path of a large guest.
 
 The decision log does not record what the guest did with a call, so the
 same replay also pins the guest side: the SHA-256 of the outcome error
@@ -40,6 +42,10 @@ DIGESTS = {
         "7f8eeaf1dc2d508fec871c6e33d556f35ba2c329c90336aecc45a54d97f40c30",
         "21eab728d1f3e2cb9cb144224fd686e646b4b75e110f8f4a6d0055837cdd9d6d",
     ),
+    "root_attack_100k": (
+        "10894280c1790d0e1d1f34da2d9e9cdefb19dfb44d32f182ead08785891dcf27",
+        "60b147e030a41203dff5c96dc628b4d7155a9b2d5a3a3482e93e38053db4e90e",
+    ),
     "token_gate": (
         "12f3b6d8b0c6546602e6ea4444832e7f81b8f09fee5e84c646ad70e7d3e2a63b",
         "ba51db0f955971d1d4e4f1808dc3bdd34ab81ec48e0d497b4a6f74a3824cf8d8",
@@ -54,6 +60,11 @@ GUEST_DIGESTS = {
         "cc2e125a847cadbf0703f2a56538ce63f466633b9e2165e544a2c0c5b8f90277",
         "e9e23bc5c01fe77c827baccc071e8fdbc3dd8c7bed462ac9da9072f1b328e560",
         54,
+    ),
+    "root_attack_100k": (
+        "a60048f7471a1a3a4de44c3a3b3df99321b3df7261c33fe1ba88d880a58cd547",
+        "ee77d61ea2678f4b687589f5cbaeaadb318656b2a5612e6f3f541ac6a30ff5b0",
+        9,
     ),
     "token_gate": (
         "3ccf0de7ab9c090d1e1488de86b3245159264c8cafc04757818df642ed12d756",
