@@ -24,9 +24,10 @@ print("other octet:", effective_octet(entry, 2000, 2000))
 
 # uid 0 is just another uid here: the /etc/shadow row grants root read-only,
 # so even a root-owned process cannot write the password store.
+shadow = sacl.lookup("/etc/shadow")
 for uid, kind in [(0, AccessKind.READ), (0, AccessKind.WRITE)]:
-    decision = check_access(sacl, "/etc/shadow", uid, 0, kind)
+    decision = check_access(shadow, uid, 0, kind)
     print(f"root {kind.name.lower():7s} /etc/shadow -> {decision.value}")
 
-# Paths without a row fall through to the caller's default.
-print("unlisted file ->", check_access(sacl, "/tmp/scratch", 0, 0, AccessKind.WRITE).value)
+# Paths without a row have no rule, and fall through to the caller's default.
+print("unlisted file ->", check_access(sacl.lookup("/tmp/scratch"), 0, 0, AccessKind.WRITE).value)

@@ -7,6 +7,7 @@ permanently and only advances the instruction pointer: one pair.
 """
 
 from hvguard import CostModel, SyscallEvent, arm, cost_of, handle_trap, make_site
+from hvguard.trap import CLASSIC4_STEPS, NOP2_STEPS
 
 event = SyscallEvent(seq=1, pid=2, call="open", path="/etc/hosts", flags=frozenset({"O_RDONLY"}))
 model = CostModel(switch_cost=1.0)
@@ -16,8 +17,8 @@ def show(nop):
     # The site's first byte picks the handling.
     site = arm(make_site("open", nop_prologue=nop))
     record, _ = handle_trap(site, event, lambda ev: ev)
-    print(f"\n{record.mode.value} handling of one open():")
-    for step in record.steps:
+    print(f"\n{'nop' if nop else 'classic'} handling of one open():")
+    for step in NOP2_STEPS if nop else CLASSIC4_STEPS:
         print("   ", step)
     print(
         f"  -> {record.vm_exits} VM-exits, {record.vm_entries} VM-entries, "

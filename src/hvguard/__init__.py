@@ -34,7 +34,6 @@ from .guest import (
     Guest,
     GuestError,
     GuestFile,
-    INTERPOSED_CALLS,
     Process,
     SyscallEvent,
     SyscallOutcome,
@@ -42,7 +41,6 @@ from .guest import (
 )
 from .mediator import (
     AuthConfig,
-    HARD_DENIED_CALLS,
     OwnershipRecord,
     OwnershipTable,
     PolicyOptions,
@@ -66,7 +64,6 @@ from .sacl import (
     effective_octet,
     generate_full_sacl,
     parse_sacl,
-    serialize_sacl,
 )
 from .trap import (
     BREAKPOINT_OPCODE,

@@ -22,8 +22,8 @@ from .sacl import PermissionOctets, Sacl, generate_full_sacl
 from .trap import CostModel, TrapMode, cost_of
 
 # Per bench call: its open flags, and whether path2 repeats the path.  A
-# rename onto itself is a successful no-op that leaves the pool intact while
-# exercising the full four-check mediation path.
+# rename onto itself is a successful no-op that leaves the pool intact; its
+# four required names are two distinct paths, the file and its directory.
 _CALL_ARGS = {"open": (("O_RDONLY",), False), "rename": ((), True), "unlink": ((), False)}
 BENCH_CALLS = tuple(_CALL_ARGS)
 

@@ -16,7 +16,7 @@ A scenario is JSON-lines text, one event object per line (blank lines and
 "forge" alters only what the guest kernel believes, modeling an attacker
 rewriting process credentials.  "expect" asserts on the immediately
 preceding sys event: required key "decision" (permit|deny), optional
-"error" (an outcome error code) and "status" (success|error).
+"error" (one of the four outcome error codes) and "status" (success|error).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .guest import CALL_FAMILY, EXIT, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
+from .guest import CALL_FAMILY, EXIT, TRAPPED_CALLS, ErrorCode, Guest, GuestError, SyscallEvent, SyscallOutcome
 from .mediator import (
     AuthConfig,
     OwnershipTable,
@@ -247,6 +247,10 @@ SYS, EXPECT, USER, FILE, SPAWN, SUDO, FORGE, ERROR = range(8)
 
 # An expect line's "status" or "error" key that is not there (null is a value).
 _ABSENT = object()
+# The values an expect line may give them; tuples, since a decoded value may
+# be an unhashable list or object.
+_STATUSES = ("success", "error")
+_ERROR_CODES = tuple(code.value for code in ErrorCode)
 _NO_FLAGS = frozenset()
 # One str per call name, shared by every sys event instead of a decoded copy.
 _CALL_NAMES = {call: call for call in CALL_FAMILY}
@@ -313,7 +317,12 @@ def parse_scenario(text: str) -> list[tuple]:
                     _need(line_no, obj, "decision")
                     raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
                 wanted = "deny" if wanted == "deny" else "permit"  # a shared str, not the decoded one
-                append((line_no, EXPECT, wanted, obj.get("status", _ABSENT), obj.get("error", _ABSENT)))
+                status, error = obj.get("status", _ABSENT), obj.get("error", _ABSENT)
+                if status is not _ABSENT and status not in _STATUSES:
+                    raise ScenarioError(line_no, f"'status' must be success or error, got {status!r}")
+                if error is not _ABSENT and error not in _ERROR_CODES:
+                    raise ScenarioError(line_no, f"'error' must be one of {', '.join(_ERROR_CODES)}, got {error!r}")
+                append((line_no, EXPECT, wanted, status, error))
             elif ev == "file":
                 path, is_dir, perm = obj.get("path"), obj.get("dir", False), obj.get("perm")
                 if type(path) is not str:

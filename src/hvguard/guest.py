@@ -52,7 +52,6 @@ CALL_FAMILY = {
     "clone": CLONE,
 }
 TRAPPED_CALLS = tuple(CALL_FAMILY)
-INTERPOSED_CALLS = tuple(call for call, family in CALL_FAMILY.items() if family is not CLONE)
 
 # open(2) flag vocabulary understood by the model.
 WRITE_INTENT_FLAGS = frozenset({"O_WRONLY", "O_RDWR", "O_CREAT", "O_TRUNC", "O_APPEND"})

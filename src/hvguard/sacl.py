@@ -165,14 +165,6 @@ def parse_sacl(text: str) -> Sacl:
     return sacl
 
 
-def serialize_sacl(sacl: Sacl) -> str:
-    """Canonical text form: parse(serialize(s)) reproduces s."""
-    lines = [
-        f"{path} {r.perms.to_text()} {r.owner_uid} {r.owner_gid}" for path, r in sacl.entries.items()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
 def effective_octet(node, uid: int, gid: int) -> int:
     """Select the octet governing a requester: owner, then group, then other.
 
@@ -187,16 +179,17 @@ def effective_octet(node, uid: int, gid: int) -> int:
     return node.perms.other
 
 
-def check_access(sacl: Sacl, path: str, uid: int, gid: int, kind: AccessKind) -> Decision:
-    """Decide one (path, requester, access kind) triple against the list.
+def check_access(rule: SaclRule | None, uid: int, gid: int, bits: int) -> Decision:
+    """Decide one fetched rule for a requester and the access bits it needs
+    (an ``AccessKind`` member or an OR of them).
 
-    A path with no entry is noncritical and yields Permit.  Pure function;
-    no state is touched.
+    A missing rule (None) is a noncritical path and yields Permit; a present
+    one permits only when every requested bit is in the requester's octet.
+    Pure function; no state is touched.
     """
-    entry = sacl.entries.get(path)
-    if entry is None:
+    if rule is None:
         return _PERMIT
-    return _PERMIT if effective_octet(entry, uid, gid) & kind else _DENY
+    return _PERMIT if effective_octet(rule, uid, gid) & bits == bits else _DENY
 
 
 def generate_full_sacl(files: Mapping) -> Sacl:

@@ -74,13 +74,11 @@ class CostModel:
 
 @dataclass(frozen=True)
 class TrapSequenceRecord:
-    """Exact switch sequence of one handled trap; one instance per mode."""
+    """Switch counts of one handled trap; one instance per step sequence."""
 
-    mode: TrapMode
     vm_exits: int
     vm_entries: int
     single_steps: int
-    steps: tuple[str, ...]
 
 
 CLASSIC4_STEPS = (
@@ -105,8 +103,8 @@ NOP2_STEPS = (
 )
 
 # (VM exits, VM entries, single-step exceptions) of each step sequence.
-CLASSIC4_RECORD = TrapSequenceRecord(TrapMode.CLASSIC4, 2, 2, 1, CLASSIC4_STEPS)
-NOP2_RECORD = TrapSequenceRecord(TrapMode.NOP2, 1, 1, 0, NOP2_STEPS)
+CLASSIC4_RECORD = TrapSequenceRecord(2, 2, 1)
+NOP2_RECORD = TrapSequenceRecord(1, 1, 0)
 
 
 def handle_trap(site: TrapSite, event, callback):

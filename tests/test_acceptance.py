@@ -15,7 +15,7 @@ from pathlib import Path
 from hvguard.bench import BenchScenario, ScenarioKind, run_workload, sacl_scaling
 from hvguard.cli import main as cli_main
 from hvguard.engine import Simulation
-from hvguard.guest import INTERPOSED_CALLS, SyscallEvent
+from hvguard.guest import CALL_FAMILY, CLONE, SyscallEvent
 from hvguard.mediator import (
     AuthConfig,
     OwnershipTable,
@@ -24,7 +24,7 @@ from hvguard.mediator import (
     is_authenticated,
     try_token_auth,
 )
-from hvguard.sacl import AccessKind, Decision, Sacl, SaclRule, PermissionOctets, check_access, parse_sacl
+from hvguard.sacl import AccessKind, Decision, SaclRule, PermissionOctets, check_access, parse_sacl
 from hvguard.trap import CostModel, TrapMode, arm, cost_of, handle_trap, make_site
 from sha512_oracle import sha512_hex
 
@@ -101,18 +101,21 @@ def test_criterion_2_oracle_equivalence():
         cases = 0
         for n in range(512):
             perm_text = f"{n >> 6 & 7}{n >> 3 & 7}{n & 7}"
-            sacl = Sacl()
-            sacl.entries["/f"] = SaclRule(PermissionOctets.from_text(perm_text), 1000, 1000)
+            rule = SaclRule(PermissionOctets.from_text(perm_text), 1000, 1000)
             for req_name, (uid, gid) in requesters.items():
                 for kind_name, kind in kinds.items():
                     expected = Decision.PERMIT if brute_force_allows(perm_text, req_name, kind_name) else Decision.DENY
-                    assert check_access(sacl, "/f", uid, gid, kind) is expected, (perm_text, req_name, kind_name)
+                    assert check_access(rule, uid, gid, kind) is expected, (perm_text, req_name, kind_name)
                     cases += 1
         assert cases == 4608
         assert time.perf_counter() - start < 1.0
 
 
 # -- 3: trap-count exactness ---------------------------------------------------
+
+
+# Every trapped call except clone, which is trapped only to track processes.
+INTERPOSED_CALLS = [call for call, family in CALL_FAMILY.items() if family is not CLONE]
 
 
 def _args_for(call):
@@ -129,9 +132,8 @@ def _mixed_switch_total(mode, n, seed=99):
     sim = Simulation(options=PolicyOptions(trap_mode=mode))
     worker = sim.spawn(1, 1000, 1000)
     rng = random.Random(seed)
-    calls = list(INTERPOSED_CALLS)
     for _ in range(n):
-        call = calls[rng.randrange(len(calls))]
+        call = INTERPOSED_CALLS[rng.randrange(len(INTERPOSED_CALLS))]
         pid = sim.spawn(1, 1000, 1000) if call in ("exit", "exit_group") else worker
         sim.syscall(pid, call, **_args_for(call))
     assert len(sim.records) == n

@@ -237,6 +237,25 @@ def test_malformed_setup_event_exits_two_with_line(tmp_path, capsys, setup_event
     assert "error: line 2:" in err
 
 
+@pytest.mark.parametrize(
+    "expect_event",
+    [
+        '{"ev":"expect","decision":"deny","status":"sucess"}',
+        '{"ev":"expect","decision":"deny","error":"permision_denied"}',
+        '{"ev":"expect","decision":"deny","status":null}',
+    ],
+)
+def test_unknown_expect_value_exits_two_with_line(tmp_path, capsys, expect_event):
+    # A typo in an expected status or error code is a scenario error, not a
+    # mismatch with what the denied open did.
+    sacl = write(tmp_path, "s.sacl", "/etc/shadow 400 0 0\n")
+    scenario = write(tmp_path, "s.jsonl", SCENARIO_DENY + expect_event + "\n")
+    code, _, err = run_cli(["--sacl", sacl, "--scenario", scenario], capsys)
+    assert code == 2
+    assert err.startswith("error: line 4: '")
+    assert "mismatch" not in err
+
+
 def test_file_under_regular_file_exits_two_with_line(tmp_path, capsys):
     scenario = write(
         tmp_path,

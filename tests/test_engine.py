@@ -17,7 +17,7 @@ from hvguard.engine import (
     parse_scenario,
     run_scenario,
 )
-from hvguard.mediator import AuthConfig, PolicyOptions
+from hvguard.mediator import AuthConfig, PolicyOptions, Reason
 from hvguard.sacl import Decision, PermissionOctets, parse_sacl
 from hvguard.guest import TRAPPED_CALLS, GuestError
 from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
@@ -157,9 +157,9 @@ def test_forged_credentials_flagged_and_ignored():
 def test_exit_cleans_ownership_table():
     sim = Simulation()
     sim.spawn(1, 1000, 1000, pid=2)
-    assert 2 in sim.table
+    assert sim.table.get(2) is not None
     sim.syscall(2, "exit")
-    assert 2 not in sim.table
+    assert sim.table.get(2) is None
 
 
 def test_clone_exit_cycles_keep_the_process_table_bounded():
@@ -171,13 +171,13 @@ def test_clone_exit_cycles_keep_the_process_table_bounded():
         before = set(sim.guest.processes)
         sim.syscall(2, "clone")
         (child,) = set(sim.guest.processes) - before
-        assert child in sim.table
+        assert sim.table.get(child) is not None
         sim.syscall(child, "exit")
         children.append(child)
     assert len(sim.guest.processes) == size
     assert set(sim.guest.processes) == sim.guest.live_pids() == {1, 2}
-    assert 2 in sim.table
-    assert not any(child in sim.table for child in children)
+    assert sim.table.get(2) is not None
+    assert all(sim.table.get(child) is None for child in children)
     with pytest.raises(GuestError):
         sim.guest.set_claimed(children[-1], 0, 0)
     # An exited pid can be handed out again by a trusted spawn.
@@ -191,7 +191,7 @@ def test_clone_registers_child_in_table():
     sim.spawn(1, 1000, 1000, pid=2)
     sim.syscall(2, "clone")
     (child,) = sim.guest.live_pids() - {1, 2}
-    assert child in sim.table
+    assert sim.table.get(child) is not None
     assert sim.table.get(child).uid == 1000
 
 
@@ -361,7 +361,7 @@ PINNED_CALL_ARGS = {
 }
 
 # (decision, reason, outcome error, probes) with the slots above, then with
-# path null.  Only the new name of a link or symlink is checked, so naming a
+# path null; probes is the number of distinct paths the call names.  Only the new name of a link or symlink is checked, so naming a
 # listed target under an unlisted new name is permitted.
 PINNED_OUTCOMES = {
     "open": (("permit", "permit", None, 1), ("permit", "permit", "bad_address", 0)),
@@ -377,9 +377,9 @@ PINNED_OUTCOMES = {
         ("deny", "hard_denied_call", "bad_file_descriptor", 0),
         ("deny", "hard_denied_call", "bad_file_descriptor", 0),
     ),
-    "rename": (("deny", "sacl_deny", "bad_address", 4), ("deny", "sacl_deny", "bad_address", 2)),
+    "rename": (("deny", "sacl_deny", "bad_address", 3), ("deny", "sacl_deny", "bad_address", 2)),
     "renameat": (("deny", "sacl_deny", "bad_address", 4), ("deny", "sacl_deny", "bad_address", 2)),
-    "renameat2": (("permit", "permit", None, 4), ("permit", "permit", "bad_address", 2)),
+    "renameat2": (("permit", "permit", None, 3), ("permit", "permit", "bad_address", 2)),
     "unlink": (("deny", "sacl_deny", "bad_address", 2), ("permit", "permit", "bad_address", 0)),
     "unlinkat": (("permit", "permit", None, 2), ("permit", "permit", "bad_address", 0)),
     "truncate": (("deny", "sacl_deny", "bad_address", 1), ("permit", "permit", "bad_address", 0)),
@@ -407,8 +407,9 @@ PINNED_OUTCOMES = {
 }
 
 
-def _pinned_run(call, path_null):
-    sim = Simulation(sacl=parse_sacl("/d 755 0 0\n/d/f 644 0 0\n/d/run 755 0 0\n"))
+def _pinned_sim(options=None):
+    """A uid-1000 caller forged to root, and the listed and unlisted files."""
+    sim = Simulation(sacl=parse_sacl("/d 755 0 0\n/d/f 644 0 0\n/d/run 755 0 0\n"), options=options)
     sim.add_user(1000)
     for path, uid, perm, is_dir in (
         ("/d", 0, "755", True),
@@ -420,6 +421,11 @@ def _pinned_run(call, path_null):
         sim.add_file(path, uid, uid, PermissionOctets.from_text(perm), is_dir)
     pid = sim.spawn(1, 1000, 1000)
     sim.forge_credentials(pid, 0, 0)
+    return sim, pid
+
+
+def _pinned_run(call, path_null):
+    sim, pid = _pinned_sim()
     path, path2, flags = PINNED_CALL_ARGS[call]
     verdict, outcome = sim.syscall(pid, call, None if path_null else path, path2, flags)
     error = outcome.error.value if outcome.error else None
@@ -433,3 +439,27 @@ def test_every_trapped_call_pinned_through_syscall():
     for call, (with_slots, with_null_path) in PINNED_OUTCOMES.items():
         assert _pinned_run(call, False) == with_slots, call
         assert _pinned_run(call, True) == with_null_path, call
+
+
+class CountingDict(dict):
+    """A SACL entry dict that counts its ``get`` calls, the probes mediation makes."""
+
+    gets = 0
+
+    def get(self, key, default=None):
+        self.gets += 1
+        return dict.get(self, key, default)
+
+
+def test_probes_count_the_sacl_fetches_made():
+    runs = [(call, path_null, None) for call in PINNED_CALL_ARGS for path_null in (False, True)]
+    # A null-path exec under white-listing is denied without a fetch.
+    runs.append(("execve", True, PolicyOptions(exec_whitelist=True)))
+    for call, path_null, options in runs:
+        sim, pid = _pinned_sim(options)
+        sim.sacl.entries = entries = CountingDict(sim.sacl.entries)
+        path, path2, flags = PINNED_CALL_ARGS[call]
+        verdict, _ = sim.syscall(pid, call, None if path_null else path, path2, flags)
+        assert verdict.probes == entries.gets, (call, path_null, options)
+    assert verdict.reason is Reason.WHITELIST_MISS
+    assert verdict.probes == 0

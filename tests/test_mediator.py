@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from hvguard.guest import ErrorCode, Guest, SyscallEvent
+from hvguard.guest import CALL_FAMILY, HANDLE, IMAGE, KEXEC, ErrorCode, Guest, SyscallEvent
 from hvguard.mediator import (
     AuthConfig,
-    HARD_DENIED_CALLS,
     OwnershipTable,
     PolicyOptions,
     Reason,
@@ -20,6 +19,9 @@ from hvguard.mediator import (
 )
 from hvguard.sacl import AccessKind, Decision, PermissionOctets, parse_sacl
 from sha512_oracle import sha512_hex
+
+# Module loading, kernel swapping and the two handle-based calls.
+HARD_DENIED_CALLS = sorted(call for call, family in CALL_FAMILY.items() if family in (IMAGE, KEXEC, HANDLE))
 
 # Frozen with the independent oracle: sha512_hex(b"abcs")
 ABCS_DIGEST = (
@@ -86,48 +88,37 @@ def test_resolve_owner_record_is_authoritative():
 # -- required checks --------------------------------------------------------
 
 
+R, W, X = AccessKind.READ, AccessKind.WRITE, AccessKind.EXECUTE
+
+
+def pairs(event):
+    """required_checks as (path, access bits) pairs, in order."""
+    return list(required_checks(event).items())
+
+
 def test_required_checks_open_variants():
-    assert required_checks(ev("open", "/etc/shadow", flags=["O_WRONLY"])) == [
-        ("/etc/shadow", AccessKind.WRITE)
-    ]
-    assert required_checks(ev("open", "/f", flags=["O_RDONLY"])) == [("/f", AccessKind.READ)]
-    assert required_checks(ev("open", "/f")) == [("/f", AccessKind.READ)]
-    assert required_checks(ev("open", "/f", flags=["O_RDWR"])) == [
-        ("/f", AccessKind.READ),
-        ("/f", AccessKind.WRITE),
-    ]
-    assert required_checks(ev("open", "/d/f", flags=["O_CREAT", "O_WRONLY"])) == [
-        ("/d/f", AccessKind.WRITE),
-        ("/d", AccessKind.WRITE),
-    ]
+    assert pairs(ev("open", "/etc/shadow", flags=["O_WRONLY"])) == [("/etc/shadow", W)]
+    assert pairs(ev("open", "/f", flags=["O_RDONLY"])) == [("/f", R)]
+    assert pairs(ev("open", "/f")) == [("/f", R)]
+    assert pairs(ev("open", "/f", flags=["O_RDWR"])) == [("/f", R | W)]
+    assert pairs(ev("open", "/d/f", flags=["O_CREAT", "O_WRONLY"])) == [("/d/f", W), ("/d", W)]
+    # "/" is its own parent: one path, with the bits of both needs.
+    assert pairs(ev("open", "/", flags=["O_CREAT", "O_RDWR"])) == [("/", R | W)]
 
 
 def test_required_checks_rename_row():
-    assert required_checks(ev("rename", "/a/x", "/b/y")) == [
-        ("/a/x", AccessKind.WRITE),
-        ("/b/y", AccessKind.WRITE),
-        ("/a", AccessKind.WRITE),
-        ("/b", AccessKind.WRITE),
-    ]
+    assert pairs(ev("rename", "/a/x", "/b/y")) == [("/a/x", W), ("/b/y", W), ("/a", W), ("/b", W)]
+    # Each distinct path once: a shared parent, then a rename onto itself.
+    assert pairs(ev("rename", "/a/x", "/a/y")) == [("/a/x", W), ("/a/y", W), ("/a", W)]
+    assert pairs(ev("rename", "/a/x", "/a/x")) == [("/a/x", W), ("/a", W)]
 
 
 def test_required_checks_unlink_truncate_link_exec():
-    assert required_checks(ev("unlink", "/a/x")) == [
-        ("/a/x", AccessKind.WRITE),
-        ("/a", AccessKind.WRITE),
-    ]
-    assert required_checks(ev("truncate", "/a/x")) == [("/a/x", AccessKind.WRITE)]
-    assert required_checks(ev("link", "/a/x", "/b/y")) == [
-        ("/b/y", AccessKind.WRITE),
-        ("/b", AccessKind.WRITE),
-    ]
-    assert required_checks(ev("symlinkat", "/a/x", "/b/y")) == [
-        ("/b/y", AccessKind.WRITE),
-        ("/b", AccessKind.WRITE),
-    ]
-    assert required_checks(ev("execve", "/home/user/test")) == [
-        ("/home/user/test", AccessKind.EXECUTE)
-    ]
+    assert pairs(ev("unlink", "/a/x")) == [("/a/x", W), ("/a", W)]
+    assert pairs(ev("truncate", "/a/x")) == [("/a/x", W)]
+    assert pairs(ev("link", "/a/x", "/b/y")) == [("/b/y", W), ("/b", W)]
+    assert pairs(ev("symlinkat", "/a/x", "/b/y")) == [("/b/y", W), ("/b", W)]
+    assert pairs(ev("execve", "/home/user/test")) == [("/home/user/test", X)]
 
 
 def test_required_checks_rejects_non_file_calls():
@@ -137,11 +128,8 @@ def test_required_checks_rejects_non_file_calls():
 
 
 def test_required_checks_skips_null_slots():
-    assert required_checks(ev("rename", None, "/b/y")) == [
-        ("/b/y", AccessKind.WRITE),
-        ("/b", AccessKind.WRITE),
-    ]
-    assert required_checks(ev("execve", None)) == []
+    assert pairs(ev("rename", None, "/b/y")) == [("/b/y", W), ("/b", W)]
+    assert pairs(ev("execve", None)) == []
 
 
 # -- token auth --------------------------------------------------------------
@@ -192,7 +180,8 @@ def test_auth_config_validation():
 
 def test_hard_denied_calls_always_deny():
     sacl, table, options, config, sessions = fresh_state()
-    for call in sorted(HARD_DENIED_CALLS):
+    assert len(HARD_DENIED_CALLS) == 5
+    for call in HARD_DENIED_CALLS:
         verdict = decide(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is Decision.DENY
         assert verdict.reason is Reason.HARD_DENIED_CALL
@@ -223,6 +212,19 @@ def test_unauthenticated_denies_only_listed_paths():
     assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
     unlisted = ev("open", "/tmp/free", flags=["O_WRONLY"], seq=6)
     assert decide(unlisted, (1000, 1000), sacl, table, options, config, sessions).decision is Decision.PERMIT
+
+
+def test_unauthenticated_denied_when_only_a_later_path_is_listed():
+    # An unlisted file renamed into a listed directory: only the last of the
+    # four paths has a rule, and that alone closes the gate.
+    sacl, table, options, config, sessions = fresh_state("/vault 777 1000 1000\n", secrets={1000: "s"})
+    table.on_fork(2, 1000, 1000)
+    verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
+    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+    assert verdict.probes == 4
+    sessions[1000] = 10  # authenticated: the 777 rule permits the same call
+    verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
+    assert verdict.decision is Decision.PERMIT
 
 
 def test_token_then_listed_write_permits_until_expiry():
@@ -351,7 +353,7 @@ def test_hard_denied_product_space():
         parse_sacl("/x 777 0 0\n"),
         parse_sacl("/x 000 0 0\n/etc/modules 444 0 0\n"),
     ]
-    for call in sorted(HARD_DENIED_CALLS):
+    for call in HARD_DENIED_CALLS:
         for sacl in sacl_variants:
             for _ in range(5):
                 uid, gid = rng.randrange(2000), rng.randrange(2000)

@@ -33,6 +33,9 @@ def test_untraced_and_traced_replay_pass(tmp_path):
         result = json.loads((tmp_path / f"result-{index}.json").read_text())
         assert result["failed"] == 0, result["problems"]
         assert result["problems"] == []
-    assert result["layers"]
+    layers = result["layers"]
+    assert layers
     # parse_scenario is wrapped where run_scenario looks it up, so it is timed.
-    assert result["layers"]["engine.parse_scenario_s"] > 0
+    assert layers["engine.parse_scenario_s"] > 0
+    # Each probe a verdict counts is one SACL dict fetch the trace records.
+    assert layers["sacl.probes"] == round(layers["mediator.probes_per_call"] * result["sys_events"])

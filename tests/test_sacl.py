@@ -16,7 +16,6 @@ from hvguard.sacl import (
     effective_octet,
     generate_full_sacl,
     parse_sacl,
-    serialize_sacl,
 )
 
 SAMPLE = """\
@@ -94,6 +93,13 @@ def test_lookup_after_remove_is_absent():
     assert sacl.lookup("/a") is None
 
 
+def sacl_text(sacl):
+    """One canonical row per entry, as the SACL file format writes it."""
+    return "".join(
+        f"{path} {r.perms.to_text()} {r.owner_uid} {r.owner_gid}\n" for path, r in sacl.entries.items()
+    )
+
+
 def test_roundtrip_identity_random():
     rng = random.Random(42)
     for _ in range(25):
@@ -101,14 +107,14 @@ def test_roundtrip_identity_random():
         for i in range(rng.randrange(0, 30)):
             perms = PermissionOctets(rng.randrange(8), rng.randrange(8), rng.randrange(8))
             sacl.entries[f"/d{i}/f{rng.randrange(1000)}"] = SaclRule(perms, rng.randrange(5000), rng.randrange(5000))
-        again = parse_sacl(serialize_sacl(sacl))
+        again = parse_sacl(sacl_text(sacl))
         assert again.entries == sacl.entries
 
 
 def test_roundtrip_whitespace_normalization():
     text = "/a\t644   0  0\n\n# note\n/b 755 10 10\n"
     sacl = parse_sacl(text)
-    assert parse_sacl(serialize_sacl(sacl)).entries == sacl.entries
+    assert parse_sacl(sacl_text(sacl)).entries == sacl.entries
 
 
 def test_effective_octet_cascade():
@@ -141,31 +147,51 @@ def test_effective_octet_selects_exactly_one():
 
 
 def test_check_access_root_write_denied():
-    sacl = parse_sacl("/etc/shadow 400 0 0\n")
-    assert check_access(sacl, "/etc/shadow", 0, 0, AccessKind.WRITE) is Decision.DENY
-    assert check_access(sacl, "/etc/shadow", 0, 0, AccessKind.READ) is Decision.PERMIT
+    rule = parse_sacl("/etc/shadow 400 0 0\n").lookup("/etc/shadow")
+    assert check_access(rule, 0, 0, AccessKind.WRITE) is Decision.DENY
+    assert check_access(rule, 0, 0, AccessKind.READ) is Decision.PERMIT
 
 
 def test_check_access_absent_uses_default():
-    sacl = Sacl()
-    for kind in AccessKind:
-        assert check_access(sacl, "/anything", 5, 5, kind) is Decision.PERMIT
+    rule = Sacl().lookup("/anything")
+    assert rule is None
+    for bits in range(1, 8):
+        assert check_access(rule, 5, 5, bits) is Decision.PERMIT
 
 
 def test_check_access_all_bits_set():
-    sacl = parse_sacl("/f 777 0 0\n")
+    rule = parse_sacl("/f 777 0 0\n").lookup("/f")
     for uid, gid in [(0, 0), (1, 0), (1, 1), (999, 42)]:
-        for kind in AccessKind:
-            assert check_access(sacl, "/f", uid, gid, kind) is Decision.PERMIT
+        for bits in range(1, 8):
+            assert check_access(rule, uid, gid, bits) is Decision.PERMIT
 
 
 def test_check_access_is_pure():
     sacl = parse_sacl("/f 640 10 20\n")
     before = dict(sacl.entries)
-    first = check_access(sacl, "/f", 10, 20, AccessKind.WRITE)
-    second = check_access(sacl, "/f", 10, 20, AccessKind.WRITE)
+    first = check_access(sacl.lookup("/f"), 10, 20, AccessKind.WRITE)
+    second = check_access(sacl.lookup("/f"), 10, 20, AccessKind.WRITE)
     assert first is second
     assert sacl.entries == before
+
+
+def test_check_access_multi_bit_masks_brute_force():
+    # A mask is permitted only when the requester's octet holds every bit of
+    # it; the expectation is spelled out per bit, through no mask arithmetic.
+    requesters = {0: (1000, 1000), 1: (2000, 1000), 2: (3000, 3000)}  # owner, group, other
+    cases = 0
+    for n in range(512):
+        text = f"{n >> 6 & 7}{n >> 3 & 7}{n & 7}"
+        rule = SaclRule(PermissionOctets.from_text(text), 1000, 1000)
+        for position, (uid, gid) in requesters.items():
+            granted = format(int(text[position]), "03b")  # "rwx" as 0/1 characters
+            for mask in range(1, 8):
+                wanted = format(mask, "03b")
+                allowed = all(g == "1" for g, w in zip(granted, wanted) if w == "1")
+                expected = Decision.PERMIT if allowed else Decision.DENY
+                assert check_access(rule, uid, gid, mask) is expected, (text, position, mask)
+                cases += 1
+    assert cases == 512 * 3 * 7
 
 
 def test_generate_full_sacl_small():
