@@ -5,7 +5,7 @@ bits and an owner; whoever the requester is, unlisted paths are considered
 noncritical and permitted by default.
 """
 
-from hvguard import AccessKind, check_access, effective_octet, parse_sacl
+from hvguard import AccessKind, Decision, check_access, parse_sacl
 
 SACL_TEXT = """\
 /home/user/Documents/critical.txt 644 1000 1000
@@ -18,9 +18,9 @@ print(f"loaded {len(sacl)} rows")
 
 # The owner of critical.txt may read and write; everyone else may only read.
 entry = sacl.lookup("/home/user/Documents/critical.txt")
-print("owner octet:", effective_octet(entry, 1000, 1000))
-print("group octet:", effective_octet(entry, 2000, 1000))
-print("other octet:", effective_octet(entry, 2000, 2000))
+for who, uid, gid in [("owner", 1000, 1000), ("group", 2000, 1000), ("other", 2000, 2000)]:
+    granted = [kind.name.lower() for kind in AccessKind if check_access(entry, uid, gid, kind) is Decision.PERMIT]
+    print(f"{who}: {' '.join(granted)}")
 
 # uid 0 is just another uid here: the /etc/shadow row grants root read-only,
 # so even a root-owned process cannot write the password store.

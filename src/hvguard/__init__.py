@@ -61,7 +61,6 @@ from .sacl import (
     SaclRule,
     SaclParseError,
     check_access,
-    effective_octet,
     generate_full_sacl,
     parse_sacl,
 )

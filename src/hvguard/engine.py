@@ -49,8 +49,8 @@ class ScenarioError(ValueError):
 class DecisionRow(NamedTuple):
     """One decision-log line, emitted per mediated sys event.
 
-    A named tuple: built once per call, and a frozen dataclass costs several
-    times as much to construct.
+    A named tuple, built once per call with ``tuple.__new__``: a frozen
+    dataclass costs several times as much to construct.
     """
 
     seq: int
@@ -62,15 +62,10 @@ class DecisionRow(NamedTuple):
     reason: str
     mismatch: bool
 
-    def csv(self) -> str:
-        return (
-            f"{self.seq},{self.pid},{self.call},{self.resolved_uid},"
-            f"{self.resolved_gid},{self.decision},{self.reason},"
-            f"{'true' if self.mismatch else 'false'}"
-        )
-
 
 DECISION_LOG_COLUMNS = DecisionRow._fields
+_CSV_BOOLS = ("false", "true")  # indexed by a bool
+_tuple_new = tuple.__new__
 
 
 class Simulation:
@@ -154,28 +149,21 @@ class Simulation:
         flags=(),
     ) -> tuple[Verdict, SyscallOutcome]:
         seq = self._tick()
-        if pid not in self.guest.processes:
+        guest = self.guest
+        if pid not in guest.processes:
             raise GuestError(f"pid {pid} is not alive")
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
         record, (forwarded, verdict) = handle_trap(self.sites[call], event, self._on_trap)
-        outcome = self.guest.execute_syscall(forwarded)
+        outcome = guest.execute_syscall(forwarded)
         if CALL_FAMILY[call] is EXIT:
             self.table.on_exit(pid)
         self.records.append(record)
         self.outcomes.append(outcome)
+        decision, reason, _, uid, gid, mismatch, _ = verdict
         # _value_ is the member's plain attribute; .value runs a Python-level
         # descriptor on CPython 3.11.
         self.decisions.append(
-            DecisionRow(
-                seq,
-                pid,
-                call,
-                verdict.resolved_uid,
-                verdict.resolved_gid,
-                verdict.decision._value_,
-                verdict.reason._value_,
-                verdict.mismatch,
-            )
+            _tuple_new(DecisionRow, (seq, pid, call, uid, gid, decision._value_, reason._value_, mismatch))
         )
         return verdict, outcome
 
@@ -196,9 +184,14 @@ class Simulation:
         return apply_verdict(event, verdict), verdict
 
     def decision_log(self) -> str:
+        """The CSV log: a header, then one line per row, each formatted once."""
         lines = [",".join(DECISION_LOG_COLUMNS)]
-        lines.extend(row.csv() for row in self.decisions)
-        return "\n".join(lines) + "\n"
+        lines += [
+            f"{seq},{pid},{call},{uid},{gid},{decision},{reason},{_CSV_BOOLS[mismatch]}"
+            for seq, pid, call, uid, gid, decision, reason, mismatch in self.decisions
+        ]
+        lines.append("")  # so the join ends the last row with a newline
+        return "\n".join(lines)
 
 
 @dataclass
@@ -215,31 +208,47 @@ class ScenarioResult:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
+# Characters per slice of the text that decode_scenario splits at a time;
+# each slice runs on to the next "\n".
+_DECODE_SLICE_CHARS = 1 << 16
+
+
 def decode_scenario(text: str) -> Iterator[tuple[int, dict]]:
     """JSON-lines to (line_no, event dict) pairs, one line at a time.
+
+    The text is split one slice at a time, so the line strings of the whole
+    text are never alive at once.  A slice ends on a "\n", which no line
+    break that ``str.splitlines`` knows straddles (not even "\r\n"), so
+    the slices' lines, and their numbers, are those of the whole text.
 
     A stripped line is one JSON document exactly when ``raw_decode`` ends at
     its end; any other line goes through ``json.loads`` so that the error
     message is the one ``json.loads`` gives.
     """
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        try:
-            obj, end = _raw_decode(line)
-        except (ValueError, RecursionError):
-            end = None
-        if end != len(line):
+    line_no = start = 0
+    size = len(text)
+    while start < size:
+        end = text.find("\n", start + _DECODE_SLICE_CHARS) + 1 or size
+        for raw in text[start:end].splitlines():
+            line_no += 1
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
             try:
-                obj = json.loads(line)
-            # Besides JSONDecodeError: a plain ValueError for an int past the
-            # digit limit, RecursionError for arrays or objects nested too deep.
-            except (ValueError, RecursionError) as exc:
-                raise ScenarioError(line_no, f"bad JSON: {exc}") from None
-        if not isinstance(obj, dict) or "ev" not in obj:
-            raise ScenarioError(line_no, "event must be an object with an 'ev' key")
-        yield line_no, obj
+                obj, stop = _raw_decode(line)
+            except (ValueError, RecursionError):
+                stop = None
+            if stop != len(line):
+                try:
+                    obj = json.loads(line)
+                # Besides JSONDecodeError: a plain ValueError for an int past the
+                # digit limit, RecursionError for arrays or objects nested too deep.
+                except (ValueError, RecursionError) as exc:
+                    raise ScenarioError(line_no, f"bad JSON: {exc}") from None
+            if not isinstance(obj, dict) or "ev" not in obj:
+                raise ScenarioError(line_no, "event must be an object with an 'ev' key")
+            yield line_no, obj
+        start = end
 
 
 # The kind of a parsed event, its second field.

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, PermissionOctets, effective_octet
+from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, Decision, PermissionOctets, check_access
 
 # Every layer branches on a call's family, never on its name.  IMAGE: module
 # loading and the handle open, whose first slot the guest never resolves as
@@ -64,6 +64,7 @@ _DEFAULT_FILE_PERMS = PermissionOctets.from_text("644")
 _DEFAULT_DIR_PERMS = PermissionOctets.from_text("755")
 _SYMLINK_PERMS = PermissionOctets.from_text("777")
 _tuple_new = tuple.__new__
+_PERMIT = Decision.PERMIT  # reading a member from its class runs Python-level code on CPython 3.11
 
 
 class ErrorCode(Enum):
@@ -83,18 +84,15 @@ class SyscallOutcome:
     def success(self) -> bool:
         return self.error is None
 
-    @classmethod
-    def ok(cls) -> "SyscallOutcome":
-        return _OK
 
-    @classmethod
-    def fail(cls, code: ErrorCode) -> "SyscallOutcome":
-        return _FAILURES[code]
-
-
-# Outcomes are immutable values, so every call shares these instances.
+# Outcomes are immutable values, so every call shares these instances.  The
+# guest returns them by name: reading a member from its class and hashing
+# one both run Python-level code on CPython 3.11.
 _OK = SyscallOutcome(None)
-_FAILURES = {code: SyscallOutcome(code) for code in ErrorCode}
+_BAD_ADDRESS = SyscallOutcome(ErrorCode.BAD_ADDRESS)
+_BAD_FILE_DESCRIPTOR = SyscallOutcome(ErrorCode.BAD_FILE_DESCRIPTOR)
+_NO_SUCH_FILE = SyscallOutcome(ErrorCode.NO_SUCH_FILE)
+_PERMISSION_DENIED = SyscallOutcome(ErrorCode.PERMISSION_DENIED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,9 +143,10 @@ class SyscallEvent(_EventFields):
     def __new__(cls, seq, pid, call, path=None, path2=None, flags=frozenset()):
         if type(call) is not str or call not in CALL_FAMILY:
             raise ValueError(f"unknown syscall: {call!r}")
-        for p in (path, path2):
-            if p is not None and not p.startswith("/"):
-                raise ValueError(f"path argument is not absolute: {p!r}")
+        if path is not None and not path.startswith("/"):
+            raise ValueError(f"path argument is not absolute: {path!r}")
+        if path2 is not None and not path2.startswith("/"):
+            raise ValueError(f"path argument is not absolute: {path2!r}")
         return _tuple_new(cls, (seq, pid, call, path, path2, flags))
 
     @classmethod
@@ -163,18 +162,17 @@ class GuestError(RuntimeError):
     """Scenario-level misuse of the guest (dead pid, duplicate path, ...)."""
 
 
-def nulled_error_code(call: str, flags: frozenset[str]) -> ErrorCode:
-    """Error a call yields when its pointer slot was nulled by a denial.
+def _nulled_outcome(family: Family, flags: frozenset[str]) -> SyscallOutcome:
+    """What a call yields when its pointer slot was nulled by a denial.
 
     Fixed per family: a write-intent open surfaces at the shell-redirection
     level as a bad descriptor, a read-only open fails the address lookup
     itself; an IMAGE call reports a bad descriptor; every other call faults
     on the null address.
     """
-    family = CALL_FAMILY[call]
     if family is IMAGE or (family is OPEN and not flags.isdisjoint(WRITE_INTENT_FLAGS)):
-        return ErrorCode.BAD_FILE_DESCRIPTOR
-    return ErrorCode.BAD_ADDRESS
+        return _BAD_FILE_DESCRIPTOR
+    return _BAD_ADDRESS
 
 
 class Guest:
@@ -260,46 +258,45 @@ class Guest:
         Guest permission bits are enforced with the process's claimed
         credentials; uid 0 bypasses them, as a root attacker would expect.
         """
-        proc = self.processes.get(event.pid)
+        _, pid, call, path, path2, flags = event
+        proc = self.processes.get(pid)
         if proc is None:
-            raise GuestError(f"pid {event.pid} is not alive")
-        family = CALL_FAMILY[event.call]
+            raise GuestError(f"pid {pid} is not alive")
+        family = CALL_FAMILY[call]
 
         if family is EXIT:
-            del self.processes[event.pid]
-            return SyscallOutcome.ok()
+            del self.processes[pid]
+            return _OK
         if family is CLONE:
-            child = self.spawn_process(event.pid, proc.claimed_uid, proc.claimed_gid)
+            child = self.spawn_process(pid, proc.claimed_uid, proc.claimed_gid)
             if self.on_clone is not None:
-                self.on_clone(child, event.pid)
-            return SyscallOutcome.ok()
+                self.on_clone(child, pid)
+            return _OK
         # Every remaining call reads its first slot, which a denial nulls.
-        if event.path is None:
-            return SyscallOutcome.fail(nulled_error_code(event.call, event.flags))
+        if path is None:
+            return _nulled_outcome(family, flags)
         uid, gid = proc.claimed_uid, proc.claimed_gid
 
         if family is OPEN:
-            return self._do_open(event, uid, gid)
+            return self._do_open(path, flags, uid, gid)
         if family is TRUNCATE:
-            return self._do_truncate(event.path, uid, gid)
+            return self._do_truncate(path, uid, gid)
         if family is RENAME:
-            return self._do_rename(event, uid, gid)
+            return self._do_rename(path, path2, uid, gid)
         if family is UNLINK:
-            return self._do_unlink(event.path, uid, gid)
+            return self._do_unlink(path, uid, gid)
         if family is LINK or family is SYMLINK:
-            return self._do_link(event, uid, gid, symbolic=family is SYMLINK)
+            return self._do_link(path, path2, uid, gid, symbolic=family is SYMLINK)
         if family is EXEC:
-            return self._do_exec(event.path, uid, gid)
+            return self._do_exec(path, uid, gid)
         # Mediation denies IMAGE, KEXEC and HANDLE calls unconditionally, so
         # they reach the guest only with their slot nulled.
-        raise GuestError(f"unhandled call: {event.call}")
+        raise GuestError(f"unhandled call: {call}")
 
     # -- helpers ----------------------------------------------------------
 
     def _allows(self, node: GuestFile, uid: int, gid: int, bit: int) -> bool:
-        if uid == 0:
-            return True
-        return bool(effective_octet(node, uid, gid) & bit)
+        return uid == 0 or check_access(node, uid, gid, bit) is _PERMIT
 
     def _node(self, path: str) -> GuestFile | None:
         """The node a path names; "/" is always the implicit root directory."""
@@ -313,94 +310,91 @@ class Guest:
         """Returns (parent node, error outcome or None)."""
         parent = self._dir_node(posixpath.dirname(path))
         if parent is None:
-            return None, SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+            return None, _NO_SUCH_FILE
         if not self._allows(parent, uid, gid, WRITE_BIT):
-            return None, SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return None, _PERMISSION_DENIED
         return parent, None
 
-    def _do_open(self, event: SyscallEvent, uid: int, gid: int) -> SyscallOutcome:
-        path, flags = event.path, event.flags
+    def _do_open(self, path: str, flags: frozenset[str], uid: int, gid: int) -> SyscallOutcome:
         node = self._node(path)
         if node is None:
             if "O_CREAT" not in flags:
-                return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+                return _NO_SUCH_FILE
             _, err = self._parent_writable(path, uid, gid)
             if err is not None:
                 return err
             self.files[path] = GuestFile(uid, gid, _DEFAULT_FILE_PERMS)
-            return SyscallOutcome.ok()
+            return _OK
         wants_write = not flags.isdisjoint(_WRITE_EXISTING_FLAGS)
         wants_read = "O_WRONLY" not in flags
         if node.is_directory and wants_write:
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         if wants_write and not self._allows(node, uid, gid, WRITE_BIT):
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         if wants_read and not self._allows(node, uid, gid, READ_BIT):
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
-        return SyscallOutcome.ok()
+            return _PERMISSION_DENIED
+        return _OK
 
     def _do_truncate(self, path: str, uid: int, gid: int) -> SyscallOutcome:
         node = self._node(path)
         if node is None:
-            return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+            return _NO_SUCH_FILE
         if node.is_directory or not self._allows(node, uid, gid, WRITE_BIT):
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
-        return SyscallOutcome.ok()
+            return _PERMISSION_DENIED
+        return _OK
 
-    def _do_rename(self, event: SyscallEvent, uid: int, gid: int) -> SyscallOutcome:
-        src, dst = event.path, event.path2
+    def _do_rename(self, src: str, dst: str | None, uid: int, gid: int) -> SyscallOutcome:
         if dst is None:
-            return SyscallOutcome.fail(ErrorCode.BAD_ADDRESS)
+            return _BAD_ADDRESS
         node = self._node(src)
         if node is None:
-            return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+            return _NO_SUCH_FILE
         if node.is_directory:
             # Moving directories would orphan child paths; out of model scope.
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         for endpoint in (src, dst):
             _, err = self._parent_writable(endpoint, uid, gid)
             if err is not None:
                 return err
         existing = self._node(dst)
         if existing is not None and existing.is_directory:
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         self.files[dst] = self.files.pop(src)
-        return SyscallOutcome.ok()
+        return _OK
 
     def _do_unlink(self, path: str, uid: int, gid: int) -> SyscallOutcome:
         node = self._node(path)
         if node is None:
-            return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+            return _NO_SUCH_FILE
         if node.is_directory:
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         _, err = self._parent_writable(path, uid, gid)
         if err is not None:
             return err
         del self.files[path]
-        return SyscallOutcome.ok()
+        return _OK
 
-    def _do_link(self, event: SyscallEvent, uid: int, gid: int, symbolic: bool) -> SyscallOutcome:
-        target, newpath = event.path, event.path2
+    def _do_link(self, target: str, newpath: str | None, uid: int, gid: int, symbolic: bool) -> SyscallOutcome:
         if newpath is None:
-            return SyscallOutcome.fail(ErrorCode.BAD_ADDRESS)
+            return _BAD_ADDRESS
         node = self._node(target)
         if not symbolic and node is None:
-            return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+            return _NO_SUCH_FILE
         if not symbolic and node.is_directory:
             # As for rename: the second name would have none of the children.
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         if self._node(newpath) is not None:
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
+            return _PERMISSION_DENIED
         _, err = self._parent_writable(newpath, uid, gid)
         if err is not None:
             return err
         self.files[newpath] = GuestFile(uid, gid, _SYMLINK_PERMS) if symbolic else node
-        return SyscallOutcome.ok()
+        return _OK
 
     def _do_exec(self, path: str, uid: int, gid: int) -> SyscallOutcome:
         node = self._node(path)
         if node is None:
-            return SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE)
+            return _NO_SUCH_FILE
         if node.is_directory or not self._allows(node, uid, gid, EXECUTE_BIT):
-            return SyscallOutcome.fail(ErrorCode.PERMISSION_DENIED)
-        return SyscallOutcome.ok()
+            return _PERMISSION_DENIED
+        return _OK

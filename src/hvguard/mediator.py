@@ -16,7 +16,7 @@ import hmac
 import posixpath
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .guest import (
     CALL_FAMILY,
@@ -45,8 +45,7 @@ RESPONSE_HEX_LEN = 128  # SHA-512 digest length in hex characters
 # two handle-based calls that bypass path-based checks.
 _HARD_DENIED_FAMILIES = (IMAGE, KEXEC, HANDLE)
 _READ_WRITE = READ_BIT | WRITE_BIT
-# Reading an enum member from its class runs Python-level code on CPython 3.11.
-_PERMIT, _DENY = Decision.PERMIT, Decision.DENY
+_tuple_new = tuple.__new__
 
 
 class Reason(Enum):
@@ -55,6 +54,16 @@ class Reason(Enum):
     HARD_DENIED_CALL = "hard_denied_call"
     UNAUTHENTICATED = "unauthenticated"
     WHITELIST_MISS = "whitelist_miss"
+
+
+# Reading an enum member from its class runs Python-level code on CPython
+# 3.11, so mediate reads these module constants instead.
+_PERMIT, _DENY = Decision.PERMIT, Decision.DENY
+_PERMITTED = Reason.PERMIT
+_SACL_DENY = Reason.SACL_DENY
+_HARD_DENIED_CALL = Reason.HARD_DENIED_CALL
+_UNAUTHENTICATED = Reason.UNAUTHENTICATED
+_WHITELIST_MISS = Reason.WHITELIST_MISS
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,8 +132,13 @@ class PolicyOptions:
     trap_mode: TrapMode = TrapMode.CLASSIC4
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
+    """The decision on one trapped call and what it rests on.
+
+    An immutable named tuple, which ``mediate`` builds with
+    ``tuple.__new__``: a frozen dataclass cost about six times as much.
+    """
+
     decision: Decision
     reason: Reason
     checks: tuple  # (path, access bits, Decision) per distinct path
@@ -138,31 +152,33 @@ def required_checks(event: SyscallEvent) -> dict[str, int]:
     """Each distinct path a file-operation call names, mapped to the OR of
     the access bits it needs there.
 
-    open: read and/or write on the target per flags, plus write on the
-    parent directory when creating.  rename: write on both names and both
-    parents.  unlink: write on the name and its parent.  truncate: write on
-    the name.  link/symlink: write on the new name and its parent.  exec:
-    execute on the target.  Null slots contribute no paths; non-file calls
-    are a caller error.
+    open: read on the target unless it is opened write-only (``O_WRONLY``
+    without ``O_RDWR``), since the guest then reads the file it finds; write
+    on it with any write-intent flag; and write on the parent directory when
+    creating.  So ``O_CREAT`` without an access mode needs both.  rename:
+    write on both names and both parents.  unlink: write on the name and its
+    parent.  truncate: write on the name.  link/symlink: write on the new
+    name and its parent.  exec: execute on the target.  Null slots
+    contribute no paths; non-file calls are a caller error.
     """
-    family = CALL_FAMILY[event.call]
-    path = event.path
+    _, _, call, path, path2, flags = event
+    family = CALL_FAMILY[call]
     if family is OPEN:
         if path is None:
             return {}
-        flags = event.flags
         if "O_RDWR" in flags:
             checks = {path: _READ_WRITE}
+        elif "O_WRONLY" in flags:
+            checks = {path: WRITE_BIT}
         elif flags.isdisjoint(WRITE_INTENT_FLAGS):
             checks = {path: READ_BIT}
         else:
-            checks = {path: WRITE_BIT}
+            checks = {path: _READ_WRITE}
         if "O_CREAT" in flags:
             parent = posixpath.dirname(path)
             checks[parent] = checks.get(parent, 0) | WRITE_BIT
         return checks
     if family is RENAME:
-        path2 = event.path2
         if path is not None and path2 is not None:
             return {
                 path: WRITE_BIT,
@@ -176,10 +192,10 @@ def required_checks(event: SyscallEvent) -> dict[str, int]:
     if family is TRUNCATE:
         return {} if path is None else {path: WRITE_BIT}
     if family is LINK or family is SYMLINK:
-        return _write_with_parent(event.path2)
+        return _write_with_parent(path2)
     if family is EXEC:
         return {} if path is None else {path: EXECUTE_BIT}
-    raise ValueError(f"not a file-operation call: {event.call!r}")
+    raise ValueError(f"not a file-operation call: {call!r}")
 
 
 def _write_with_parent(path: str | None) -> dict[str, int]:
@@ -232,11 +248,11 @@ def try_token_auth(
     return True
 
 
-def is_authenticated(sessions: dict[int, int], uid: int, config: AuthConfig, seq: int) -> bool:
-    """Valid through the recorded expiry seq inclusive; uids without a
-    secret are always authenticated."""
-    if uid not in config.secrets:
-        return True
+def is_authenticated(sessions: dict[int, int], uid: int, seq: int) -> bool:
+    """Whether uid holds a session valid at seq: through the recorded
+    expiry seq inclusive.  Only a uid with a secret needs one; a uid
+    without a secret is always authenticated, which the caller decides
+    from ``AuthConfig.secrets`` before asking."""
     expiry = sessions.get(uid)
     return expiry is not None and seq <= expiry
 
@@ -262,49 +278,51 @@ def mediate(
     has no rule is denied; any denied path denies the call.  The event's seq
     is the clock that token sessions are opened and checked against.
     """
-    family, seq = CALL_FAMILY[event.call], event.seq
-    resolved_uid, resolved_gid, mismatch = table.resolve_owner(
-        event.pid, claimed_uid, claimed_gid
-    )
+    seq, pid, call, path, _, _ = event
+    family = CALL_FAMILY[call]
+    resolved_uid, resolved_gid, mismatch = table.resolve_owner(pid, claimed_uid, claimed_gid)
 
     if family in _HARD_DENIED_FAMILIES:
-        return Verdict(_DENY, Reason.HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0)
+        return _tuple_new(Verdict, (_DENY, _HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))
 
     if family is OPEN:
-        try_token_auth(event.path, event.pid, table, config, sessions, seq)
+        try_token_auth(path, pid, table, config, sessions, seq)
 
     checks = {} if family is EXIT or family is CLONE else required_checks(event)
 
     # Plain loops: any() over a generator made this path about 1.5x slower.
+    # A hit makes the same Python-level calls as a miss: check_access holds
+    # the owner -> group -> other cascade inline.
     get = sacl.entries.get
     results = []
     listed = denied = False
-    for path, bits in checks.items():
-        rule = get(path)
+    for checked, bits in checks.items():
+        rule = get(checked)
         if rule is not None:
             listed = True
         decision = check_access(rule, resolved_uid, resolved_gid, bits)
         if decision is _DENY:
             denied = True
-        results.append((path, bits, decision))
-    probes = len(checks)
+        results.append((checked, bits, decision))
 
-    if listed and not is_authenticated(sessions, resolved_uid, config, seq):
-        reason, results = Reason.UNAUTHENTICATED, ()
+    # Only a uid with a secret needs a session.
+    if listed and resolved_uid in config.secrets and not is_authenticated(sessions, resolved_uid, seq):
+        decision, reason, results = _DENY, _UNAUTHENTICATED, ()
     elif not listed and family is EXEC and options.exec_whitelist:
-        reason, results = Reason.WHITELIST_MISS, ()
+        decision, reason, results = _DENY, _WHITELIST_MISS, ()
     elif denied:
-        reason = Reason.SACL_DENY
+        decision, reason = _DENY, _SACL_DENY
     else:
-        return Verdict(_PERMIT, Reason.PERMIT, tuple(results), resolved_uid, resolved_gid, mismatch, probes)
-    return Verdict(_DENY, reason, tuple(results), resolved_uid, resolved_gid, mismatch, probes)
+        decision, reason = _PERMIT, _PERMITTED
+    return _tuple_new(
+        Verdict, (decision, reason, tuple(results), resolved_uid, resolved_gid, mismatch, len(checks))
+    )
 
 
 def apply_verdict(event: SyscallEvent, verdict: Verdict) -> SyscallEvent:
     """Permit forwards the event untouched; deny nulls its first pointer
     slot so the guest fails the call naturally instead of being told no.
-    ``nulled`` does not validate the event a second time.  ``Verdict`` stays
-    a frozen dataclass for acceptance criterion 6 (see README)."""
+    ``nulled`` does not validate the event a second time."""
     if verdict.decision is _PERMIT or event.path is None:
         return event
     return event.nulled()

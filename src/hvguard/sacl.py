@@ -165,31 +165,28 @@ def parse_sacl(text: str) -> Sacl:
     return sacl
 
 
-def effective_octet(node, uid: int, gid: int) -> int:
-    """Select the octet governing a requester: owner, then group, then other.
-
-    ``node`` is a SaclRule or a GuestFile, or anything else that carries
-    owner_uid, owner_gid and perms.  Exactly one octet applies; the cascade
-    is on uid first, gid second.
-    """
-    if uid == node.owner_uid:
-        return node.perms.user
-    if gid == node.owner_gid:
-        return node.perms.group
-    return node.perms.other
-
-
 def check_access(rule: SaclRule | None, uid: int, gid: int, bits: int) -> Decision:
     """Decide one fetched rule for a requester and the access bits it needs
     (an ``AccessKind`` member or an OR of them).
 
     A missing rule (None) is a noncritical path and yields Permit; a present
-    one permits only when every requested bit is in the requester's octet.
-    Pure function; no state is touched.
+    one permits only when every requested bit is in the octet governing the
+    requester.  That octet is picked by the one owner -> group -> other
+    cascade: on uid first, gid second, and exactly one octet applies.  The
+    cascade is inline, so a SACL hit makes no more Python-level calls than
+    a miss.  ``rule`` is a SaclRule or a GuestFile, or anything else that
+    carries owner_uid, owner_gid and perms.  Pure function; no state is
+    touched.
     """
     if rule is None:
         return _PERMIT
-    return _PERMIT if effective_octet(rule, uid, gid) & bits == bits else _DENY
+    if uid == rule.owner_uid:
+        octet = rule.perms.user
+    elif gid == rule.owner_gid:
+        octet = rule.perms.group
+    else:
+        octet = rule.perms.other
+    return _PERMIT if octet & bits == bits else _DENY
 
 
 def generate_full_sacl(files: Mapping) -> Sacl:

@@ -31,16 +31,13 @@ class TrapStateError(RuntimeError):
 
 @dataclass
 class TrapSite:
-    """First code byte and IP cursor for one trapped syscall symbol."""
+    """First code byte and IP cursor for one trapped syscall symbol; the
+    site is armed while its current byte is ``BREAKPOINT_OPCODE``."""
 
     symbol: str
     original_opcode: int
     current_byte: int
     ip: int = 0
-
-    @property
-    def armed(self) -> bool:
-        return self.current_byte == BREAKPOINT_OPCODE
 
 
 def make_site(symbol: str, nop_prologue: bool = False) -> TrapSite:
@@ -52,7 +49,7 @@ def make_site(symbol: str, nop_prologue: bool = False) -> TrapSite:
 
 def arm(site: TrapSite) -> TrapSite:
     """Inject the breakpoint, retaining the original byte for restoration."""
-    if site.armed:
+    if site.current_byte == BREAKPOINT_OPCODE:
         raise TrapStateError(f"site {site.symbol} already armed")
     site.current_byte = BREAKPOINT_OPCODE
     return site
@@ -119,7 +116,7 @@ def handle_trap(site: TrapSite, event, callback):
     armed again, so no later instance of the same call can be missed.
     Denial is never an error at this layer.
     """
-    if not site.armed:
+    if site.current_byte != BREAKPOINT_OPCODE:
         raise TrapStateError(f"site {site.symbol} is not armed")
     if event.call != site.symbol:
         raise TrapStateError(f"event {event.call!r} hit site {site.symbol!r}")

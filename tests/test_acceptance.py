@@ -25,7 +25,7 @@ from hvguard.mediator import (
     try_token_auth,
 )
 from hvguard.sacl import AccessKind, Decision, SaclRule, PermissionOctets, check_access, parse_sacl
-from hvguard.trap import CostModel, TrapMode, arm, cost_of, handle_trap, make_site
+from hvguard.trap import BREAKPOINT_OPCODE, CostModel, TrapMode, arm, cost_of, handle_trap, make_site
 from sha512_oracle import sha512_hex
 
 
@@ -262,7 +262,7 @@ def test_criterion_7_auth_protocol():
             sim.syscall(2, "clone")
         verdict, _ = sim.syscall(2, "open", "/home/user/f", flags=["O_WRONLY"])
         assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
-        assert not is_authenticated(sim.sessions, 1000, auth, sim.clock)
+        assert not is_authenticated(sim.sessions, 1000, sim.clock)
 
 
 # -- 8: ownership integrity ---------------------------------------------------------
@@ -313,4 +313,4 @@ def test_criterion_9_rearm_guarantee():
                 sim.syscall(pid, "open", "/same/file", flags=["O_RDONLY"])
             assert len(sim.records) == 100
             assert all(r.vm_exits + r.vm_entries == per_call for r in sim.records)
-            assert sim.sites["open"].armed
+            assert sim.sites["open"].current_byte == BREAKPOINT_OPCODE

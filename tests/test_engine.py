@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from hvguard import engine
 from hvguard.engine import (
     DECISION_LOG_COLUMNS,
     ERROR,
@@ -14,6 +15,7 @@ from hvguard.engine import (
     USER,
     ScenarioError,
     Simulation,
+    decode_scenario,
     parse_scenario,
     run_scenario,
 )
@@ -79,6 +81,57 @@ def test_parse_scenario_rejects_bad_json_and_shape():
         parse_scenario("not json\n")
     with pytest.raises(ScenarioError):
         parse_scenario('{"no_ev": 1}\n')
+
+
+def _decode_all(text):
+    """decode_scenario's pairs, or the message of the error it raises."""
+    try:
+        return list(decode_scenario(text))
+    except ScenarioError as exc:
+        return str(exc)
+
+
+# Every line break str.splitlines knows, blank lines, comments, a bad-JSON
+# line and no final newline.
+BREAKS_TEXT = (
+    '{"ev":"user","uid":1}\r\n'
+    "\n# a comment\r"
+    '{"ev":"user","uid":2}\x0b\x0c\x1c'
+    '  {"ev":"user","uid":3}  \x85\u2028\n\n'
+    '{"ev":"user","uid":4}\x1d\x1e\u2029\r\r\n'
+    '{"ev":"user","uid":5}'
+)
+
+
+@pytest.mark.parametrize("slice_chars", [1, 2, 7])
+def test_decode_in_slices_matches_whole_text(monkeypatch, slice_chars):
+    whole = _decode_all(BREAKS_TEXT)
+    assert [line for line, _ in whole] == [1, 4, 7, 11, 16]
+    bad = BREAKS_TEXT.replace('"uid":4', '"uid":4,')
+    whole_bad = _decode_all(bad)
+    assert whole_bad.startswith("line 11: bad JSON")
+    monkeypatch.setattr(engine, "_DECODE_SLICE_CHARS", slice_chars)
+    assert _decode_all(BREAKS_TEXT) == whole
+    assert _decode_all(bad) == whole_bad
+
+
+def test_an_open_that_reads_needs_the_sacl_read_bit():
+    # 622 grants "other" write but no read; the guest's own mode allows both.
+    sim = Simulation(sacl=parse_sacl("/var/log/audit 622 0 0\n"))
+    sim.add_file("/var/log/audit", 0, 0, PermissionOctets.from_text("666"))
+    pid = sim.spawn(1, 1000, 1000)
+    for flags, error in (
+        (["O_CREAT"], "bad_file_descriptor"),
+        (["O_RDONLY", "O_CREAT"], "bad_file_descriptor"),
+        (["O_APPEND"], "bad_file_descriptor"),
+        (["O_RDONLY"], "bad_address"),
+    ):
+        verdict, outcome = sim.syscall(pid, "open", "/var/log/audit", flags=flags)
+        assert (verdict.decision, verdict.reason, outcome.error.value) == (
+            Decision.DENY, Reason.SACL_DENY, error,
+        ), flags
+    verdict, outcome = sim.syscall(pid, "open", "/var/log/audit", flags=["O_WRONLY", "O_APPEND"])
+    assert verdict.decision is Decision.PERMIT and outcome.success
 
 
 def test_run_scenario_deny_expectation_met():

@@ -11,7 +11,7 @@ from hvguard.guest import (
     SyscallEvent,
     SyscallOutcome,
     TRAPPED_CALLS,
-    nulled_error_code,
+    _nulled_outcome,
 )
 from hvguard.mediator import Reason, Verdict, apply_verdict
 from hvguard.sacl import Decision, PermissionOctets
@@ -209,16 +209,20 @@ NULLED_ERRORS = {
 }
 
 
+def nulled_error(call, flags):
+    return _nulled_outcome(CALL_FAMILY[call], flags).error
+
+
 def test_nulled_slot_error_codes():
     # write-intent opens surface as a bad descriptor, read-only opens and
     # other path calls fault on the address, module loading reports a bad
     # descriptor
     assert set(NULLED_ERRORS) == set(TRAPPED_CALLS)
     for call, (read_only, write) in NULLED_ERRORS.items():
-        assert nulled_error_code(call, frozenset({"O_RDONLY"})) is read_only, call
-        assert nulled_error_code(call, frozenset({"O_WRONLY"})) is write, call
-    assert nulled_error_code("open", frozenset({"O_CREAT", "O_WRONLY"})) is ErrorCode.BAD_FILE_DESCRIPTOR
-    assert nulled_error_code("openat", frozenset()) is ErrorCode.BAD_ADDRESS
+        assert nulled_error(call, frozenset({"O_RDONLY"})) is read_only, call
+        assert nulled_error(call, frozenset({"O_WRONLY"})) is write, call
+    assert nulled_error("open", frozenset({"O_CREAT", "O_WRONLY"})) is ErrorCode.BAD_FILE_DESCRIPTOR
+    assert nulled_error("openat", frozenset()) is ErrorCode.BAD_ADDRESS
 
 
 def test_hard_denied_calls_reach_the_guest_only_nulled():
@@ -242,9 +246,9 @@ def test_nulled_slot_outcomes_through_guest():
 
 
 def test_outcome_success_carries_no_code():
-    assert SyscallOutcome.ok().error is None
-    assert SyscallOutcome.ok().success
-    assert not SyscallOutcome.fail(ErrorCode.NO_SUCH_FILE).success
+    assert SyscallOutcome().error is None
+    assert SyscallOutcome().success
+    assert not SyscallOutcome(ErrorCode.NO_SUCH_FILE).success
 
 
 def test_event_paths_must_be_absolute_or_null():

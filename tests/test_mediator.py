@@ -1,6 +1,7 @@
 """Mediation callback: ownership, required checks, token auth, verdicts."""
 
 import random
+import sys
 
 import pytest
 
@@ -10,6 +11,7 @@ from hvguard.mediator import (
     OwnershipTable,
     PolicyOptions,
     Reason,
+    Verdict,
     apply_verdict,
     is_authenticated,
     mediate,
@@ -104,6 +106,14 @@ def test_required_checks_open_variants():
     assert pairs(ev("open", "/d/f", flags=["O_CREAT", "O_WRONLY"])) == [("/d/f", W), ("/d", W)]
     # "/" is its own parent: one path, with the bits of both needs.
     assert pairs(ev("open", "/", flags=["O_CREAT", "O_RDWR"])) == [("/", R | W)]
+    # Without O_WRONLY the guest reads the file it opens, so a write-intent
+    # flag on its own asks for read as well as write.
+    assert pairs(ev("open", "/d/f", flags=["O_CREAT"])) == [("/d/f", R | W), ("/d", W)]
+    assert pairs(ev("open", "/d/f", flags=["O_RDONLY", "O_CREAT"])) == [("/d/f", R | W), ("/d", W)]
+    assert pairs(ev("open", "/f", flags=["O_TRUNC"])) == [("/f", R | W)]
+    assert pairs(ev("open", "/f", flags=["O_RDONLY", "O_APPEND"])) == [("/f", R | W)]
+    assert pairs(ev("open", "/f", flags=["O_WRONLY", "O_APPEND"])) == [("/f", W)]
+    assert pairs(ev("open", "/f", flags=["O_WRONLY", "O_RDWR"])) == [("/f", R | W)]
 
 
 def test_required_checks_rename_row():
@@ -148,8 +158,8 @@ def test_token_auth_success_sets_window():
     handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, config, sessions, seq=10)
     assert handled
     assert sessions[1000] == 310
-    assert is_authenticated(sessions, 1000, config, seq=310)
-    assert not is_authenticated(sessions, 1000, config, seq=311)
+    assert is_authenticated(sessions, 1000, seq=310)
+    assert not is_authenticated(sessions, 1000, seq=311)
 
 
 def test_token_auth_wrong_response_handled_but_no_session():
@@ -369,3 +379,62 @@ def test_hard_denied_product_space():
                     Decision.DENY,
                     Reason.HARD_DENIED_CALL,
                 )
+
+
+# -- the cost of a hit ----------------------------------------------------------
+
+
+def _python_calls(event, sacl, config):
+    """Names of the Python-level functions mediate calls, in call order."""
+    table, options, sessions = OwnershipTable(), PolicyOptions(), {}
+    called = []
+
+    def profile(frame, what, arg):
+        if what == "call":
+            called.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        verdict = mediate(event, 1000, 1000, sacl, table, options, config, sessions)
+    finally:
+        sys.setprofile(None)
+    return verdict, called[1:]  # mediate's own frame first
+
+
+def test_a_hit_makes_the_same_calls_as_a_miss():
+    sacl = parse_sacl("/etc/listed 644 0 0\n")
+    config = AuthConfig()
+    hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, config)
+    miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, config)
+    assert hit.decision is miss.decision is Decision.PERMIT
+    assert hit.checks == (("/etc/listed", R, Decision.PERMIT),)
+    # No session check for a uid without a secret, and the cascade runs
+    # inside check_access, which a miss calls too.
+    assert hit_calls == miss_calls
+    assert "check_access" in hit_calls
+
+
+def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
+    sacl = parse_sacl("/etc/listed 644 0 0\n")
+    config = AuthConfig(secrets={1000: "s"})
+    verdict, called = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, config)
+    assert "is_authenticated" in called
+    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+    _, called = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, config)
+    assert "is_authenticated" not in called
+
+
+# -- the Verdict contract ---------------------------------------------------------
+
+
+def test_verdict_fields_positional_construction_and_immutability():
+    names = ("decision", "reason", "checks", "resolved_uid", "resolved_gid", "mismatch", "probes")
+    values = (Decision.DENY, Reason.SACL_DENY, (("/f", W, Decision.DENY),), 1000, 100, True, 1)
+    verdict = Verdict(*values)
+    assert tuple(getattr(verdict, name) for name in names) == values
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(verdict, name, None)
+    with pytest.raises(AttributeError):
+        verdict.extra = 1
+    assert type(decide(ev("open", "/f"), (0, 0), *fresh_state())) is Verdict

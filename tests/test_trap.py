@@ -37,7 +37,6 @@ def test_arm_saves_original_and_injects_breakpoint():
     site = make_site("open")
     original = site.original_opcode
     arm(site)
-    assert site.armed
     assert site.current_byte == BREAKPOINT_OPCODE
     assert site.original_opcode == original != BREAKPOINT_OPCODE
 
@@ -91,7 +90,6 @@ def test_breakpoint_present_during_callback_and_after_completion():
     handle_trap(site, SyscallEvent(1, 2, "open", "/f"), spy)
     assert seen == [BREAKPOINT_OPCODE]
     assert site.current_byte == BREAKPOINT_OPCODE
-    assert site.armed
 
 
 def test_nop_site_never_shows_nop_after_arming():
@@ -136,7 +134,7 @@ def test_switch_counts_hold_for_every_trapped_call():
             site = armed_site(call, mode)
             record, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough)
             assert record.vm_exits == record.vm_entries == exits
-            assert site.armed
+            assert site.current_byte == BREAKPOINT_OPCODE
 
 
 def test_switch_totals_are_linear():
