@@ -5,7 +5,9 @@ bits and an owner; whoever the requester is, unlisted paths are considered
 noncritical and permitted by default.
 """
 
-from hvguard import AccessKind, Decision, check_access, parse_sacl
+from hvguard import EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, check_access, parse_sacl
+
+KINDS = (("read", READ_BIT), ("write", WRITE_BIT), ("execute", EXECUTE_BIT))
 
 SACL_TEXT = """\
 /home/user/Documents/critical.txt 644 1000 1000
@@ -19,15 +21,14 @@ print(f"loaded {len(sacl)} rows")
 # The owner of critical.txt may read and write; everyone else may only read.
 entry = sacl.lookup("/home/user/Documents/critical.txt")
 for who, uid, gid in [("owner", 1000, 1000), ("group", 2000, 1000), ("other", 2000, 2000)]:
-    granted = [kind.name.lower() for kind in AccessKind if check_access(entry, uid, gid, kind) is Decision.PERMIT]
+    granted = [name for name, bit in KINDS if check_access(entry, uid, gid, bit) is PERMIT]
     print(f"{who}: {' '.join(granted)}")
 
 # uid 0 is just another uid here: the /etc/shadow row grants root read-only,
 # so even a root-owned process cannot write the password store.
 shadow = sacl.lookup("/etc/shadow")
-for uid, kind in [(0, AccessKind.READ), (0, AccessKind.WRITE)]:
-    decision = check_access(shadow, uid, 0, kind)
-    print(f"root {kind.name.lower():7s} /etc/shadow -> {decision.value}")
+for name, bit in KINDS[:2]:
+    print(f"root {name:7s} /etc/shadow -> {check_access(shadow, 0, 0, bit)}")
 
 # Paths without a row have no rule, and fall through to the caller's default.
-print("unlisted file ->", check_access(sacl.lookup("/tmp/scratch"), 0, 0, AccessKind.WRITE).value)
+print("unlisted file ->", check_access(sacl.lookup("/tmp/scratch"), 0, 0, WRITE_BIT))

@@ -21,14 +21,14 @@ sim.forge_credentials(7, 0, 0)
 verdict, outcome = sim.syscall(7, "open", "/home/user/secret.txt", flags=["O_RDONLY"])
 print("claimed uid 0, resolved uid:", verdict.resolved_uid)
 print("mismatch flagged:", verdict.mismatch)
-print("decision:", verdict.decision.value, "| guest outcome:", outcome.error.value)
+print("decision:", verdict.decision, "| guest outcome:", outcome.error)
 
 # A legitimate elevation (sudo) updates the record, so usability survives.
 sim.spawn(1, 1000, 1000, pid=8)
 sim.sudo(8, 0, 0)
 verdict, _ = sim.syscall(8, "open", "/home/user/secret.txt", flags=["O_RDONLY"])
 print("\nafter a trusted sudo, resolved uid:", verdict.resolved_uid)
-print("decision:", verdict.decision.value, "(root matches neither owner nor group octet: per-user limits bind root too)")
+print("decision:", verdict.decision, "(root matches neither owner nor group octet: per-user limits bind root too)")
 
 print("\ndecision log:")
 print(sim.decision_log())

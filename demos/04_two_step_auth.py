@@ -19,18 +19,18 @@ sim.add_file("/home/user", 1000, 1000, PermissionOctets(7, 5, 5), is_directory=T
 sim.spawn(1, 1000, 1000, pid=2)
 
 verdict, outcome = sim.syscall(2, "open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"])
-print("before second auth:", verdict.decision.value, f"({verdict.reason.value});",
-      "shell sees:", outcome.error.value)
+print("before second auth:", verdict.decision, f"({verdict.reason});",
+      "shell sees:", outcome.error)
 
 token = "/tokens/111" + token_response("111", SECRET)
 print(f"\npresenting token ({len(token) - len('/tokens/')} hex chars after the prefix)")
 verdict, outcome = sim.syscall(2, "open", token, flags=["O_CREAT", "O_WRONLY"])
-print("token open:", verdict.decision.value, "| guest outcome:", outcome.error.value,
+print("token open:", verdict.decision, "| guest outcome:", outcome.error,
       "(the artificial path never exists)")
 print("session valid through tick", sim.sessions[1000])
 
 verdict, outcome = sim.syscall(2, "open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"])
-print("\nafter second auth:", verdict.decision.value, "| file created:", outcome.success)
+print("\nafter second auth:", verdict.decision, "| file created:", outcome.success)
 
 # A wrong response of the right shape is swallowed silently: no session.
 sim2 = Simulation(

@@ -28,8 +28,12 @@ from .engine import (
     run_scenario,
 )
 from .guest import (
+    BAD_ADDRESS,
+    BAD_FILE_DESCRIPTOR,
     CALL_FAMILY,
-    ErrorCode,
+    ERROR_CODES,
+    NO_SUCH_FILE,
+    PERMISSION_DENIED,
     Family,
     Guest,
     GuestError,
@@ -40,11 +44,14 @@ from .guest import (
     TRAPPED_CALLS,
 )
 from .mediator import (
+    HARD_DENIED_CALL,
+    SACL_DENY,
+    UNAUTHENTICATED,
+    WHITELIST_MISS,
     AuthConfig,
     OwnershipRecord,
     OwnershipTable,
     PolicyOptions,
-    Reason,
     Verdict,
     apply_verdict,
     is_authenticated,
@@ -54,8 +61,11 @@ from .mediator import (
     try_token_auth,
 )
 from .sacl import (
-    AccessKind,
-    Decision,
+    DENY,
+    EXECUTE_BIT,
+    PERMIT,
+    READ_BIT,
+    WRITE_BIT,
     PermissionOctets,
     Sacl,
     SaclRule,

@@ -149,7 +149,7 @@ def main(argv=None) -> int:
         if not args.scenario:
             raise ValueError("either --scenario or --bench is required")
         return _run_scenario_mode(args)
-    except (OSError, SaclParseError, ScenarioError, GuestError, ValueError) as exc:
+    except (OSError, GuestError, ValueError) as exc:  # SaclParseError and ScenarioError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .guest import CALL_FAMILY, EXIT, TRAPPED_CALLS, ErrorCode, Guest, GuestError, SyscallEvent, SyscallOutcome
+from .guest import CALL_FAMILY, ERROR_CODES, EXIT, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
 from .mediator import (
     AuthConfig,
     OwnershipTable,
@@ -35,7 +35,7 @@ from .mediator import (
     apply_verdict,
     mediate,
 )
-from .sacl import PermissionOctets, Sacl
+from .sacl import DENY, PERMIT, PermissionOctets, Sacl
 from .trap import TrapMode, TrapSequenceRecord, arm, handle_trap, make_site
 
 class ScenarioError(ValueError):
@@ -160,11 +160,7 @@ class Simulation:
         self.records.append(record)
         self.outcomes.append(outcome)
         decision, reason, _, uid, gid, mismatch, _ = verdict
-        # _value_ is the member's plain attribute; .value runs a Python-level
-        # descriptor on CPython 3.11.
-        self.decisions.append(
-            _tuple_new(DecisionRow, (seq, pid, call, uid, gid, decision._value_, reason._value_, mismatch))
-        )
+        self.decisions.append(_tuple_new(DecisionRow, (seq, pid, call, uid, gid, decision, reason, mismatch)))
         return verdict, outcome
 
     def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
@@ -259,7 +255,6 @@ _ABSENT = object()
 # The values an expect line may give them; tuples, since a decoded value may
 # be an unhashable list or object.
 _STATUSES = ("success", "error")
-_ERROR_CODES = tuple(code.value for code in ErrorCode)
 _NO_FLAGS = frozenset()
 # One str per call name, shared by every sys event instead of a decoded copy.
 _CALL_NAMES = {call: call for call in CALL_FAMILY}
@@ -322,15 +317,15 @@ def parse_scenario(text: str) -> list[tuple]:
                 if not seen_sys:
                     raise ScenarioError(line_no, "'expect' with no preceding sys event")
                 wanted = obj.get("decision")
-                if wanted not in ("permit", "deny"):
+                if wanted not in (PERMIT, DENY):
                     _need(line_no, obj, "decision")
                     raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
-                wanted = "deny" if wanted == "deny" else "permit"  # a shared str, not the decoded one
+                wanted = DENY if wanted == DENY else PERMIT  # a shared str, not the decoded one
                 status, error = obj.get("status", _ABSENT), obj.get("error", _ABSENT)
                 if status is not _ABSENT and status not in _STATUSES:
                     raise ScenarioError(line_no, f"'status' must be success or error, got {status!r}")
-                if error is not _ABSENT and error not in _ERROR_CODES:
-                    raise ScenarioError(line_no, f"'error' must be one of {', '.join(_ERROR_CODES)}, got {error!r}")
+                if error is not _ABSENT and error not in ERROR_CODES:
+                    raise ScenarioError(line_no, f"'error' must be one of {', '.join(ERROR_CODES)}, got {error!r}")
                 append((line_no, EXPECT, wanted, status, error))
             elif ev == "file":
                 path, is_dir, perm = obj.get("path"), obj.get("dir", False), obj.get("perm")
@@ -442,7 +437,7 @@ def _check_expect(event: tuple, last, result: ScenarioResult) -> None:
     line_no, _, wanted, status, error = event
     verdict, outcome = last
     result.expect_checks += 1
-    got = verdict.decision._value_
+    got = verdict.decision
     if got != wanted:
         result.mismatches.append(f"line {line_no}: expected decision {wanted}, got {got}")
     if status is not _ABSENT:
@@ -450,6 +445,6 @@ def _check_expect(event: tuple, last, result: ScenarioResult) -> None:
         if status != actual:
             result.mismatches.append(f"line {line_no}: expected status {status}, got {actual}")
     if error is not _ABSENT:
-        actual_err = outcome.error.value if outcome.error else "none"
+        actual_err = outcome.error or "none"
         if error != actual_err:
             result.mismatches.append(f"line {line_no}: expected error {error}, got {actual_err}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, Decision, PermissionOctets, check_access
+from .sacl import EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, PermissionOctets, check_access
 
 # Every layer branches on a call's family, never on its name.  IMAGE: module
 # loading and the handle open, whose first slot the guest never resolves as
@@ -64,35 +64,34 @@ _DEFAULT_FILE_PERMS = PermissionOctets.from_text("644")
 _DEFAULT_DIR_PERMS = PermissionOctets.from_text("755")
 _SYMLINK_PERMS = PermissionOctets.from_text("777")
 _tuple_new = tuple.__new__
-_PERMIT = Decision.PERMIT  # reading a member from its class runs Python-level code on CPython 3.11
 
-
-class ErrorCode(Enum):
-    BAD_ADDRESS = "bad_address"
-    BAD_FILE_DESCRIPTOR = "bad_file_descriptor"
-    NO_SUCH_FILE = "no_such_file"
-    PERMISSION_DENIED = "permission_denied"
+# The error a failed call reports, in the text the log and expect lines use.
+ERROR_CODES = BAD_ADDRESS, BAD_FILE_DESCRIPTOR, NO_SUCH_FILE, PERMISSION_DENIED = (
+    "bad_address",
+    "bad_file_descriptor",
+    "no_such_file",
+    "permission_denied",
+)
 
 
 @dataclass(frozen=True, slots=True)
 class SyscallOutcome:
     """Success (error is None) or a failure carrying exactly one code."""
 
-    error: ErrorCode | None = None
+    error: str | None = None  # one of ERROR_CODES
 
     @property
     def success(self) -> bool:
         return self.error is None
 
 
-# Outcomes are immutable values, so every call shares these instances.  The
-# guest returns them by name: reading a member from its class and hashing
-# one both run Python-level code on CPython 3.11.
+# Outcomes are immutable values, so every call shares these instances, which
+# the guest returns by name.
 _OK = SyscallOutcome(None)
-_BAD_ADDRESS = SyscallOutcome(ErrorCode.BAD_ADDRESS)
-_BAD_FILE_DESCRIPTOR = SyscallOutcome(ErrorCode.BAD_FILE_DESCRIPTOR)
-_NO_SUCH_FILE = SyscallOutcome(ErrorCode.NO_SUCH_FILE)
-_PERMISSION_DENIED = SyscallOutcome(ErrorCode.PERMISSION_DENIED)
+_BAD_ADDRESS = SyscallOutcome(BAD_ADDRESS)
+_BAD_FILE_DESCRIPTOR = SyscallOutcome(BAD_FILE_DESCRIPTOR)
+_NO_SUCH_FILE = SyscallOutcome(NO_SUCH_FILE)
+_PERMISSION_DENIED = SyscallOutcome(PERMISSION_DENIED)
 
 
 @dataclass(frozen=True, slots=True)
@@ -296,7 +295,7 @@ class Guest:
     # -- helpers ----------------------------------------------------------
 
     def _allows(self, node: GuestFile, uid: int, gid: int, bit: int) -> bool:
-        return uid == 0 or check_access(node, uid, gid, bit) is _PERMIT
+        return uid == 0 or check_access(node, uid, gid, bit) is PERMIT
 
     def _node(self, path: str) -> GuestFile | None:
         """The node a path names; "/" is always the implicit root directory."""
@@ -306,21 +305,22 @@ class Guest:
         node = self._node(path)
         return node if node is not None and node.is_directory else None
 
-    def _parent_writable(self, path: str, uid: int, gid: int):
-        """Returns (parent node, error outcome or None)."""
+    def _parent_writable(self, path: str, uid: int, gid: int) -> SyscallOutcome | None:
+        """The error outcome if the parent directory is missing or not
+        writable, else None."""
         parent = self._dir_node(posixpath.dirname(path))
         if parent is None:
-            return None, _NO_SUCH_FILE
+            return _NO_SUCH_FILE
         if not self._allows(parent, uid, gid, WRITE_BIT):
-            return None, _PERMISSION_DENIED
-        return parent, None
+            return _PERMISSION_DENIED
+        return None
 
     def _do_open(self, path: str, flags: frozenset[str], uid: int, gid: int) -> SyscallOutcome:
         node = self._node(path)
         if node is None:
             if "O_CREAT" not in flags:
                 return _NO_SUCH_FILE
-            _, err = self._parent_writable(path, uid, gid)
+            err = self._parent_writable(path, uid, gid)
             if err is not None:
                 return err
             self.files[path] = GuestFile(uid, gid, _DEFAULT_FILE_PERMS)
@@ -353,7 +353,7 @@ class Guest:
             # Moving directories would orphan child paths; out of model scope.
             return _PERMISSION_DENIED
         for endpoint in (src, dst):
-            _, err = self._parent_writable(endpoint, uid, gid)
+            err = self._parent_writable(endpoint, uid, gid)
             if err is not None:
                 return err
         existing = self._node(dst)
@@ -368,7 +368,7 @@ class Guest:
             return _NO_SUCH_FILE
         if node.is_directory:
             return _PERMISSION_DENIED
-        _, err = self._parent_writable(path, uid, gid)
+        err = self._parent_writable(path, uid, gid)
         if err is not None:
             return err
         del self.files[path]
@@ -385,7 +385,7 @@ class Guest:
             return _PERMISSION_DENIED
         if self._node(newpath) is not None:
             return _PERMISSION_DENIED
-        _, err = self._parent_writable(newpath, uid, gid)
+        err = self._parent_writable(newpath, uid, gid)
         if err is not None:
             return err
         self.files[newpath] = GuestFile(uid, gid, _SYMLINK_PERMS) if symbolic else node

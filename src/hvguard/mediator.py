@@ -15,7 +15,6 @@ import hashlib
 import hmac
 import posixpath
 from dataclasses import dataclass, field
-from enum import Enum
 from typing import Mapping, NamedTuple
 
 from .guest import (
@@ -35,7 +34,7 @@ from .guest import (
     WRITE_INTENT_FLAGS,
     SyscallEvent,
 )
-from .sacl import EXECUTE_BIT, READ_BIT, WRITE_BIT, Decision, Sacl, check_access
+from .sacl import DENY, EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, Sacl, check_access
 from .trap import TrapMode
 
 TOKEN_PREFIX = "/tokens/"
@@ -48,22 +47,12 @@ _READ_WRITE = READ_BIT | WRITE_BIT
 _tuple_new = tuple.__new__
 
 
-class Reason(Enum):
-    PERMIT = "permit"
-    SACL_DENY = "sacl_deny"
-    HARD_DENIED_CALL = "hard_denied_call"
-    UNAUTHENTICATED = "unauthenticated"
-    WHITELIST_MISS = "whitelist_miss"
-
-
-# Reading an enum member from its class runs Python-level code on CPython
-# 3.11, so mediate reads these module constants instead.
-_PERMIT, _DENY = Decision.PERMIT, Decision.DENY
-_PERMITTED = Reason.PERMIT
-_SACL_DENY = Reason.SACL_DENY
-_HARD_DENIED_CALL = Reason.HARD_DENIED_CALL
-_UNAUTHENTICATED = Reason.UNAUTHENTICATED
-_WHITELIST_MISS = Reason.WHITELIST_MISS
+# Why a call was decided as it was, in the text the log prints; a permit's
+# reason is PERMIT itself.
+SACL_DENY = "sacl_deny"
+HARD_DENIED_CALL = "hard_denied_call"
+UNAUTHENTICATED = "unauthenticated"
+WHITELIST_MISS = "whitelist_miss"
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,9 +128,9 @@ class Verdict(NamedTuple):
     ``tuple.__new__``: a frozen dataclass cost about six times as much.
     """
 
-    decision: Decision
-    reason: Reason
-    checks: tuple  # (path, access bits, Decision) per distinct path
+    decision: str  # PERMIT or DENY
+    reason: str  # PERMIT, SACL_DENY, HARD_DENIED_CALL, UNAUTHENTICATED or WHITELIST_MISS
+    checks: tuple  # (path, access bits, decision) per distinct path
     resolved_uid: int
     resolved_gid: int
     mismatch: bool
@@ -269,23 +258,24 @@ def mediate(
 ) -> Verdict:
     """Decide one trapped call.
 
-    Order: (1) hard-denied calls; (2) token-auth attempt on /tokens/ opens,
-    which never denies by itself; (3) owner resolution; (4) one SACL fetch
-    per distinct required path, each decided on its fetched rule with
-    unlisted paths permitted by default.  The fetched rules then decide, in
-    order of precedence: a uid with a secret but no live session is denied
-    if any path has a rule; under execute white-listing an exec whose target
-    has no rule is denied; any denied path denies the call.  The event's seq
-    is the clock that token sessions are opened and checked against.
+    Order: (1) hard-denied calls; (2) token-auth attempt on /tokens/ opens
+    when any uid has a secret, which never denies by itself; (3) owner
+    resolution; (4) one SACL fetch per distinct required path, each decided
+    on its fetched rule with unlisted paths permitted by default.  The
+    fetched rules then decide, in order of precedence: a uid with a secret
+    but no live session is denied if any path has a rule; under execute
+    white-listing an exec whose target has no rule is denied; any denied
+    path denies the call.  The event's seq is the clock that token sessions
+    are opened and checked against.
     """
     seq, pid, call, path, _, _ = event
     family = CALL_FAMILY[call]
     resolved_uid, resolved_gid, mismatch = table.resolve_owner(pid, claimed_uid, claimed_gid)
 
     if family in _HARD_DENIED_FAMILIES:
-        return _tuple_new(Verdict, (_DENY, _HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))
+        return _tuple_new(Verdict, (DENY, HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))
 
-    if family is OPEN:
+    if family is OPEN and config.secrets:
         try_token_auth(path, pid, table, config, sessions, seq)
 
     checks = {} if family is EXIT or family is CLONE else required_checks(event)
@@ -301,19 +291,19 @@ def mediate(
         if rule is not None:
             listed = True
         decision = check_access(rule, resolved_uid, resolved_gid, bits)
-        if decision is _DENY:
+        if decision is DENY:
             denied = True
         results.append((checked, bits, decision))
 
     # Only a uid with a secret needs a session.
     if listed and resolved_uid in config.secrets and not is_authenticated(sessions, resolved_uid, seq):
-        decision, reason, results = _DENY, _UNAUTHENTICATED, ()
+        decision, reason, results = DENY, UNAUTHENTICATED, ()
     elif not listed and family is EXEC and options.exec_whitelist:
-        decision, reason, results = _DENY, _WHITELIST_MISS, ()
+        decision, reason, results = DENY, WHITELIST_MISS, ()
     elif denied:
-        decision, reason = _DENY, _SACL_DENY
+        decision, reason = DENY, SACL_DENY
     else:
-        decision, reason = _PERMIT, _PERMITTED
+        decision, reason = PERMIT, PERMIT
     return _tuple_new(
         Verdict, (decision, reason, tuple(results), resolved_uid, resolved_gid, mismatch, len(checks))
     )
@@ -323,6 +313,6 @@ def apply_verdict(event: SyscallEvent, verdict: Verdict) -> SyscallEvent:
     """Permit forwards the event untouched; deny nulls its first pointer
     slot so the guest fails the call naturally instead of being told no.
     ``nulled`` does not validate the event a second time."""
-    if verdict.decision is _PERMIT or event.path is None:
+    if verdict.decision is PERMIT or event.path is None:
         return event
     return event.nulled()

@@ -11,34 +11,14 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
-from enum import Enum, IntEnum
 
 READ_BIT = 4
 WRITE_BIT = 2
 EXECUTE_BIT = 1
 
-
-class AccessKind(IntEnum):
-    """The three access classes a permission octet can grant.
-
-    An IntEnum whose value is the mode bit, so members mask directly
-    against an octet.
-    """
-
-    READ = READ_BIT
-    WRITE = WRITE_BIT
-    EXECUTE = EXECUTE_BIT
-
-
-class Decision(Enum):
-    PERMIT = "permit"
-    DENY = "deny"
-
-
-# Reading an enum member from its class runs Python-level code on CPython
-# 3.11.  check_access returns these module constants instead, so a SACL hit
-# and a miss do the same interpreter work.
-_PERMIT, _DENY = Decision.PERMIT, Decision.DENY
+# A decision is the text the decision log prints.  Every decision is one of
+# these two objects, so callers compare with ``is``.
+PERMIT, DENY = "permit", "deny"
 
 
 class SaclParseError(ValueError):
@@ -74,9 +54,6 @@ class PermissionOctets:
         if octets is None:
             raise ValueError(f"not a 3-digit octal permission: {text!r}")
         return octets
-
-    def to_text(self) -> str:
-        return f"{self.user}{self.group}{self.other}"
 
 
 _OCTETS_BY_TEXT = {
@@ -165,11 +142,11 @@ def parse_sacl(text: str) -> Sacl:
     return sacl
 
 
-def check_access(rule: SaclRule | None, uid: int, gid: int, bits: int) -> Decision:
+def check_access(rule: SaclRule | None, uid: int, gid: int, bits: int) -> str:
     """Decide one fetched rule for a requester and the access bits it needs
-    (an ``AccessKind`` member or an OR of them).
+    (one of ``READ_BIT``, ``WRITE_BIT``, ``EXECUTE_BIT`` or an OR of them).
 
-    A missing rule (None) is a noncritical path and yields Permit; a present
+    A missing rule (None) is a noncritical path and yields PERMIT; a present
     one permits only when every requested bit is in the octet governing the
     requester.  That octet is picked by the one owner -> group -> other
     cascade: on uid first, gid second, and exactly one octet applies.  The
@@ -179,14 +156,14 @@ def check_access(rule: SaclRule | None, uid: int, gid: int, bits: int) -> Decisi
     touched.
     """
     if rule is None:
-        return _PERMIT
+        return PERMIT
     if uid == rule.owner_uid:
         octet = rule.perms.user
     elif gid == rule.owner_gid:
         octet = rule.perms.group
     else:
         octet = rule.perms.other
-    return _PERMIT if octet & bits == bits else _DENY
+    return PERMIT if octet & bits == bits else DENY
 
 
 def generate_full_sacl(files: Mapping) -> Sacl:

@@ -17,14 +17,24 @@ from hvguard.cli import main as cli_main
 from hvguard.engine import Simulation
 from hvguard.guest import CALL_FAMILY, CLONE, SyscallEvent
 from hvguard.mediator import (
+    UNAUTHENTICATED,
     AuthConfig,
     OwnershipTable,
     PolicyOptions,
-    Reason,
     is_authenticated,
     try_token_auth,
 )
-from hvguard.sacl import AccessKind, Decision, SaclRule, PermissionOctets, check_access, parse_sacl
+from hvguard.sacl import (
+    DENY,
+    EXECUTE_BIT,
+    PERMIT,
+    READ_BIT,
+    WRITE_BIT,
+    PermissionOctets,
+    SaclRule,
+    check_access,
+    parse_sacl,
+)
 from hvguard.trap import BREAKPOINT_OPCODE, CostModel, TrapMode, arm, cost_of, handle_trap, make_site
 from sha512_oracle import sha512_hex
 
@@ -95,7 +105,7 @@ def brute_force_allows(perm_text, requester_class, kind_name):
 
 def test_criterion_2_oracle_equivalence():
     requesters = {"owner": (1000, 1000), "group": (2000, 1000), "other": (3000, 3000)}
-    kinds = {"read": AccessKind.READ, "write": AccessKind.WRITE, "execute": AccessKind.EXECUTE}
+    kinds = {"read": READ_BIT, "write": WRITE_BIT, "execute": EXECUTE_BIT}
     with criterion(2, "permission oracle, 4608 cases"):
         start = time.perf_counter()
         cases = 0
@@ -104,7 +114,7 @@ def test_criterion_2_oracle_equivalence():
             rule = SaclRule(PermissionOctets.from_text(perm_text), 1000, 1000)
             for req_name, (uid, gid) in requesters.items():
                 for kind_name, kind in kinds.items():
-                    expected = Decision.PERMIT if brute_force_allows(perm_text, req_name, kind_name) else Decision.DENY
+                    expected = PERMIT if brute_force_allows(perm_text, req_name, kind_name) else DENY
                     assert check_access(rule, uid, gid, kind) is expected, (perm_text, req_name, kind_name)
                     cases += 1
         assert cases == 4608
@@ -257,11 +267,11 @@ def test_criterion_7_auth_protocol():
         sim.syscall(2, "open", token, flags=["O_RDONLY"])
         granted_until = sim.sessions[1000]
         verdict, _ = sim.syscall(2, "open", "/home/user/f", flags=["O_WRONLY"])
-        assert verdict.decision is Decision.PERMIT
+        assert verdict.decision is PERMIT
         while sim.clock <= granted_until:
             sim.syscall(2, "clone")
         verdict, _ = sim.syscall(2, "open", "/home/user/f", flags=["O_WRONLY"])
-        assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+        assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
         assert not is_authenticated(sim.sessions, 1000, sim.clock)
 
 

@@ -19,8 +19,8 @@ from hvguard.engine import (
     parse_scenario,
     run_scenario,
 )
-from hvguard.mediator import AuthConfig, PolicyOptions, Reason
-from hvguard.sacl import Decision, PermissionOctets, parse_sacl
+from hvguard.mediator import SACL_DENY, WHITELIST_MISS, AuthConfig, PolicyOptions
+from hvguard.sacl import DENY, PERMIT, PermissionOctets, parse_sacl
 from hvguard.guest import TRAPPED_CALLS, GuestError
 from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
 
@@ -127,11 +127,11 @@ def test_an_open_that_reads_needs_the_sacl_read_bit():
         (["O_RDONLY"], "bad_address"),
     ):
         verdict, outcome = sim.syscall(pid, "open", "/var/log/audit", flags=flags)
-        assert (verdict.decision, verdict.reason, outcome.error.value) == (
-            Decision.DENY, Reason.SACL_DENY, error,
+        assert (verdict.decision, verdict.reason, outcome.error) == (
+            DENY, SACL_DENY, error,
         ), flags
     verdict, outcome = sim.syscall(pid, "open", "/var/log/audit", flags=["O_WRONLY", "O_APPEND"])
-    assert verdict.decision is Decision.PERMIT and outcome.success
+    assert verdict.decision is PERMIT and outcome.success
 
 
 def test_run_scenario_deny_expectation_met():
@@ -181,7 +181,7 @@ def test_sudo_updates_both_guest_and_table():
     sim.spawn(1, 1000, 1000, pid=2)
     sim.sudo(2, 0, 0)
     verdict, _ = sim.syscall(2, "open", "/etc/shadow", flags=["O_WRONLY"])
-    assert verdict.decision is Decision.PERMIT  # legitimately root now
+    assert verdict.decision is PERMIT  # legitimately root now
     assert not verdict.mismatch
 
 
@@ -204,7 +204,7 @@ def test_forged_credentials_flagged_and_ignored():
     sim.forge_credentials(2, 0, 0)
     verdict, _ = sim.syscall(2, "open", "/etc/shadow", flags=["O_WRONLY"])
     assert verdict.mismatch
-    assert verdict.decision is Decision.DENY  # decided as uid 1000, not root
+    assert verdict.decision is DENY  # decided as uid 1000, not root
 
 
 def test_exit_cleans_ownership_table():
@@ -259,7 +259,7 @@ def test_clone_after_forge_inherits_recorded_credentials():
     (child,) = sim.guest.live_pids() - {1, 2}
     assert (sim.table.get(child).uid, sim.table.get(child).gid) == (1000, 1000)
     verdict, outcome = sim.syscall(child, "open", "/etc/shadow", flags=["O_WRONLY"])
-    assert verdict.decision is Decision.DENY
+    assert verdict.decision is DENY
     assert verdict.mismatch
     assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
     assert not outcome.success
@@ -379,11 +379,11 @@ def test_auth_config_window_flows_from_simulation():
     token = "/tokens/x" + token_response("x", "s")
     sim.syscall(2, "open", token, flags=["O_RDONLY"])
     verdict, _ = sim.syscall(2, "open", "/f", flags=["O_WRONLY"])
-    assert verdict.decision is Decision.PERMIT
+    assert verdict.decision is PERMIT
     for _ in range(6):
         sim.syscall(2, "clone")  # burn ticks past the window
     verdict, _ = sim.syscall(2, "open", "/f", flags=["O_WRONLY"])
-    assert verdict.decision is Decision.DENY
+    assert verdict.decision is DENY
 
 
 # Per trapped call: (path, path2, flags).  The SACL lists /d, /d/f and /d/run
@@ -481,8 +481,7 @@ def _pinned_run(call, path_null):
     sim, pid = _pinned_sim()
     path, path2, flags = PINNED_CALL_ARGS[call]
     verdict, outcome = sim.syscall(pid, call, None if path_null else path, path2, flags)
-    error = outcome.error.value if outcome.error else None
-    return verdict.decision.value, verdict.reason.value, error, verdict.probes
+    return verdict.decision, verdict.reason, outcome.error, verdict.probes
 
 
 def test_every_trapped_call_pinned_through_syscall():
@@ -514,5 +513,5 @@ def test_probes_count_the_sacl_fetches_made():
         path, path2, flags = PINNED_CALL_ARGS[call]
         verdict, _ = sim.syscall(pid, call, None if path_null else path, path2, flags)
         assert verdict.probes == entries.gets, (call, path_null, options)
-    assert verdict.reason is Reason.WHITELIST_MISS
+    assert verdict.reason is WHITELIST_MISS
     assert verdict.probes == 0

@@ -3,7 +3,10 @@
 import pytest
 
 from hvguard.guest import (
-    ErrorCode,
+    BAD_ADDRESS,
+    BAD_FILE_DESCRIPTOR,
+    NO_SUCH_FILE,
+    PERMISSION_DENIED,
     Guest,
     CALL_FAMILY,
     CLONE,
@@ -13,8 +16,8 @@ from hvguard.guest import (
     TRAPPED_CALLS,
     _nulled_outcome,
 )
-from hvguard.mediator import Reason, Verdict, apply_verdict
-from hvguard.sacl import Decision, PermissionOctets
+from hvguard.mediator import SACL_DENY, Verdict, apply_verdict
+from hvguard.sacl import DENY, PermissionOctets
 
 RW = PermissionOctets(6, 4, 4)
 DIR = PermissionOctets(7, 5, 5)
@@ -109,13 +112,13 @@ def test_add_file_bad_path(path):
 def test_open_missing_file():
     guest, pid = make_guest()
     out = guest.execute_syscall(ev(pid, "open", "/tokens/nope", flags=["O_RDONLY"]))
-    assert out.error is ErrorCode.NO_SUCH_FILE
+    assert out.error is NO_SUCH_FILE
 
 
 def test_open_create_in_missing_directory():
     guest, pid = make_guest()
     out = guest.execute_syscall(ev(pid, "open", "/tokens/x", flags=["O_CREAT", "O_WRONLY"]))
-    assert out.error is ErrorCode.NO_SUCH_FILE
+    assert out.error is NO_SUCH_FILE
 
 
 def test_open_create_then_reopen():
@@ -129,7 +132,7 @@ def test_guest_perms_enforced_for_non_root():
     guest, _ = make_guest()
     other = guest.spawn_process(1, 2000, 2000)
     out = guest.execute_syscall(ev(other, "open", "/home/user/a.txt", flags=["O_WRONLY"]))
-    assert out.error is ErrorCode.PERMISSION_DENIED
+    assert out.error is PERMISSION_DENIED
     # read bit is set for others
     assert guest.execute_syscall(ev(other, "open", "/home/user/a.txt", flags=["O_RDONLY"])).success
 
@@ -151,22 +154,22 @@ def test_rename_moves_tree_entry():
 def test_rename_missing_source():
     guest, pid = make_guest()
     out = guest.execute_syscall(ev(pid, "rename", "/home/user/nope", "/home/user/b"))
-    assert out.error is ErrorCode.NO_SUCH_FILE
+    assert out.error is NO_SUCH_FILE
 
 
 def test_unlink_and_truncate():
     guest, pid = make_guest()
     assert guest.execute_syscall(ev(pid, "truncate", "/home/user/a.txt")).success
     assert guest.execute_syscall(ev(pid, "unlink", "/home/user/a.txt")).success
-    assert guest.execute_syscall(ev(pid, "unlink", "/home/user/a.txt")).error is ErrorCode.NO_SUCH_FILE
+    assert guest.execute_syscall(ev(pid, "unlink", "/home/user/a.txt")).error is NO_SUCH_FILE
 
 
 def test_link_and_symlink():
     guest, pid = make_guest()
     assert guest.execute_syscall(ev(pid, "link", "/home/user/a.txt", "/home/user/hard")).success
-    assert guest.execute_syscall(ev(pid, "link", "/home/user/nope", "/home/user/x")).error is ErrorCode.NO_SUCH_FILE
+    assert guest.execute_syscall(ev(pid, "link", "/home/user/nope", "/home/user/x")).error is NO_SUCH_FILE
     # a directory gets no second name
-    assert guest.execute_syscall(ev(pid, "link", "/home/user", "/home/user/d")).error is ErrorCode.PERMISSION_DENIED
+    assert guest.execute_syscall(ev(pid, "link", "/home/user", "/home/user/d")).error is PERMISSION_DENIED
     assert "/home/user/d" not in guest.files
     # symlink target may dangle
     assert guest.execute_syscall(ev(pid, "symlink", "/home/user/nope", "/home/user/soft")).success
@@ -175,12 +178,12 @@ def test_link_and_symlink():
 def test_execve_semantics():
     guest, pid = make_guest()
     assert guest.execute_syscall(ev(pid, "execve", "/home/user/run")).success
-    assert guest.execute_syscall(ev(pid, "execve", "/home/user/neverthere")).error is ErrorCode.NO_SUCH_FILE
+    assert guest.execute_syscall(ev(pid, "execve", "/home/user/neverthere")).error is NO_SUCH_FILE
     guest.add_file("/home/user/noexec", 1000, 1000, PermissionOctets(6, 4, 4))
-    assert guest.execute_syscall(ev(pid, "execve", "/home/user/noexec")).error is ErrorCode.PERMISSION_DENIED
+    assert guest.execute_syscall(ev(pid, "execve", "/home/user/noexec")).error is PERMISSION_DENIED
 
 
-_A, _FD = ErrorCode.BAD_ADDRESS, ErrorCode.BAD_FILE_DESCRIPTOR
+_A, _FD = BAD_ADDRESS, BAD_FILE_DESCRIPTOR
 # Per trapped call: its nulled-slot error with read-only flags, then with
 # write flags.
 NULLED_ERRORS = {
@@ -221,8 +224,8 @@ def test_nulled_slot_error_codes():
     for call, (read_only, write) in NULLED_ERRORS.items():
         assert nulled_error(call, frozenset({"O_RDONLY"})) is read_only, call
         assert nulled_error(call, frozenset({"O_WRONLY"})) is write, call
-    assert nulled_error("open", frozenset({"O_CREAT", "O_WRONLY"})) is ErrorCode.BAD_FILE_DESCRIPTOR
-    assert nulled_error("openat", frozenset()) is ErrorCode.BAD_ADDRESS
+    assert nulled_error("open", frozenset({"O_CREAT", "O_WRONLY"})) is BAD_FILE_DESCRIPTOR
+    assert nulled_error("openat", frozenset()) is BAD_ADDRESS
 
 
 def test_hard_denied_calls_reach_the_guest_only_nulled():
@@ -238,17 +241,17 @@ def test_hard_denied_calls_reach_the_guest_only_nulled():
 def test_nulled_slot_outcomes_through_guest():
     guest, pid = make_guest()
     out = guest.execute_syscall(ev(pid, "execve", None))
-    assert out.error is ErrorCode.BAD_ADDRESS
+    assert out.error is BAD_ADDRESS
     out = guest.execute_syscall(ev(pid, "open", None, flags=["O_CREAT", "O_WRONLY"]))
-    assert out.error is ErrorCode.BAD_FILE_DESCRIPTOR
+    assert out.error is BAD_FILE_DESCRIPTOR
     out = guest.execute_syscall(ev(pid, "init_module", None))
-    assert out.error is ErrorCode.BAD_FILE_DESCRIPTOR
+    assert out.error is BAD_FILE_DESCRIPTOR
 
 
 def test_outcome_success_carries_no_code():
     assert SyscallOutcome().error is None
     assert SyscallOutcome().success
-    assert not SyscallOutcome(ErrorCode.NO_SUCH_FILE).success
+    assert not SyscallOutcome(NO_SUCH_FILE).success
 
 
 def test_event_paths_must_be_absolute_or_null():
@@ -306,7 +309,7 @@ def test_event_replace_and_make_validate():
 def test_nulled_and_deny_verdict_null_only_the_first_slot():
     event = SyscallEvent(7, 2, "rename", "/a", "/b", frozenset({"X"}))
     expected = SyscallEvent(7, 2, "rename", None, "/b", frozenset({"X"}))
-    deny = Verdict(Decision.DENY, Reason.SACL_DENY, (), 0, 0, True, 1)
+    deny = Verdict(DENY, SACL_DENY, (), 0, 0, True, 1)
     for forwarded in (event.nulled(), apply_verdict(event, deny)):
         assert type(forwarded) is SyscallEvent
         assert forwarded == expected
@@ -325,7 +328,7 @@ def test_root_dir_node_is_one_shared_root_owned_755_directory():
     assert root.perms == PermissionOctets(7, 5, 5)
 
 
-@pytest.mark.parametrize("uid, expected", [(0, None), (1000, ErrorCode.PERMISSION_DENIED)])
+@pytest.mark.parametrize("uid, expected", [(0, None), (1000, PERMISSION_DENIED)])
 def test_root_level_parent_checks(uid, expected):
     # "/" is root-owned 755: only uid 0 may create, rename, unlink or link
     # directly under it, whoever owns the file itself.
@@ -344,7 +347,7 @@ def test_root_level_parent_checks(uid, expected):
     assert set(guest.files) == after
 
 
-DENIED = ErrorCode.PERMISSION_DENIED
+DENIED = PERMISSION_DENIED
 
 
 @pytest.mark.parametrize(

@@ -45,7 +45,7 @@ def test_from_text_matches_the_octal_rule():
         valid += 1
         octets = PermissionOctets.from_text(text)
         assert octets == expected
-        assert octets.to_text() == text
+        assert f"{octets.user}{octets.group}{octets.other}" == text
         # An equal text built separately maps to the very same instance.
         assert PermissionOctets.from_text("".join(list(text))) is octets
     assert valid == 512

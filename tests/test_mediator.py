@@ -5,12 +5,24 @@ import sys
 
 import pytest
 
-from hvguard.guest import CALL_FAMILY, HANDLE, IMAGE, KEXEC, ErrorCode, Guest, SyscallEvent
+from hvguard.guest import (
+    BAD_ADDRESS,
+    BAD_FILE_DESCRIPTOR,
+    CALL_FAMILY,
+    HANDLE,
+    IMAGE,
+    KEXEC,
+    Guest,
+    SyscallEvent,
+)
 from hvguard.mediator import (
+    HARD_DENIED_CALL,
+    SACL_DENY,
+    UNAUTHENTICATED,
+    WHITELIST_MISS,
     AuthConfig,
     OwnershipTable,
     PolicyOptions,
-    Reason,
     Verdict,
     apply_verdict,
     is_authenticated,
@@ -19,7 +31,7 @@ from hvguard.mediator import (
     token_response,
     try_token_auth,
 )
-from hvguard.sacl import AccessKind, Decision, PermissionOctets, parse_sacl
+from hvguard.sacl import DENY, EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, PermissionOctets, parse_sacl
 from sha512_oracle import sha512_hex
 
 # Module loading, kernel swapping and the two handle-based calls.
@@ -90,7 +102,7 @@ def test_resolve_owner_record_is_authoritative():
 # -- required checks --------------------------------------------------------
 
 
-R, W, X = AccessKind.READ, AccessKind.WRITE, AccessKind.EXECUTE
+R, W, X = READ_BIT, WRITE_BIT, EXECUTE_BIT
 
 
 def pairs(event):
@@ -193,22 +205,22 @@ def test_hard_denied_calls_always_deny():
     assert len(HARD_DENIED_CALLS) == 5
     for call in HARD_DENIED_CALLS:
         verdict = decide(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
-        assert verdict.decision is Decision.DENY
-        assert verdict.reason is Reason.HARD_DENIED_CALL
+        assert verdict.decision is DENY
+        assert verdict.reason is HARD_DENIED_CALL
 
 
 def test_sacl_deny_root_write_to_shadow():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
     table.on_fork(2, 0, 0)
     verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
-    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.SACL_DENY)
-    assert ("/etc/shadow", AccessKind.WRITE, Decision.DENY) in verdict.checks
+    assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
+    assert ("/etc/shadow", WRITE_BIT, DENY) in verdict.checks
 
 
 def test_unlisted_path_permits_by_default():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
     verdict = decide(ev("open", "/tmp/scratch", flags=["O_WRONLY"]), (1000, 1000), sacl, table, options, config, sessions)
-    assert verdict.decision is Decision.PERMIT
+    assert verdict.decision is PERMIT
 
 
 def test_unauthenticated_denies_only_listed_paths():
@@ -219,9 +231,9 @@ def test_unauthenticated_denies_only_listed_paths():
     table.on_fork(2, 1000, 1000)
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=5)
     verdict = decide(listed, (1000, 1000), sacl, table, options, config, sessions)
-    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+    assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     unlisted = ev("open", "/tmp/free", flags=["O_WRONLY"], seq=6)
-    assert decide(unlisted, (1000, 1000), sacl, table, options, config, sessions).decision is Decision.PERMIT
+    assert decide(unlisted, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
 
 
 def test_unauthenticated_denied_when_only_a_later_path_is_listed():
@@ -230,11 +242,11 @@ def test_unauthenticated_denied_when_only_a_later_path_is_listed():
     sacl, table, options, config, sessions = fresh_state("/vault 777 1000 1000\n", secrets={1000: "s"})
     table.on_fork(2, 1000, 1000)
     verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
-    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+    assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     assert verdict.probes == 4
     sessions[1000] = 10  # authenticated: the 777 rule permits the same call
     verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
-    assert verdict.decision is Decision.PERMIT
+    assert verdict.decision is PERMIT
 
 
 def test_token_then_listed_write_permits_until_expiry():
@@ -247,14 +259,14 @@ def test_token_then_listed_write_permits_until_expiry():
     token = "/tokens/111" + token_response("111", "gatekeeper")
     token_ev = ev("open", token, flags=["O_CREAT", "O_WRONLY"], seq=10)
     verdict = decide(token_ev, (1000, 1000), sacl, table, options, config, sessions)
-    assert verdict.decision is Decision.PERMIT  # the artificial open itself is unlisted
+    assert verdict.decision is PERMIT  # the artificial open itself is unlisted
 
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=20)
-    assert decide(listed, (1000, 1000), sacl, table, options, config, sessions).decision is Decision.PERMIT
+    assert decide(listed, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
 
     late = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=311)
     verdict = decide(late, (1000, 1000), sacl, table, options, config, sessions)
-    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+    assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
 
 
 def test_exec_whitelist_miss_and_hit():
@@ -263,9 +275,9 @@ def test_exec_whitelist_miss_and_hit():
     )
     table.on_fork(2, 1000, 1000)
     hit = decide(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, config, sessions)
-    assert hit.decision is Decision.PERMIT
+    assert hit.decision is PERMIT
     miss = decide(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, config, sessions)
-    assert (miss.decision, miss.reason) == (Decision.DENY, Reason.WHITELIST_MISS)
+    assert (miss.decision, miss.reason) == (DENY, WHITELIST_MISS)
 
 
 def test_exec_whitelist_listed_but_no_execute_bit():
@@ -273,7 +285,7 @@ def test_exec_whitelist_listed_but_no_execute_bit():
         "/home/user/doc 644 1000 1000\n", exec_whitelist=True
     )
     verdict = decide(ev("execve", "/home/user/doc"), (1000, 1000), sacl, table, options, config, sessions)
-    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.SACL_DENY)
+    assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
 
 
 def test_mismatched_claims_use_fork_time_credentials():
@@ -283,14 +295,14 @@ def test_mismatched_claims_use_fork_time_credentials():
     verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert verdict.mismatch
     assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
-    assert verdict.decision is Decision.DENY
+    assert verdict.decision is DENY
 
 
 def test_exit_and_clone_are_permitted_without_checks():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
     for call in ("exit", "exit_group", "clone"):
         verdict = decide(ev(call), (0, 0), sacl, table, options, config, sessions)
-        assert verdict.decision is Decision.PERMIT
+        assert verdict.decision is PERMIT
         assert verdict.checks == ()
 
 
@@ -301,7 +313,7 @@ def test_apply_verdict_nulls_first_path_slot():
     sacl, table, options, config, sessions = fresh_state("/a/x 444 0 0\n")
     event = ev("rename", "/a/x", "/b/y")
     verdict = decide(event, (1000, 1000), sacl, table, options, config, sessions)
-    assert verdict.decision is Decision.DENY
+    assert verdict.decision is DENY
     forwarded = apply_verdict(event, verdict)
     assert forwarded.path is None
     assert forwarded.path2 == "/b/y"
@@ -328,21 +340,21 @@ def test_denial_never_raises_and_yields_guest_error():
     table.on_fork(pid, 0, 0)
 
     cases = [
-        (ev("open", "/a/x", flags=["O_WRONLY"], pid=pid), ErrorCode.BAD_FILE_DESCRIPTOR),
-        (ev("open", "/a/x", flags=["O_RDONLY"], pid=pid), ErrorCode.BAD_ADDRESS),
-        (ev("rename", "/a/x", "/a/y", pid=pid), ErrorCode.BAD_ADDRESS),
-        (ev("unlink", "/a/x", pid=pid), ErrorCode.BAD_ADDRESS),
-        (ev("truncate", "/a/x", pid=pid), ErrorCode.BAD_ADDRESS),
-        (ev("execve", "/a/x", pid=pid), ErrorCode.BAD_ADDRESS),
-        (ev("init_module", "/etc/mod.ko", pid=pid), ErrorCode.BAD_FILE_DESCRIPTOR),
-        (ev("finit_module", "/etc/mod.ko", pid=pid), ErrorCode.BAD_FILE_DESCRIPTOR),
-        (ev("kexec_load", "/etc/mod.ko", pid=pid), ErrorCode.BAD_ADDRESS),
-        (ev("open_by_handle_at", "/a/x", pid=pid), ErrorCode.BAD_FILE_DESCRIPTOR),
-        (ev("name_to_handle_at", "/a/x", pid=pid), ErrorCode.BAD_ADDRESS),
+        (ev("open", "/a/x", flags=["O_WRONLY"], pid=pid), BAD_FILE_DESCRIPTOR),
+        (ev("open", "/a/x", flags=["O_RDONLY"], pid=pid), BAD_ADDRESS),
+        (ev("rename", "/a/x", "/a/y", pid=pid), BAD_ADDRESS),
+        (ev("unlink", "/a/x", pid=pid), BAD_ADDRESS),
+        (ev("truncate", "/a/x", pid=pid), BAD_ADDRESS),
+        (ev("execve", "/a/x", pid=pid), BAD_ADDRESS),
+        (ev("init_module", "/etc/mod.ko", pid=pid), BAD_FILE_DESCRIPTOR),
+        (ev("finit_module", "/etc/mod.ko", pid=pid), BAD_FILE_DESCRIPTOR),
+        (ev("kexec_load", "/etc/mod.ko", pid=pid), BAD_ADDRESS),
+        (ev("open_by_handle_at", "/a/x", pid=pid), BAD_FILE_DESCRIPTOR),
+        (ev("name_to_handle_at", "/a/x", pid=pid), BAD_ADDRESS),
     ]
     for event, expected in cases:
         verdict = decide(event, (0, 0), sacl, table, options, config, sessions)
-        assert verdict.decision is Decision.DENY, event.call
+        assert verdict.decision is DENY, event.call
         outcome = guest.execute_syscall(apply_verdict(event, verdict))
         assert outcome.error is expected, event.call
 
@@ -353,7 +365,7 @@ def test_immutability_pattern_write_bits_clear():
         for gid in (0, uid):
             event = ev("open", "/locked", flags=["O_WRONLY"])
             verdict = decide(event, (uid, gid), sacl, table, options, config, sessions)
-            assert verdict.decision is Decision.DENY, (uid, gid)
+            assert verdict.decision is DENY, (uid, gid)
 
 
 def test_hard_denied_product_space():
@@ -376,8 +388,8 @@ def test_hard_denied_product_space():
                     ev(call, "/x", seq=5), uid, gid, sacl, table, PolicyOptions(), config, sessions
                 )
                 assert (verdict.decision, verdict.reason) == (
-                    Decision.DENY,
-                    Reason.HARD_DENIED_CALL,
+                    DENY,
+                    HARD_DENIED_CALL,
                 )
 
 
@@ -406,12 +418,17 @@ def test_a_hit_makes_the_same_calls_as_a_miss():
     config = AuthConfig()
     hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, config)
     miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, config)
-    assert hit.decision is miss.decision is Decision.PERMIT
-    assert hit.checks == (("/etc/listed", R, Decision.PERMIT),)
+    assert hit.decision is miss.decision is PERMIT
+    assert hit.checks == (("/etc/listed", R, PERMIT),)
     # No session check for a uid without a secret, and the cascade runs
     # inside check_access, which a miss calls too.
     assert hit_calls == miss_calls
     assert "check_access" in hit_calls
+    # No token attempt without a secret: no uid could verify one.
+    assert "try_token_auth" not in hit_calls
+    with_secret = AuthConfig(secrets={1: "s"})
+    _, secret_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, with_secret)
+    assert "try_token_auth" in secret_calls
 
 
 def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
@@ -419,7 +436,7 @@ def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
     config = AuthConfig(secrets={1000: "s"})
     verdict, called = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, config)
     assert "is_authenticated" in called
-    assert (verdict.decision, verdict.reason) == (Decision.DENY, Reason.UNAUTHENTICATED)
+    assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     _, called = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, config)
     assert "is_authenticated" not in called
 
@@ -429,7 +446,7 @@ def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
 
 def test_verdict_fields_positional_construction_and_immutability():
     names = ("decision", "reason", "checks", "resolved_uid", "resolved_gid", "mismatch", "probes")
-    values = (Decision.DENY, Reason.SACL_DENY, (("/f", W, Decision.DENY),), 1000, 100, True, 1)
+    values = (DENY, SACL_DENY, (("/f", W, DENY),), 1000, 100, True, 1)
     verdict = Verdict(*values)
     assert tuple(getattr(verdict, name) for name in names) == values
     for name in names:

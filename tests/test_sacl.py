@@ -6,8 +6,8 @@ import pytest
 
 from hvguard.guest import Guest, GuestFile
 from hvguard.sacl import (
-    AccessKind,
-    Decision,
+    DENY,
+    PERMIT,
     PermissionOctets,
     Sacl,
     SaclRule,
@@ -48,7 +48,8 @@ def test_parse_empty_input():
 
 def test_parse_tabs_and_extra_spaces():
     sacl = parse_sacl("/a\t644\t1000   1000\n")
-    assert sacl.lookup("/a").perms.to_text() == "644"
+    p = sacl.lookup("/a").perms
+    assert f"{p.user}{p.group}{p.other}" == "644"
 
 
 @pytest.mark.parametrize(
@@ -98,7 +99,8 @@ def test_lookup_after_remove_is_absent():
 def sacl_text(sacl):
     """One canonical row per entry, as the SACL file format writes it."""
     return "".join(
-        f"{path} {r.perms.to_text()} {r.owner_uid} {r.owner_gid}\n" for path, r in sacl.entries.items()
+        f"{path} {r.perms.user}{r.perms.group}{r.perms.other} {r.owner_uid} {r.owner_gid}\n"
+        for path, r in sacl.entries.items()
     )
 
 
@@ -123,7 +125,7 @@ def granted_octet(node, uid, gid):
     """The octet governing a requester, read back from check_access one bit
     at a time."""
     bits = (READ_BIT, WRITE_BIT, EXECUTE_BIT)
-    return sum(bit for bit in bits if check_access(node, uid, gid, bit) is Decision.PERMIT)
+    return sum(bit for bit in bits if check_access(node, uid, gid, bit) is PERMIT)
 
 
 def test_effective_octet_cascade():
@@ -157,29 +159,29 @@ def test_effective_octet_selects_exactly_one():
 
 def test_check_access_root_write_denied():
     rule = parse_sacl("/etc/shadow 400 0 0\n").lookup("/etc/shadow")
-    assert check_access(rule, 0, 0, AccessKind.WRITE) is Decision.DENY
-    assert check_access(rule, 0, 0, AccessKind.READ) is Decision.PERMIT
+    assert check_access(rule, 0, 0, WRITE_BIT) is DENY
+    assert check_access(rule, 0, 0, READ_BIT) is PERMIT
 
 
 def test_check_access_absent_uses_default():
     rule = Sacl().lookup("/anything")
     assert rule is None
     for bits in range(1, 8):
-        assert check_access(rule, 5, 5, bits) is Decision.PERMIT
+        assert check_access(rule, 5, 5, bits) is PERMIT
 
 
 def test_check_access_all_bits_set():
     rule = parse_sacl("/f 777 0 0\n").lookup("/f")
     for uid, gid in [(0, 0), (1, 0), (1, 1), (999, 42)]:
         for bits in range(1, 8):
-            assert check_access(rule, uid, gid, bits) is Decision.PERMIT
+            assert check_access(rule, uid, gid, bits) is PERMIT
 
 
 def test_check_access_is_pure():
     sacl = parse_sacl("/f 640 10 20\n")
     before = dict(sacl.entries)
-    first = check_access(sacl.lookup("/f"), 10, 20, AccessKind.WRITE)
-    second = check_access(sacl.lookup("/f"), 10, 20, AccessKind.WRITE)
+    first = check_access(sacl.lookup("/f"), 10, 20, WRITE_BIT)
+    second = check_access(sacl.lookup("/f"), 10, 20, WRITE_BIT)
     assert first is second
     assert sacl.entries == before
 
@@ -197,7 +199,7 @@ def test_check_access_multi_bit_masks_brute_force():
             for mask in range(1, 8):
                 wanted = format(mask, "03b")
                 allowed = all(g == "1" for g, w in zip(granted, wanted) if w == "1")
-                expected = Decision.PERMIT if allowed else Decision.DENY
+                expected = PERMIT if allowed else DENY
                 assert check_access(rule, uid, gid, mask) is expected, (text, position, mask)
                 cases += 1
     assert cases == 512 * 3 * 7
@@ -237,7 +239,8 @@ def test_generate_full_sacl_large_tree_path_sets_match():
 def test_permission_octets_text_roundtrip():
     for n in range(512):
         text = f"{n >> 6 & 7}{n >> 3 & 7}{n & 7}"
-        assert PermissionOctets.from_text(text).to_text() == text
+        p = PermissionOctets.from_text(text)
+        assert f"{p.user}{p.group}{p.other}" == text
 
 
 def test_permission_octets_reject_out_of_range():

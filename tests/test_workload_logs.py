@@ -16,6 +16,10 @@ sequence, of the final file set (sorted path, owner uid, owner gid,
 permission text, is_directory) and the process count left at the end,
 which is the number of live processes.
 
+The same replays check that every logged decision, reason and outcome error
+is one of the module's string constants by identity, which the layers'
+``is`` comparisons rely on.
+
 The digests depend on the generator as much as on the simulator: they are
 re-recorded only in a benchmark change that alters ``perfbench/gen.py``,
 never to make a change to ``src/`` pass.
@@ -35,6 +39,15 @@ sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 import gen  # noqa: E402
 
 import hvguard.cli  # noqa: E402
+from hvguard import (  # noqa: E402
+    DENY,
+    ERROR_CODES,
+    HARD_DENIED_CALL,
+    PERMIT,
+    SACL_DENY,
+    UNAUTHENTICATED,
+    WHITELIST_MISS,
+)
 
 # workload: (SHA-256 of the decision log, SHA-256 of stderr), seed 7
 DIGESTS = {
@@ -122,9 +135,9 @@ def test_seed_7_decision_log_and_stderr_digests(workload, replays):
 @pytest.mark.parametrize("workload", sorted(GUEST_DIGESTS))
 def test_seed_7_outcome_and_file_set_digests(workload, replays):
     sim = replays[workload][2]
-    errors = "\n".join("none" if o.error is None else o.error.value for o in sim.outcomes)
+    errors = "\n".join("none" if o.error is None else o.error for o in sim.outcomes)
     file_set = "\n".join(
-        repr((path, f.owner_uid, f.owner_gid, f.perms.to_text(), f.is_directory))
+        repr((path, f.owner_uid, f.owner_gid, f"{f.perms.user}{f.perms.group}{f.perms.other}", f.is_directory))
         for path, f in sorted(sim.guest.files.items())
     )
     got = (
@@ -134,3 +147,18 @@ def test_seed_7_outcome_and_file_set_digests(workload, replays):
     )
     assert got == GUEST_DIGESTS[workload]
     assert set(sim.guest.processes) == sim.guest.live_pids()
+
+
+@pytest.mark.parametrize("workload", sorted(DIGESTS))
+def test_seed_7_fields_are_the_module_constants(workload, replays):
+    """apply_verdict, mediate and the guest compare with ``is``, so every
+    logged decision, reason and outcome error must be the constant itself,
+    not an equal string."""
+    sim = replays[workload][2]
+    decisions = (PERMIT, DENY)
+    reasons = (PERMIT, SACL_DENY, HARD_DENIED_CALL, UNAUTHENTICATED, WHITELIST_MISS)
+    for row in sim.decisions:
+        assert any(row.decision is d for d in decisions), row
+        assert any(row.reason is r for r in reasons), row
+    for outcome in sim.outcomes:
+        assert outcome.error is None or any(outcome.error is e for e in ERROR_CODES), outcome
