@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 
 from .bench import BENCH_CALLS, results_csv, sacl_scaling, summary_table
 from .engine import ScenarioError, run_scenario
@@ -70,6 +70,43 @@ def _read_text(path: str, error: Callable[[int, str], Exception]) -> str:
         raise error(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}") from None
 
 
+# Bytes read from the scenario file at a time.
+_READ_BLOCK_BYTES = 1 << 16
+
+
+def _scenario_pieces(path: str) -> Iterator[str]:
+    """The scenario file decoded as UTF-8, one piece of about a block at a
+    time.  Every piece but the last ends after a ``\n``: no UTF-8 sequence
+    other than that byte holds 0x0A, so each piece decodes on its own, and
+    no line break that ``str.splitlines`` knows straddles a cut.  A line
+    that runs past a block's last ``\n`` is carried, as bytes, into a
+    piece of its own.  An undecodable byte raises the ``ScenarioError``
+    that ``_read_text`` raises for the whole file, naming its line."""
+    try:
+        with open(path, "rb") as fh:
+            rest = bytearray()  # the bytes after the last "\n" read
+            while block := fh.read(_READ_BLOCK_BYTES):
+                cut = block.rfind(b"\n") + 1
+                if not cut:
+                    rest += block
+                    continue
+                view = memoryview(block)
+                start = 0
+                if rest:
+                    start = block.find(b"\n") + 1
+                    rest += view[:start]
+                    yield str(rest, "utf-8")
+                    del rest[:]
+                if start < cut:
+                    yield str(view[start:cut], "utf-8")
+                rest += view[cut:]
+            if rest:
+                yield str(rest, "utf-8")
+    except UnicodeDecodeError:
+        _read_text(path, ScenarioError)  # raises
+        raise
+
+
 def _load_secrets(path: str) -> dict[int, str]:
     def error(line_no: int, message: str) -> ValueError:
         return ValueError(f"{path}:{line_no}: {message}")
@@ -92,12 +129,13 @@ def _load_secrets(path: str) -> dict[int, str]:
     return secrets
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(produce: Callable[[Callable[[str], object]], object], out: str | None) -> None:
+    """Call ``produce`` with the write method of the --out file, or of stdout."""
     if out:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            produce(fh.write)
     else:
-        sys.stdout.write(text)
+        produce(sys.stdout.write)
 
 
 def _run_scenario_mode(args) -> int:
@@ -108,12 +146,16 @@ def _run_scenario_mode(args) -> int:
         exec_whitelist=args.whitelist_exec,
         trap_mode=args.trap_mode,
     )
-    # The scenario text is not bound to a name, so it is freed before the
-    # decision log is built.
-    result = run_scenario(
-        _read_text(args.scenario, ScenarioError), sacl=sacl, options=options, auth=auth
-    )
-    _emit(result.simulation.decision_log(), args.out)
+    pieces = _scenario_pieces(args.scenario)
+    try:
+        result = run_scenario(pieces, sacl=sacl, options=options, auth=auth)
+    except ScenarioError:
+        # An undecodable byte anywhere in the file wins over a scenario
+        # error, as when the whole file was decoded first.
+        for _ in pieces:
+            pass
+        raise
+    _emit(result.simulation.decision_log, args.out)
     print(
         f"sys events: {result.sys_events}  expect checks: {result.expect_checks}  "
         f"mismatches: {len(result.mismatches)}",
@@ -132,7 +174,7 @@ def _run_bench_mode(args) -> int:
     results = []
     for call in BENCH_CALLS:
         results.extend(sacl_scaling(call, sizes, args.reps, trap_mode=args.trap_mode, cost_model=cost_model))
-    _emit(results_csv(results), args.out)
+    _emit(lambda write: write(results_csv(results)), args.out)
     if args.out:
         print(summary_table(results))
     return 0

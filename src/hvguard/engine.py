@@ -22,7 +22,7 @@ preceding sys event: required key "decision" (permit|deny), optional
 from __future__ import annotations
 
 import json
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -179,15 +179,32 @@ class Simulation:
         )
         return apply_verdict(event, verdict), verdict
 
-    def decision_log(self) -> str:
-        """The CSV log: a header, then one line per row, each formatted once."""
-        lines = [",".join(DECISION_LOG_COLUMNS)]
-        lines += [
-            f"{seq},{pid},{call},{uid},{gid},{decision},{reason},{_CSV_BOOLS[mismatch]}"
-            for seq, pid, call, uid, gid, decision, reason, mismatch in self.decisions
-        ]
-        lines.append("")  # so the join ends the last row with a newline
-        return "\n".join(lines)
+    def decision_log(self, write: Callable[[str], object] | None = None) -> str | None:
+        """The CSV log: a header, then one line per row, each formatted once.
+
+        Returned whole; or, given ``write``, passed to it in pieces of
+        ``_LOG_PIECE_ROWS`` rows, so no string of the whole log is built.
+        """
+        pieces = _log_pieces(self.decisions)
+        if write is None:
+            return "".join(pieces)
+        for piece in pieces:
+            write(piece)
+        return None
+
+
+# Rows per piece of the decision log that decision_log hands to its writer.
+_LOG_PIECE_ROWS = 2048
+
+
+def _log_pieces(decisions: list[DecisionRow]) -> Iterator[str]:
+    """The header line, then the rows' lines, ``_LOG_PIECE_ROWS`` per piece."""
+    yield ",".join(DECISION_LOG_COLUMNS) + "\n"
+    for start in range(0, len(decisions), _LOG_PIECE_ROWS):
+        yield "".join([
+            f"{seq},{pid},{call},{uid},{gid},{decision},{reason},{_CSV_BOOLS[mismatch]}\n"
+            for seq, pid, call, uid, gid, decision, reason, mismatch in decisions[start:start + _LOG_PIECE_ROWS]
+        ])
 
 
 @dataclass
@@ -204,28 +221,37 @@ class ScenarioResult:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-# Characters per slice of the text that decode_scenario splits at a time;
-# each slice runs on to the next "\n".
+# Characters per slice that decode_scenario cuts a text argument into; each
+# slice runs on to the next "\n".
 _DECODE_SLICE_CHARS = 1 << 16
 
 
-def decode_scenario(text: str) -> Iterator[tuple[int, dict]]:
+def _slices(text: str) -> Iterator[str]:
+    start, size = 0, len(text)
+    while start < size:
+        end = text.find("\n", start + _DECODE_SLICE_CHARS) + 1 or size
+        yield text[start:end]
+        start = end
+
+
+def decode_scenario(pieces: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
     """JSON-lines to (line_no, event dict) pairs, one line at a time.
 
-    The text is split one slice at a time, so the line strings of the whole
-    text are never alive at once.  A slice ends on a "\n", which no line
-    break that ``str.splitlines`` knows straddles (not even "\r\n"), so
-    the slices' lines, and their numbers, are those of the whole text.
+    The scenario comes as pieces of text, each but the last ending on a
+    "\n"; a whole text is cut into slices of ``_DECODE_SLICE_CHARS``.  So
+    only one piece's line strings are alive at once.  No line break that
+    ``str.splitlines`` knows straddles a "\n" cut (not even "\r\n"), so
+    the pieces' lines, and their numbers, are those of the whole text.
 
     A stripped line is one JSON document exactly when ``raw_decode`` ends at
     its end; any other line goes through ``json.loads`` so that the error
     message is the one ``json.loads`` gives.
     """
-    line_no = start = 0
-    size = len(text)
-    while start < size:
-        end = text.find("\n", start + _DECODE_SLICE_CHARS) + 1 or size
-        for raw in text[start:end].splitlines():
+    if isinstance(pieces, str):
+        pieces = _slices(pieces)
+    line_no = 0
+    for piece in pieces:
+        for raw in piece.splitlines():
             line_no += 1
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -244,7 +270,6 @@ def decode_scenario(text: str) -> Iterator[tuple[int, dict]]:
             if not isinstance(obj, dict) or "ev" not in obj:
                 raise ScenarioError(line_no, "event must be an object with an 'ev' key")
             yield line_no, obj
-        start = end
 
 
 # The kind of a parsed event, its second field.
@@ -263,8 +288,9 @@ _SPAWN_FIELDS = (("parent", 1), ("uid", 0), ("gid", 0), ("pid", 1))
 _CREDENTIAL_FIELDS = (("pid", 1), ("uid", 0), ("gid", 0))
 
 
-def parse_scenario(text: str) -> list[tuple]:
-    """Scenario text to one flat tuple per event, in line order:
+def parse_scenario(text: str | Iterable[str]) -> list[tuple]:
+    """Scenario text, whole or in pieces (see ``decode_scenario``), to one
+    flat tuple per event, in line order:
 
         (line_no, SYS, pid, call, path, path2, flags)
         (line_no, EXPECT, decision, status, error)   status, error may be _ABSENT
@@ -380,12 +406,13 @@ def _int_fields(line_no: int, obj: dict, fields: tuple[tuple[str, int], ...]) ->
 
 
 def run_scenario(
-    text: str,
+    text: str | Iterable[str],
     sacl: Sacl | None = None,
     options: PolicyOptions | None = None,
     auth: AuthConfig | None = None,
 ) -> ScenarioResult:
-    """Replay a scenario; expectation mismatches are collected, not raised."""
+    """Replay a scenario, whole or in pieces (see ``decode_scenario``);
+    expectation mismatches are collected, not raised."""
     sim = Simulation(sacl=sacl, options=options, auth=auth)
     result = ScenarioResult(sim)
     last: tuple[Verdict, SyscallOutcome] | None = None

@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 import posixpath
+import re
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
@@ -193,8 +194,9 @@ def _write_with_parent(path: str | None) -> dict[str, int]:
     return {path: WRITE_BIT, posixpath.dirname(path): WRITE_BIT}
 
 
-def _is_lower_hex(text: str) -> bool:
-    return all(c in "0123456789abcdef" for c in text)
+# Whether a whole str is lowercase hex digits; "[0-9]" in a str pattern is
+# the ten ASCII digits, not every Unicode decimal.
+_is_lower_hex = re.compile("[0-9a-f]*").fullmatch
 
 
 def token_response(challenge: str, secret: str) -> str:

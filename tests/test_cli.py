@@ -2,7 +2,7 @@
 
 import pytest
 
-from hvguard import cli
+from hvguard import cli, engine
 from hvguard.cli import main
 
 
@@ -369,3 +369,98 @@ def test_switch_cost_leaves_scenario_output_unchanged(tmp_path, capsys, scenario
     assert outputs[0][0] == 0
     assert len(outputs[0][1].splitlines()) > 1
     assert outputs[0] == outputs[1]
+
+
+# -- the scenario file read in blocks -----------------------------------------
+
+# Block sizes small enough that every cut lands inside a short file, next to
+# line breaks and inside multi-byte characters.
+SMALL_BLOCKS = [1, 2, 3, 5, 7]
+
+
+def run_in_blocks(monkeypatch, capsys, args, block):
+    monkeypatch.setattr(cli, "_READ_BLOCK_BYTES", block)
+    return run_cli(args, capsys)
+
+
+def read_text_error(path):
+    """The message the whole-file decoder gives for an undecodable file."""
+    with pytest.raises(cli.ScenarioError) as excinfo:
+        cli._read_text(str(path), cli.ScenarioError)
+    return f"error: {excinfo.value}\n"
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+@pytest.mark.parametrize("sep", LINE_BREAKS, ids=ascii)
+def test_bad_byte_in_a_later_block_names_the_whole_file_line(tmp_path, monkeypatch, capsys, sep, block):
+    rows = ['{"ev":"user","uid":7,"gid":7}', '{"ev":"user","uid":8,"gid":8}', "# é ", "# ok"]
+    path = tmp_path / "s.jsonl"
+    path.write_bytes((sep.join(rows) + sep + "# ").encode() + b"\xff" + (sep + "# after").encode())
+    expected = read_text_error(path)
+    assert "0xff" in expected
+    assert run_in_blocks(monkeypatch, capsys, ["--scenario", str(path)], block) == (2, "", expected)
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS + [1 << 16])
+def test_bad_byte_after_a_json_error_is_the_error_reported(tmp_path, monkeypatch, capsys, block):
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(b'{"ev":"user","uid":7,"gid":7}\n{broken\n' + SCENARIO_DENY.encode() + b"# \xfe\n")
+    code, out, err = run_in_blocks(monkeypatch, capsys, ["--scenario", str(path)], block)
+    assert (code, out) == (2, "")
+    assert err == read_text_error(path) == "error: line 6: not UTF-8: byte 0xfe: invalid start byte\n"
+
+
+def decoded(source):
+    """The (line, event) pairs decode_scenario yields, then its error."""
+    pairs = []
+    try:
+        pairs.extend(engine.decode_scenario(source))
+    except cli.ScenarioError as exc:
+        pairs.append(str(exc))
+    return pairs
+
+
+@pytest.mark.parametrize("sep", ["\r\n", "\u2028"], ids=ascii)
+def test_pieces_cut_next_to_line_breaks_give_the_whole_text_lines(tmp_path, monkeypatch, capsys, sep):
+    """Every piece but the last ends on "\\n", the pieces join to the whole
+    text, and the decoder numbers their lines as it numbers the whole text's,
+    wherever the cuts fall around a two-character or multi-byte break."""
+    rows = ['{"ev":"user","uid":7,"gid":7}', "", "# é", '{"ev":"user","uid":8,"gid":8}', "{broken"]
+    text = sep.join(rows) + "\n" + sep.join(rows[:4]) + "\n"
+    path = tmp_path / "s.jsonl"
+    path.write_bytes(text.encode())
+    whole = run_in_blocks(monkeypatch, capsys, ["--scenario", str(path)], 1 << 16)
+    assert whole[0] == 2 and whole[2].startswith("error: line 5: bad JSON")
+    for block in SMALL_BLOCKS + [len(text.encode()) - 1]:
+        monkeypatch.setattr(cli, "_READ_BLOCK_BYTES", block)
+        pieces = list(cli._scenario_pieces(str(path)))
+        assert "".join(pieces) == text
+        assert all(piece.endswith("\n") for piece in pieces)
+        assert decoded(pieces) == decoded(text)
+        assert run_cli(["--scenario", str(path)], capsys) == whole
+
+
+@pytest.mark.parametrize("block", SMALL_BLOCKS)
+def test_file_without_final_newline_replays_as_a_whole_read(tmp_path, monkeypatch, capsys, block):
+    sacl = write(tmp_path, "s.sacl", "/etc/shadow 400 0 0\n")
+    path = write(tmp_path, "s.jsonl", SCENARIO_DENY.rstrip("\n"))
+    args = ["--sacl", sacl, "--scenario", path]
+    whole = run_in_blocks(monkeypatch, capsys, args, 1 << 16)
+    assert whole[0] == 0 and len(whole[1].splitlines()) == 2
+    monkeypatch.setattr(cli, "_READ_BLOCK_BYTES", block)
+    assert list(cli._scenario_pieces(path))[-1] == '{"ev":"expect","decision":"deny"}'
+    assert run_cli(args, capsys) == whole
+
+
+@pytest.mark.parametrize("block", [1, 1 << 16])
+def test_empty_and_missing_scenario_files(tmp_path, monkeypatch, capsys, block):
+    empty = write(tmp_path, "empty.jsonl", "")
+    assert list(cli._scenario_pieces(empty)) == []
+    assert run_in_blocks(monkeypatch, capsys, ["--scenario", empty], block) == (
+        0, "seq,pid,call,resolved_uid,resolved_gid,decision,reason,mismatch\n",
+        "sys events: 0  expect checks: 0  mismatches: 0\n",
+    )
+    missing = tmp_path / "absent.jsonl"
+    assert run_cli(["--scenario", str(missing)], capsys) == (
+        2, "", f"error: [Errno 2] No such file or directory: {str(missing)!r}\n"
+    )

@@ -176,6 +176,42 @@ def test_decision_log_row_per_sys_event():
     assert len(log) == 1 + 3
 
 
+def _log_pieces(sim):
+    pieces = []
+    assert sim.decision_log(pieces.append) is None
+    return pieces
+
+
+@pytest.mark.parametrize("name", ["exec_whitelist", "insmod_deny", "preauth_write_deny",
+                                  "root_passwd_deny", "sudo_deny", "token_auth_write"])
+def test_decision_log_pieces_join_to_the_whole_log(scenario_dir, name):
+    sim = run_scenario((scenario_dir / f"{name}.jsonl").read_text()).simulation
+    pieces = _log_pieces(sim)
+    assert len(pieces) == 2  # the header, then the rows
+    assert "".join(pieces) == sim.decision_log()
+
+
+def test_decision_log_is_written_a_piece_of_rows_at_a_time():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=2)
+    rows = 2 * engine._LOG_PIECE_ROWS + 1
+    for _ in range(rows):
+        sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
+    pieces = _log_pieces(sim)
+    assert [piece.count("\n") for piece in pieces] == [1, engine._LOG_PIECE_ROWS, engine._LOG_PIECE_ROWS, 1]
+    log = sim.decision_log()
+    assert "".join(pieces) == log
+    assert log.count("\n") == 1 + rows and log.endswith(",false\n")
+
+
+def test_decode_pieces_match_whole_text():
+    whole = _decode_all(BREAKS_TEXT)
+    cuts = [i + 1 for i, c in enumerate(BREAKS_TEXT) if c == "\n"]
+    pieces = [BREAKS_TEXT[a:b] for a, b in zip([0] + cuts, cuts + [len(BREAKS_TEXT)])]
+    assert len(pieces) == 6 and pieces[-1] == '{"ev":"user","uid":5}'
+    assert _decode_all(iter(pieces)) == whole
+
+
 def test_sudo_updates_both_guest_and_table():
     sim = Simulation(sacl=parse_sacl("/etc/shadow 600 0 0\n"))
     sim.spawn(1, 1000, 1000, pid=2)

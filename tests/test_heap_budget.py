@@ -5,7 +5,7 @@ The cyclic collector walks every tracked object on each full collection, so
 a replay that keeps one object per SACL row or per parsed scenario line pays
 for it again and again.  These tests count tracked objects at the first
 trapped call, watch scenario events with weak references, and weigh the
-parsed scenario with tracemalloc.
+parsed scenario and the emitted decision log with tracemalloc.
 """
 
 import gc
@@ -16,7 +16,7 @@ import tracemalloc
 import weakref
 
 from conftest import REPO_ROOT
-from hvguard import engine
+from hvguard import cli, engine
 from hvguard.engine import Simulation, run_scenario
 from hvguard.sacl import parse_sacl
 
@@ -135,3 +135,35 @@ def test_parsed_scenario_retains_at_most_300_bytes_a_line(tmp_path):
     assert len(events) > 30_000
     assert {event[1] for event in events} >= {engine.SYS, engine.EXPECT, engine.FILE, engine.SPAWN}
     assert retained / len(events) <= BYTES_PER_LINE
+
+
+# Rows of the decision log that _emit writes: about 2 MB of text.  Written
+# whole, the log was encoded in one copy of that size.
+LOG_ROWS = 50_000
+
+
+def test_emit_never_holds_the_whole_log(tmp_path, monkeypatch):
+    """_emit writes the decision log a piece at a time: the memory it
+    allocates while it runs stays well under the size of the log."""
+    scenario = tmp_path / "s.jsonl"
+    scenario.write_text(
+        '{"ev":"spawn","pid":2,"parent":1,"uid":1000,"gid":1000}\n'
+        + '{"ev":"sys","pid":2,"call":"open","path":"/missing","flags":["O_RDONLY"]}\n' * LOG_ROWS
+    )
+    peaks = []
+    real_emit = cli._emit
+
+    def emit(*args):
+        tracemalloc.start()
+        try:
+            real_emit(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_emit", emit)
+    log = tmp_path / "log.csv"
+    assert cli.main(["--scenario", str(scenario), "--out", str(log)]) == 0
+    size = log.stat().st_size
+    assert size > 1_500_000
+    assert peaks[0] < size / 4

@@ -15,6 +15,7 @@ from hvguard.guest import (
     Guest,
     SyscallEvent,
 )
+from hvguard import mediator
 from hvguard.mediator import (
     HARD_DENIED_CALL,
     SACL_DENY,
@@ -190,6 +191,21 @@ def test_token_auth_ignores_non_token_paths_and_short_blobs():
     assert not try_token_auth("/home/user/x", 2, table, config, {}, 1)
     assert not try_token_auth(None, 2, table, config, {}, 1)
     assert try_token_auth("/tokens/short", 2, table, config, {}, 1)  # handled, no auth
+
+
+def _is_lower_hex_by_generator(text):
+    """The check's earlier definition, the reference for the compiled pattern."""
+    return all(c in "0123456789abcdef" for c in text)
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "0" * 128, ABCS_DIGEST, ABCS_DIGEST.upper(), "ABCDEF", "٣", "²", "١٠", "0" * 127 + "٣",
+     " " + "a" * 127, "a" * 127 + " ", "ab cd", "ab\ncd", "ab\n", "\n", "ab\0cd", "\0", "abcdefg", "0x1f"],
+    ids=ascii,
+)
+def test_lower_hex_check_matches_the_generator_definition(text):
+    assert bool(mediator._is_lower_hex(text)) is _is_lower_hex_by_generator(text)
 
 
 def test_auth_config_validation():

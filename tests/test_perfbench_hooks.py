@@ -37,5 +37,8 @@ def test_untraced_and_traced_replay_pass(tmp_path):
     assert layers
     # parse_scenario is wrapped where run_scenario looks it up, so it is timed.
     assert layers["engine.parse_scenario_s"] > 0
+    # _emit calls decision_log with the output's write, so both spans are timed.
+    assert layers["engine.decision_log_s"] > 0
+    assert layers["cli.emit_s"] > 0
     # Each probe a verdict counts is one SACL dict fetch the trace records.
     assert layers["sacl.probes"] == round(layers["mediator.probes_per_call"] * result["sys_events"])
