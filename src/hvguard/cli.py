@@ -11,7 +11,7 @@ import sys
 from collections.abc import Callable, Iterator
 
 from .bench import BENCH_CALLS, results_csv, sacl_scaling, summary_table
-from .engine import ScenarioError, run_scenario
+from .engine import ScenarioError, line_pieces, run_scenario
 from .guest import GuestError
 from .mediator import AuthConfig, PolicyOptions
 from .sacl import Sacl, SaclParseError, is_decimal, parse_sacl
@@ -70,38 +70,13 @@ def _read_text(path: str, error: Callable[[int, str], Exception]) -> str:
         raise error(line_no, f"not UTF-8: byte 0x{data[exc.start]:02x}: {exc.reason}") from None
 
 
-# Bytes read from the scenario file at a time.
-_READ_BLOCK_BYTES = 1 << 16
-
-
 def _scenario_pieces(path: str) -> Iterator[str]:
-    """The scenario file decoded as UTF-8, one piece of about a block at a
-    time.  Every piece but the last ends after a ``\n``: no UTF-8 sequence
-    other than that byte holds 0x0A, so each piece decodes on its own, and
-    no line break that ``str.splitlines`` knows straddles a cut.  A line
-    that runs past a block's last ``\n`` is carried, as bytes, into a
-    piece of its own.  An undecodable byte raises the ``ScenarioError``
-    that ``_read_text`` raises for the whole file, naming its line."""
+    """The scenario file decoded as UTF-8, cut by ``line_pieces``.  An
+    undecodable byte raises the ``ScenarioError`` that ``_read_text``
+    raises for the whole file, naming its line."""
     try:
-        with open(path, "rb") as fh:
-            rest = bytearray()  # the bytes after the last "\n" read
-            while block := fh.read(_READ_BLOCK_BYTES):
-                cut = block.rfind(b"\n") + 1
-                if not cut:
-                    rest += block
-                    continue
-                view = memoryview(block)
-                start = 0
-                if rest:
-                    start = block.find(b"\n") + 1
-                    rest += view[:start]
-                    yield str(rest, "utf-8")
-                    del rest[:]
-                if start < cut:
-                    yield str(view[start:cut], "utf-8")
-                rest += view[cut:]
-            if rest:
-                yield str(rest, "utf-8")
+        with open(path, encoding="utf-8", newline="") as fh:
+            yield from line_pieces(fh)
     except UnicodeDecodeError:
         _read_text(path, ScenarioError)  # raises
         raise

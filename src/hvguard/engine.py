@@ -21,10 +21,11 @@ preceding sys event: required key "decision" (permit|deny), optional
 
 from __future__ import annotations
 
+import io
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, TextIO
 
 from .guest import CALL_FAMILY, ERROR_CODES, EXIT, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
 from .mediator import (
@@ -221,34 +222,34 @@ class ScenarioResult:
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-# Characters per slice that decode_scenario cuts a text argument into; each
-# slice runs on to the next "\n".
-_DECODE_SLICE_CHARS = 1 << 16
+# Characters read from a scenario stream at a time.
+_PIECE_CHARS = 1 << 16
 
 
-def _slices(text: str) -> Iterator[str]:
-    start, size = 0, len(text)
-    while start < size:
-        end = text.find("\n", start + _DECODE_SLICE_CHARS) + 1 or size
-        yield text[start:end]
-        start = end
+def line_pieces(stream: TextIO) -> Iterator[str]:
+    """The text of a ``newline=""`` stream in pieces of about
+    ``_PIECE_CHARS`` characters, each ending where a line ends.  Such a
+    stream's ``readline`` stops after "\n", "\r" or "\r\n" and never
+    splits "\r\n", so no line break that ``str.splitlines`` knows
+    straddles a cut."""
+    while piece := stream.read(_PIECE_CHARS):
+        yield piece + stream.readline()
 
 
 def decode_scenario(pieces: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
     """JSON-lines to (line_no, event dict) pairs, one line at a time.
 
-    The scenario comes as pieces of text, each but the last ending on a
-    "\n"; a whole text is cut into slices of ``_DECODE_SLICE_CHARS``.  So
-    only one piece's line strings are alive at once.  No line break that
-    ``str.splitlines`` knows straddles a "\n" cut (not even "\r\n"), so
-    the pieces' lines, and their numbers, are those of the whole text.
+    The scenario comes as pieces of text that each end where a line ends,
+    as ``line_pieces`` cuts them; a whole text is cut the same way.  So
+    only one piece's line strings are alive at once, and the pieces'
+    lines, and their numbers, are those of the whole text.
 
     A stripped line is one JSON document exactly when ``raw_decode`` ends at
     its end; any other line goes through ``json.loads`` so that the error
     message is the one ``json.loads`` gives.
     """
     if isinstance(pieces, str):
-        pieces = _slices(pieces)
+        pieces = line_pieces(io.StringIO(pieces, newline=""))
     line_no = 0
     for piece in pieces:
         for raw in piece.splitlines():
@@ -289,8 +290,8 @@ _CREDENTIAL_FIELDS = (("pid", 1), ("uid", 0), ("gid", 0))
 
 
 def parse_scenario(text: str | Iterable[str]) -> list[tuple]:
-    """Scenario text, whole or in pieces (see ``decode_scenario``), to one
-    flat tuple per event, in line order:
+    """Scenario text, whole or in pieces that end where lines end (see
+    ``decode_scenario``), to one flat tuple per event, in line order:
 
         (line_no, SYS, pid, call, path, path2, flags)
         (line_no, EXPECT, decision, status, error)   status, error may be _ABSENT
@@ -452,9 +453,6 @@ def run_scenario(
             raise
         except (GuestError, ValueError) as exc:
             raise ScenarioError(event[0], str(exc)) from None
-        except KeyError as exc:
-            # str() of a KeyError quotes its message.
-            raise ScenarioError(event[0], exc.args[0]) from None
     return result
 
 

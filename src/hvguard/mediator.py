@@ -81,7 +81,7 @@ class OwnershipTable:
     def on_sudo(self, pid: int, new_uid: int, new_gid: int) -> None:
         """Legitimate ownership change of a tracked pid."""
         if pid not in self._records:
-            raise KeyError(f"pid {pid} not tracked")
+            raise ValueError(f"pid {pid} not tracked")
         self._records[pid] = OwnershipRecord(new_uid, new_gid)
 
     def on_exit(self, pid: int) -> None:

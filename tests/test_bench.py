@@ -1,19 +1,26 @@
 """Benchmark harness: scenario invariants, determinism, CSV contract."""
 
+from pathlib import Path
+
 import pytest
 
+from hvguard import cli, engine
 from hvguard.bench import (
     BenchScenario,
     CSV_COLUMNS,
     ScenarioKind,
+    _TimedSimulation,
     results_csv,
     run_workload,
     sacl_scaling,
     summary_table,
 )
-from hvguard.engine import Simulation
+from hvguard.engine import Simulation, run_scenario
 from hvguard.guest import Guest
+from hvguard.mediator import AuthConfig, PolicyOptions
+from hvguard.sacl import parse_sacl
 from hvguard.trap import CostModel, TrapMode
+from test_acceptance import TRANSCRIPTS, _transcript_args
 
 
 def test_s1_has_no_traps_and_unit_ratio():
@@ -41,6 +48,31 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
     calls.clear()
     run_workload("rename", n, BenchScenario(ScenarioKind.S1_NO_TRAP))
     assert calls == []
+
+
+@pytest.mark.parametrize("mode", list(TrapMode), ids=lambda mode: mode.value)
+def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir, mode):
+    """_TimedSimulation copies Simulation._on_trap to time mediation; over
+    the bundled transcripts the copy gives the same log, outcomes, trap
+    records and mismatches as the original."""
+    for name, extra in TRANSCRIPTS:
+        args = cli.build_parser().parse_args(_transcript_args(scenario_dir, name, extra))
+        text = Path(args.scenario).read_text(encoding="utf-8")
+        secrets = cli._load_secrets(args.auth_secrets) if args.auth_secrets else {}
+        runs = []
+        for simulation in (Simulation, _TimedSimulation):
+            monkeypatch.setattr(engine, "Simulation", simulation)
+            result = run_scenario(
+                text,
+                sacl=parse_sacl(Path(args.sacl).read_text(encoding="utf-8")),
+                options=PolicyOptions(exec_whitelist=args.whitelist_exec, trap_mode=mode),
+                auth=AuthConfig(secrets=secrets),
+            )
+            sim = result.simulation
+            assert type(sim) is simulation
+            runs.append((sim.decision_log(), sim.outcomes, sim.records, result.mismatches))
+        assert sim.wall_ns > 0, name
+        assert runs[0] == runs[1], name
 
 
 @pytest.mark.parametrize(

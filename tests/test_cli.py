@@ -371,15 +371,15 @@ def test_switch_cost_leaves_scenario_output_unchanged(tmp_path, capsys, scenario
     assert outputs[0] == outputs[1]
 
 
-# -- the scenario file read in blocks -----------------------------------------
+# -- the scenario file read in pieces -----------------------------------------
 
-# Block sizes small enough that every cut lands inside a short file, next to
-# line breaks and inside multi-byte characters.
+# Piece sizes, in characters, small enough that every cut lands inside a short
+# file, next to line breaks and to multi-byte characters.
 SMALL_BLOCKS = [1, 2, 3, 5, 7]
 
 
 def run_in_blocks(monkeypatch, capsys, args, block):
-    monkeypatch.setattr(cli, "_READ_BLOCK_BYTES", block)
+    monkeypatch.setattr(engine, "_PIECE_CHARS", block)
     return run_cli(args, capsys)
 
 
@@ -432,7 +432,7 @@ def test_pieces_cut_next_to_line_breaks_give_the_whole_text_lines(tmp_path, monk
     whole = run_in_blocks(monkeypatch, capsys, ["--scenario", str(path)], 1 << 16)
     assert whole[0] == 2 and whole[2].startswith("error: line 5: bad JSON")
     for block in SMALL_BLOCKS + [len(text.encode()) - 1]:
-        monkeypatch.setattr(cli, "_READ_BLOCK_BYTES", block)
+        monkeypatch.setattr(engine, "_PIECE_CHARS", block)
         pieces = list(cli._scenario_pieces(str(path)))
         assert "".join(pieces) == text
         assert all(piece.endswith("\n") for piece in pieces)
@@ -447,7 +447,7 @@ def test_file_without_final_newline_replays_as_a_whole_read(tmp_path, monkeypatc
     args = ["--sacl", sacl, "--scenario", path]
     whole = run_in_blocks(monkeypatch, capsys, args, 1 << 16)
     assert whole[0] == 0 and len(whole[1].splitlines()) == 2
-    monkeypatch.setattr(cli, "_READ_BLOCK_BYTES", block)
+    monkeypatch.setattr(engine, "_PIECE_CHARS", block)
     assert list(cli._scenario_pieces(path))[-1] == '{"ev":"expect","decision":"deny"}'
     assert run_cli(args, capsys) == whole
 

@@ -110,7 +110,7 @@ def test_decode_in_slices_matches_whole_text(monkeypatch, slice_chars):
     bad = BREAKS_TEXT.replace('"uid":4', '"uid":4,')
     whole_bad = _decode_all(bad)
     assert whole_bad.startswith("line 11: bad JSON")
-    monkeypatch.setattr(engine, "_DECODE_SLICE_CHARS", slice_chars)
+    monkeypatch.setattr(engine, "_PIECE_CHARS", slice_chars)
     assert _decode_all(BREAKS_TEXT) == whole
     assert _decode_all(bad) == whole_bad
 
@@ -223,7 +223,7 @@ def test_sudo_updates_both_guest_and_table():
 
 def test_refused_sudo_changes_neither_guest_nor_table():
     sim = Simulation()
-    with pytest.raises(KeyError, match="pid 1 not tracked"):
+    with pytest.raises(ValueError, match="pid 1 not tracked"):
         sim.sudo(1, 1000, 1000)  # init has no fork-time record
     init = sim.guest.processes[1]
     assert (init.claimed_uid, init.claimed_gid) == (0, 0)

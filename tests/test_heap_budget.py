@@ -5,7 +5,8 @@ The cyclic collector walks every tracked object on each full collection, so
 a replay that keeps one object per SACL row or per parsed scenario line pays
 for it again and again.  These tests count tracked objects at the first
 trapped call, watch scenario events with weak references, and weigh the
-parsed scenario and the emitted decision log with tracemalloc.
+parsed scenario, the scenario reader and the emitted decision log with
+tracemalloc.
 """
 
 import gc
@@ -135,6 +136,23 @@ def test_parsed_scenario_retains_at_most_300_bytes_a_line(tmp_path):
     assert len(events) > 30_000
     assert {event[1] for event in events} >= {engine.SYS, engine.EXPECT, engine.FILE, engine.SPAWN}
     assert retained / len(events) <= BYTES_PER_LINE
+
+
+def test_scenario_reader_never_holds_the_whole_file(tmp_path):
+    """_scenario_pieces hands the file on a piece at a time: walking all of
+    it allocates well under the size of the file."""
+    gen.generate("mixed_replay", 7, tmp_path)
+    path = tmp_path / "trace.jsonl"
+    size = path.stat().st_size
+    assert size > 1_500_000
+    tracemalloc.start()
+    try:
+        chars = sum(len(piece) for piece in cli._scenario_pieces(str(path)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chars > 1_500_000
+    assert peak < size / 4
 
 
 # Rows of the decision log that _emit writes: about 2 MB of text.  Written

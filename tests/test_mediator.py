@@ -80,7 +80,7 @@ def test_on_sudo_updates_and_requires_known_pid():
     table.on_sudo(7, 0, 0)
     assert (table.get(7).uid, table.get(7).gid) == (0, 0)
     table.on_sudo(7, 0, 0)  # idempotent, no error
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError):
         table.on_sudo(99, 0, 0)
 
 

@@ -1,8 +1,9 @@
-"""No module of the package imports a name it never uses.
+"""No module of the package imports a name it never uses, and no private
+module-level name goes unread by the package.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
-with the standard library's ``ast``.  ``__init__.py`` is skipped: its
-imports are the package's exports.
+with the standard library's ``ast``.  ``__init__.py`` is skipped by the
+import check: its imports are the package's exports.
 """
 
 import ast
@@ -11,7 +12,8 @@ import pytest
 
 from conftest import REPO_ROOT
 
-MODULES = sorted(p for p in (REPO_ROOT / "src" / "hvguard").glob("*.py") if p.name != "__init__.py")
+PACKAGE = sorted((REPO_ROOT / "src" / "hvguard").glob("*.py"))
+MODULES = [p for p in PACKAGE if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -35,3 +37,42 @@ def test_checker_sees_an_unused_name():
 @pytest.mark.parametrize("module", MODULES, ids=lambda path: path.name)
 def test_module_uses_every_name_it_imports(module):
     assert unused_imports(module.read_text(encoding="utf-8")) == []
+
+
+def unused_private_names(sources: dict[str, str]) -> list[str]:
+    """The private module-level functions, classes and assigned names
+    (``_x``, not dunders) of the named sources that none of them reads,
+    by name, as an attribute or through an import."""
+    defined, read = [], set()
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [name.id for target in targets for name in ast.walk(target) if isinstance(name, ast.Name)]
+            else:
+                continue
+            defined += [(module, node.lineno, name) for name in names
+                        if name.startswith("_") and not name.startswith("__") and name != "_"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+    return [f"{module} line {line}: {name}" for module, line, name in defined if name not in read]
+
+
+def test_checker_sees_an_unread_private_name():
+    sources = {
+        "a.py": "_A = 1\n_B: int = 2\n_c, _d = 3, 4\ndef _f(): pass\nclass _C: pass\n__all__ = []\nprint(_B, _d)\n",
+        "b.py": "import a\nfrom a import _f\na._c\n",
+    }
+    assert unused_private_names(sources) == ["a.py line 1: _A", "a.py line 5: _C"]
+
+
+def test_package_reads_every_private_name_it_defines():
+    assert unused_private_names({p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
