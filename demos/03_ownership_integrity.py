@@ -5,6 +5,8 @@ rewrites the credentials the guest kernel sees still gets decisions computed
 with the fork-time identity, and the tampering is flagged in the log.
 """
 
+import sys
+
 from hvguard import PermissionOctets, Simulation, parse_sacl
 
 sacl = parse_sacl("/home/user/secret.txt 600 1000 1000\n")
@@ -31,4 +33,5 @@ print("\nafter a trusted sudo, resolved uid:", verdict.resolved_uid)
 print("decision:", verdict.decision, "(root matches neither owner nor group octet: per-user limits bind root too)")
 
 print("\ndecision log:")
-print(sim.decision_log())
+sim.decision_log(sys.stdout.write)
+print()

@@ -21,7 +21,6 @@ preceding sys event: required key "decision" (permit|deny), optional
 
 from __future__ import annotations
 
-import io
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -180,32 +179,21 @@ class Simulation:
         )
         return apply_verdict(event, verdict), verdict
 
-    def decision_log(self, write: Callable[[str], object] | None = None) -> str | None:
-        """The CSV log: a header, then one line per row, each formatted once.
-
-        Returned whole; or, given ``write``, passed to it in pieces of
-        ``_LOG_PIECE_ROWS`` rows, so no string of the whole log is built.
-        """
-        pieces = _log_pieces(self.decisions)
-        if write is None:
-            return "".join(pieces)
-        for piece in pieces:
-            write(piece)
-        return None
+    def decision_log(self, write: Callable[[str], object]) -> None:
+        """Write the CSV log to ``write``: the header line, then one line per
+        row, each formatted once, in pieces of ``_LOG_PIECE_ROWS`` rows, so
+        no string of the whole log is built."""
+        write(",".join(DECISION_LOG_COLUMNS) + "\n")
+        decisions = self.decisions
+        for start in range(0, len(decisions), _LOG_PIECE_ROWS):
+            write("".join([
+                f"{seq},{pid},{call},{uid},{gid},{decision},{reason},{_CSV_BOOLS[mismatch]}\n"
+                for seq, pid, call, uid, gid, decision, reason, mismatch in decisions[start:start + _LOG_PIECE_ROWS]
+            ]))
 
 
 # Rows per piece of the decision log that decision_log hands to its writer.
 _LOG_PIECE_ROWS = 2048
-
-
-def _log_pieces(decisions: list[DecisionRow]) -> Iterator[str]:
-    """The header line, then the rows' lines, ``_LOG_PIECE_ROWS`` per piece."""
-    yield ",".join(DECISION_LOG_COLUMNS) + "\n"
-    for start in range(0, len(decisions), _LOG_PIECE_ROWS):
-        yield "".join([
-            f"{seq},{pid},{call},{uid},{gid},{decision},{reason},{_CSV_BOOLS[mismatch]}\n"
-            for seq, pid, call, uid, gid, decision, reason, mismatch in decisions[start:start + _LOG_PIECE_ROWS]
-        ])
 
 
 @dataclass
@@ -240,16 +228,17 @@ def decode_scenario(pieces: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
     """JSON-lines to (line_no, event dict) pairs, one line at a time.
 
     The scenario comes as pieces of text that each end where a line ends,
-    as ``line_pieces`` cuts them; a whole text is cut the same way.  So
-    only one piece's line strings are alive at once, and the pieces'
-    lines, and their numbers, are those of the whole text.
+    as ``line_pieces`` cuts them, or as a whole ``str``, which is one
+    piece.  Only one piece's line strings are alive at once (for a whole
+    ``str``, all of its lines), and the pieces' lines, and their numbers,
+    are those of the whole text.
 
     A stripped line is one JSON document exactly when ``raw_decode`` ends at
     its end; any other line goes through ``json.loads`` so that the error
     message is the one ``json.loads`` gives.
     """
     if isinstance(pieces, str):
-        pieces = line_pieces(io.StringIO(pieces, newline=""))
+        pieces = (pieces,)
     line_no = 0
     for piece in pieces:
         for raw in piece.splitlines():

@@ -118,8 +118,14 @@ class AuthConfig:
 
 @dataclass(frozen=True)
 class PolicyOptions:
+    """``trap_mode`` may also be given as the text ``--trap-mode`` takes; it
+    is held as a ``TrapMode``, and an unknown mode raises ``ValueError``."""
+
     exec_whitelist: bool = False
     trap_mode: TrapMode = TrapMode.CLASSIC4
+
+    def __post_init__(self):
+        object.__setattr__(self, "trap_mode", TrapMode(self.trap_mode))
 
 
 class Verdict(NamedTuple):

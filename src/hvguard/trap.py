@@ -1,12 +1,12 @@
 """Breakpoint trap state machine and context-switch cost accounting.
 
-A trap site models the first byte of a syscall's code plus an instruction
-pointer cursor.  Arming writes the 0xCC breakpoint opcode over the original
-byte.  The site's first byte picks how a hit is handled: an ordinary
-prologue needs the classic restore/single-step/re-inject dance (two
-VM-exit/VM-entry pairs), while a NOP prologue lets the handler step the
-instruction pointer past the permanently armed breakpoint (one pair).  The
-trap models only that mechanism; ``cost_of`` prices a handled trap.
+A trap site models the first byte of a syscall's code.  Arming writes the
+0xCC breakpoint opcode over the original byte.  The site's first byte picks
+how a hit is handled: an ordinary prologue needs the classic
+restore/single-step/re-inject dance (two VM-exit/VM-entry pairs), while a
+NOP prologue lets the handler step the instruction pointer past the
+permanently armed breakpoint (one pair).  The trap models only which of
+the two a hit takes, as switch counts; ``cost_of`` prices a handled trap.
 """
 
 from __future__ import annotations
@@ -31,13 +31,12 @@ class TrapStateError(RuntimeError):
 
 @dataclass
 class TrapSite:
-    """First code byte and IP cursor for one trapped syscall symbol; the
-    site is armed while its current byte is ``BREAKPOINT_OPCODE``."""
+    """First code byte of one trapped syscall symbol; the site is armed
+    while its current byte is ``BREAKPOINT_OPCODE``."""
 
     symbol: str
     original_opcode: int
     current_byte: int
-    ip: int = 0
 
 
 def make_site(symbol: str, nop_prologue: bool = False) -> TrapSite:
@@ -111,9 +110,10 @@ def handle_trap(site: TrapSite, event, callback):
     breakpoint in place; its result is passed back untouched.  The site's
     first byte picks the handling: a NOP prologue steps past the permanent
     breakpoint (``NOP2_RECORD``); any other byte is restored, single-stepped
-    and re-injected (``CLASSIC4_RECORD``), which nothing can observe, so only
-    the instruction pointer's advance is modeled.  On return the site is
-    armed again, so no later instance of the same call can be missed.
+    and re-injected (``CLASSIC4_RECORD``), which nothing can observe, so the
+    byte stays armed through the hit and no instruction pointer is modeled.
+    On return the site is armed, so no later instance of the same call can
+    be missed.
     Denial is never an error at this layer.
     """
     if site.current_byte != BREAKPOINT_OPCODE:
@@ -121,7 +121,6 @@ def handle_trap(site: TrapSite, event, callback):
     if event.call != site.symbol:
         raise TrapStateError(f"event {event.call!r} hit site {site.symbol!r}")
     result = callback(event)
-    site.ip += 1
     if site.original_opcode == NOP_OPCODE:
         return NOP2_RECORD, result
     return CLASSIC4_RECORD, result

@@ -70,7 +70,9 @@ def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir
             )
             sim = result.simulation
             assert type(sim) is simulation
-            runs.append((sim.decision_log(), sim.outcomes, sim.records, result.mismatches))
+            log = []
+            sim.decision_log(log.append)
+            runs.append((log, sim.outcomes, sim.records, result.mismatches))
         assert sim.wall_ns > 0, name
         assert runs[0] == runs[1], name
 

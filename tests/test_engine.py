@@ -1,10 +1,12 @@
 """Scenario parsing, the simulation loop, and the decision log."""
 
+import io
 import random
+from pathlib import Path
 
 import pytest
 
-from hvguard import engine
+from hvguard import cli, engine
 from hvguard.engine import (
     DECISION_LOG_COLUMNS,
     ERROR,
@@ -23,6 +25,7 @@ from hvguard.mediator import SACL_DENY, WHITELIST_MISS, AuthConfig, PolicyOption
 from hvguard.sacl import DENY, PERMIT, PermissionOctets, parse_sacl
 from hvguard.guest import TRAPPED_CALLS, GuestError
 from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
+from test_acceptance import TRANSCRIPTS, _transcript_args
 
 BASIC = """\
 # comment lines and blanks are fine
@@ -111,8 +114,13 @@ def test_decode_in_slices_matches_whole_text(monkeypatch, slice_chars):
     whole_bad = _decode_all(bad)
     assert whole_bad.startswith("line 11: bad JSON")
     monkeypatch.setattr(engine, "_PIECE_CHARS", slice_chars)
-    assert _decode_all(BREAKS_TEXT) == whole
-    assert _decode_all(bad) == whole_bad
+
+    def pieces(text):
+        return engine.line_pieces(io.StringIO(text, newline=""))
+
+    assert len(list(pieces(BREAKS_TEXT))) > 1
+    assert _decode_all(pieces(BREAKS_TEXT)) == whole
+    assert _decode_all(pieces(bad)) == whole_bad
 
 
 def test_an_open_that_reads_needs_the_sacl_read_bit():
@@ -171,24 +179,42 @@ def test_decision_log_row_per_sys_event():
 """
     result = run_scenario(text)
     assert result.sys_events == 3
-    log = result.simulation.decision_log().splitlines()
+    log = "".join(_log_pieces(result.simulation)).splitlines()
     assert log[0] == ",".join(DECISION_LOG_COLUMNS)
     assert len(log) == 1 + 3
 
 
 def _log_pieces(sim):
     pieces = []
-    assert sim.decision_log(pieces.append) is None
+    sim.decision_log(pieces.append)
     return pieces
 
 
-@pytest.mark.parametrize("name", ["exec_whitelist", "insmod_deny", "preauth_write_deny",
-                                  "root_passwd_deny", "sudo_deny", "token_auth_write"])
+def _format_rows(sim):
+    """The decision log's lines built row by row from sim.decisions, apart
+    from decision_log.  A list, so that a failed comparison reports the
+    first line that differs instead of diffing thousands of lines."""
+    lines = [",".join(DECISION_LOG_COLUMNS) + "\n"]
+    for row in sim.decisions:
+        lines.append(",".join(str(value).lower() if type(value) is bool else str(value) for value in row) + "\n")
+    return lines
+
+
+@pytest.mark.parametrize("name", sorted(dict(TRANSCRIPTS)))
 def test_decision_log_pieces_join_to_the_whole_log(scenario_dir, name):
-    sim = run_scenario((scenario_dir / f"{name}.jsonl").read_text()).simulation
-    pieces = _log_pieces(sim)
+    """Replayed with its SACL, secrets and flags, a transcript's log
+    pieces join to its golden log."""
+    args = cli.build_parser().parse_args(_transcript_args(scenario_dir, name, dict(TRANSCRIPTS)[name]))
+    result = run_scenario(
+        (scenario_dir / f"{name}.jsonl").read_text(),
+        sacl=parse_sacl(Path(args.sacl).read_text()),
+        options=PolicyOptions(exec_whitelist=args.whitelist_exec),
+        auth=AuthConfig(secrets=cli._load_secrets(args.auth_secrets) if args.auth_secrets else {}),
+    )
+    pieces = _log_pieces(result.simulation)
     assert len(pieces) == 2  # the header, then the rows
-    assert "".join(pieces) == sim.decision_log()
+    golden = Path(__file__).resolve().parent / "golden" / f"{name}.csv"
+    assert "".join(pieces) == golden.read_text()
 
 
 def test_decision_log_is_written_a_piece_of_rows_at_a_time():
@@ -199,8 +225,8 @@ def test_decision_log_is_written_a_piece_of_rows_at_a_time():
         sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
     pieces = _log_pieces(sim)
     assert [piece.count("\n") for piece in pieces] == [1, engine._LOG_PIECE_ROWS, engine._LOG_PIECE_ROWS, 1]
-    log = sim.decision_log()
-    assert "".join(pieces) == log
+    log = "".join(pieces)
+    assert log.splitlines(keepends=True) == _format_rows(sim)
     assert log.count("\n") == 1 + rows and log.endswith(",false\n")
 
 
@@ -332,7 +358,7 @@ def test_scenario_replay_bit_identical():
     sacl = "/home/user/f 644 1000 1000\n"
     a = run_scenario(text, sacl=parse_sacl(sacl))
     b = run_scenario(text, sacl=parse_sacl(sacl))
-    assert a.simulation.decision_log() == b.simulation.decision_log()
+    assert _log_pieces(a.simulation) == _log_pieces(b.simulation)
     assert a.simulation.outcomes == b.simulation.outcomes
 
 
@@ -342,6 +368,20 @@ def test_nop_mode_runs_scenarios_with_two_switches():
     sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
     record = sim.records[-1]
     assert record.vm_exits + record.vm_entries == 2
+
+
+@pytest.mark.parametrize("text,record", [("nop", NOP2_RECORD), ("classic", CLASSIC4_RECORD)], ids=["nop", "classic"])
+def test_trap_mode_given_as_its_text_picks_its_handling(text, record):
+    sim = Simulation(options=PolicyOptions(trap_mode=text))
+    assert sim.options.trap_mode is TrapMode(text)
+    sim.spawn(1, 0, 0, pid=2)
+    sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
+    assert sim.records == [record]
+
+
+def test_unknown_trap_mode_rejected():
+    with pytest.raises(ValueError, match="'fast' is not a valid TrapMode"):
+        PolicyOptions(trap_mode="fast")
 
 
 def test_every_record_is_the_modes_shared_record():

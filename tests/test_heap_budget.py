@@ -138,6 +138,23 @@ def test_parsed_scenario_retains_at_most_300_bytes_a_line(tmp_path):
     assert retained / len(events) <= BYTES_PER_LINE
 
 
+def test_parsing_a_whole_text_allocates_under_three_times_its_length(tmp_path):
+    """A whole str is decoded as it is: what parse_scenario allocates beyond
+    what it keeps is the text's lines, under 3 bytes a character.  A copy of
+    the text into an io.StringIO, at 4 bytes a character, would exceed it."""
+    gen.generate("mixed_replay", 7, tmp_path)
+    text = (tmp_path / "trace.jsonl").read_text(encoding="utf-8")
+    assert len(text) > 1_500_000
+    tracemalloc.start()
+    try:
+        events = engine.parse_scenario(text)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) > 30_000
+    assert peak - retained < 3 * len(text)
+
+
 def test_scenario_reader_never_holds_the_whole_file(tmp_path):
     """_scenario_pieces hands the file on a piece at a time: walking all of
     it allocates well under the size of the file."""

@@ -40,5 +40,11 @@ def test_untraced_and_traced_replay_pass(tmp_path):
     # _emit calls decision_log with the output's write, so both spans are timed.
     assert layers["engine.decision_log_s"] > 0
     assert layers["cli.emit_s"] > 0
+    # Every wrapped layer below the engine fires on this workload, so a hook
+    # target that leaves the call path fails here, not only zeroes a metric.
+    for name in ("trap.handle_trap_self_us", "mediator.required_checks_us", "mediator.apply_verdict_us",
+                 "mediator.token_auth_us", "sacl.check_access_us", "sacl.parse_s", "guest.event_new_us",
+                 "guest.execute_us"):
+        assert layers[name] > 0, name
     # Each probe a verdict counts is one SACL dict fetch the trace records.
     assert layers["sacl.probes"] == round(layers["mediator.probes_per_call"] * result["sys_events"])
