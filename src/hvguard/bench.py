@@ -24,7 +24,7 @@ from .trap import CostModel, TrapMode, cost_of
 # Per bench call: its open flags, and whether path2 repeats the path.  A
 # rename onto itself is a successful no-op that leaves the pool intact; its
 # four required names are two distinct paths, the file and its directory.
-_CALL_ARGS = {"open": (("O_RDONLY",), False), "rename": ((), True), "unlink": ((), False)}
+_CALL_ARGS = {"open": (frozenset({"O_RDONLY"}), False), "rename": (frozenset(), True), "unlink": (frozenset(), False)}
 BENCH_CALLS = tuple(_CALL_ARGS)
 
 CSV_COLUMNS = (
@@ -52,7 +52,8 @@ class ScenarioKind(Enum):
 class BenchScenario:
     """pool is the guest file count the workload draws targets from; S3's
     full list has one row per file, so its size is pool too.  Comparisons
-    across scenarios pin pool so only the SACL differs."""
+    across scenarios pin pool so only the SACL differs.  As in
+    ``PolicyOptions``, ``trap_mode`` may be given as its text."""
 
     kind: ScenarioKind
     trap_mode: TrapMode = TrapMode.CLASSIC4
@@ -61,6 +62,7 @@ class BenchScenario:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "trap_mode", TrapMode(self.trap_mode))
         if self.pool < 1:
             raise ValueError("pool must be >= 1")
 
@@ -115,30 +117,39 @@ class _TimedSimulation(Simulation):
         return forwarded, verdict
 
 
-def _bare_mean_ns(call: str, n: int, files: dict, seed: int) -> float:
-    """Twin run of the same workload with no trapping or mediation."""
-    guest = Guest()
-    guest.files.update(files)
-    pid = guest.spawn_process(1, 0, 0)
+def _issue_calls(issue, guest: Guest, pid: int, call: str, files: dict, count: int, seed: int) -> list:
+    """The results of count ``issue(pid, call, path, path2, flags)`` calls, with
+    the collector off, on files drawn by ``random.Random(seed)``.  After each
+    call its file is put back into ``guest``, so every unlink finds it."""
     paths = list(files)
     flags, onto_self = _CALL_ARGS[call]
-    flags = frozenset(flags)
     rng = random.Random(seed)
-    total = 0
+    results = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        for i in range(n):
+        for _ in range(count):
             path = paths[rng.randrange(len(paths))]
-            event = SyscallEvent(i + 1, pid, call, path, path if onto_self else None, flags)
-            t0 = time.perf_counter_ns()
-            guest.execute_syscall(event)
-            total += time.perf_counter_ns() - t0
+            results.append(issue(pid, call, path, path if onto_self else None, flags))
             guest.files[path] = files[path]
     finally:
         if gc_was_enabled:
             gc.enable()
-    return total / n
+    return results
+
+
+def _bare_mean_ns(call: str, n: int, files: dict, seed: int) -> float:
+    """Twin run of the same workload with no trapping or mediation."""
+    guest = Guest()
+    guest.files.update(files)
+
+    def timed(pid, call, path, path2, flags):
+        event = SyscallEvent(0, pid, call, path, path2, flags)
+        t0 = time.perf_counter_ns()
+        guest.execute_syscall(event)
+        return time.perf_counter_ns() - t0
+
+    return sum(_issue_calls(timed, guest, guest.spawn_process(1, 0, 0), call, files, n, seed)) / n
 
 
 def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
@@ -150,16 +161,13 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     out of the way.  Totals come from the trap records of the measured calls
     and the probe counts of their verdicts, which are read outside the timed
     span.
-    After each call, here and in the bare twin, the target file is put back
-    outside the timed span, so every unlink finds the file it removes.
     """
     if call not in BENCH_CALLS:
         raise ValueError(f"call must be one of {BENCH_CALLS}, got {call!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
 
-    paths = [f"/f{i:07d}" for i in range(scenario.pool)]
-    files = {p: GuestFile(0, 0, _WORKLOAD_PERMS) for p in paths}
+    files = {f"/f{i:07d}": GuestFile(0, 0, _WORKLOAD_PERMS) for i in range(scenario.pool)}
     bare_ns = _bare_mean_ns(call, n, files, scenario.seed)
 
     if scenario.kind is ScenarioKind.S1_NO_TRAP:
@@ -175,37 +183,18 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
             total_switches=0,
         )
 
-    full = scenario.kind is ScenarioKind.S3_FULL_SACL
     sim = _TimedSimulation(
-        sacl=generate_full_sacl(files) if full else Sacl(),
+        sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
         options=PolicyOptions(trap_mode=scenario.trap_mode),
     )
     sim.guest.files.update(files)
     pid = sim.spawn(1, 0, 0)
-    flags, onto_self = _CALL_ARGS[call]
 
     # Warm up the interpreter path before measuring.
     warm = min(100, n)
-    warm_rng = random.Random(scenario.seed + 1)
-    for _ in range(warm):
-        path = paths[warm_rng.randrange(len(paths))]
-        sim.syscall(pid, call, path, path if onto_self else None, flags)
-        sim.guest.files[path] = files[path]
+    _issue_calls(sim.syscall, sim.guest, pid, call, files, warm, scenario.seed + 1)
     sim.wall_ns = 0
-
-    rng = random.Random(scenario.seed)
-    probes = []
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for _ in range(n):
-            path = paths[rng.randrange(len(paths))]
-            verdict, _ = sim.syscall(pid, call, path, path if onto_self else None, flags)
-            probes.append(verdict.probes)
-            sim.guest.files[path] = files[path]
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    probes = _issue_calls(lambda *args: sim.syscall(*args)[0].probes, sim.guest, pid, call, files, n, scenario.seed)
 
     records = sim.records[warm:]
     mediation_ns = sim.wall_ns / n

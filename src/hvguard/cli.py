@@ -157,7 +157,6 @@ def _run_bench_mode(args) -> int:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    args.trap_mode = TrapMode(args.trap_mode)
     try:
         if args.bench:
             if args.scenario:

@@ -256,6 +256,8 @@ class Guest:
         Denials never raise: a nulled slot produces its fixed error code.
         Guest permission bits are enforced with the process's claimed
         credentials; uid 0 bypasses them, as a root attacker would expect.
+        The first slot's node is fetched once; each family then runs its
+        checks in a fixed order, and the first that fails decides.
         """
         _, pid, call, path, path2, flags = event
         proc = self.processes.get(pid)
@@ -275,22 +277,68 @@ class Guest:
         if path is None:
             return _nulled_outcome(family, flags)
         uid, gid = proc.claimed_uid, proc.claimed_gid
+        node = self._node(path)
 
         if family is OPEN:
-            return self._do_open(path, flags, uid, gid)
-        if family is TRUNCATE:
-            return self._do_truncate(path, uid, gid)
-        if family is RENAME:
-            return self._do_rename(path, path2, uid, gid)
-        if family is UNLINK:
-            return self._do_unlink(path, uid, gid)
-        if family is LINK or family is SYMLINK:
-            return self._do_link(path, path2, uid, gid, symbolic=family is SYMLINK)
-        if family is EXEC:
-            return self._do_exec(path, uid, gid)
+            if node is None:
+                if "O_CREAT" not in flags:
+                    return _NO_SUCH_FILE
+                err = self._parent_writable(path, uid, gid)
+                if err is not None:
+                    return err
+                self.files[path] = GuestFile(uid, gid, _DEFAULT_FILE_PERMS)
+                return _OK
+            wants_write = not flags.isdisjoint(_WRITE_EXISTING_FLAGS)
+            if wants_write and (node.is_directory or not self._allows(node, uid, gid, WRITE_BIT)):
+                return _PERMISSION_DENIED
+            if "O_WRONLY" not in flags and not self._allows(node, uid, gid, READ_BIT):
+                return _PERMISSION_DENIED
+            return _OK
+        if family is TRUNCATE or family is EXEC:
+            if node is None:
+                return _NO_SUCH_FILE
+            bit = WRITE_BIT if family is TRUNCATE else EXECUTE_BIT
+            if node.is_directory or not self._allows(node, uid, gid, bit):
+                return _PERMISSION_DENIED
+            return _OK
         # Mediation denies IMAGE, KEXEC and HANDLE calls unconditionally, so
         # they reach the guest only with their slot nulled.
-        raise GuestError(f"unhandled call: {call}")
+        if family is IMAGE or family is KEXEC or family is HANDLE:
+            raise GuestError(f"unhandled call: {call}")
+
+        # RENAME, UNLINK, LINK and SYMLINK.  A null second slot faults before
+        # the first slot's node is tested; a symlink's target may dangle.
+        if path2 is None and family is not UNLINK:
+            return _BAD_ADDRESS
+        if family is not SYMLINK:
+            if node is None:
+                return _NO_SUCH_FILE
+            if node.is_directory:
+                # The tree keys each child by its full path, so moving,
+                # removing or linking a directory would orphan its children.
+                return _PERMISSION_DENIED
+        if family is UNLINK:
+            err = self._parent_writable(path, uid, gid)
+            if err is not None:
+                return err
+            del self.files[path]
+            return _OK
+        if family is RENAME:
+            for endpoint in (path, path2):
+                err = self._parent_writable(endpoint, uid, gid)
+                if err is not None:
+                    return err
+            if self._dir_node(path2) is not None:
+                return _PERMISSION_DENIED
+            self.files[path2] = self.files.pop(path)
+            return _OK
+        if self._node(path2) is not None:
+            return _PERMISSION_DENIED
+        err = self._parent_writable(path2, uid, gid)
+        if err is not None:
+            return err
+        self.files[path2] = node if family is LINK else GuestFile(uid, gid, _SYMLINK_PERMS)
+        return _OK
 
     # -- helpers ----------------------------------------------------------
 
@@ -314,87 +362,3 @@ class Guest:
         if not self._allows(parent, uid, gid, WRITE_BIT):
             return _PERMISSION_DENIED
         return None
-
-    def _do_open(self, path: str, flags: frozenset[str], uid: int, gid: int) -> SyscallOutcome:
-        node = self._node(path)
-        if node is None:
-            if "O_CREAT" not in flags:
-                return _NO_SUCH_FILE
-            err = self._parent_writable(path, uid, gid)
-            if err is not None:
-                return err
-            self.files[path] = GuestFile(uid, gid, _DEFAULT_FILE_PERMS)
-            return _OK
-        wants_write = not flags.isdisjoint(_WRITE_EXISTING_FLAGS)
-        wants_read = "O_WRONLY" not in flags
-        if node.is_directory and wants_write:
-            return _PERMISSION_DENIED
-        if wants_write and not self._allows(node, uid, gid, WRITE_BIT):
-            return _PERMISSION_DENIED
-        if wants_read and not self._allows(node, uid, gid, READ_BIT):
-            return _PERMISSION_DENIED
-        return _OK
-
-    def _do_truncate(self, path: str, uid: int, gid: int) -> SyscallOutcome:
-        node = self._node(path)
-        if node is None:
-            return _NO_SUCH_FILE
-        if node.is_directory or not self._allows(node, uid, gid, WRITE_BIT):
-            return _PERMISSION_DENIED
-        return _OK
-
-    def _do_rename(self, src: str, dst: str | None, uid: int, gid: int) -> SyscallOutcome:
-        if dst is None:
-            return _BAD_ADDRESS
-        node = self._node(src)
-        if node is None:
-            return _NO_SUCH_FILE
-        if node.is_directory:
-            # Moving directories would orphan child paths; out of model scope.
-            return _PERMISSION_DENIED
-        for endpoint in (src, dst):
-            err = self._parent_writable(endpoint, uid, gid)
-            if err is not None:
-                return err
-        existing = self._node(dst)
-        if existing is not None and existing.is_directory:
-            return _PERMISSION_DENIED
-        self.files[dst] = self.files.pop(src)
-        return _OK
-
-    def _do_unlink(self, path: str, uid: int, gid: int) -> SyscallOutcome:
-        node = self._node(path)
-        if node is None:
-            return _NO_SUCH_FILE
-        if node.is_directory:
-            return _PERMISSION_DENIED
-        err = self._parent_writable(path, uid, gid)
-        if err is not None:
-            return err
-        del self.files[path]
-        return _OK
-
-    def _do_link(self, target: str, newpath: str | None, uid: int, gid: int, symbolic: bool) -> SyscallOutcome:
-        if newpath is None:
-            return _BAD_ADDRESS
-        node = self._node(target)
-        if not symbolic and node is None:
-            return _NO_SUCH_FILE
-        if not symbolic and node.is_directory:
-            # As for rename: the second name would have none of the children.
-            return _PERMISSION_DENIED
-        if self._node(newpath) is not None:
-            return _PERMISSION_DENIED
-        err = self._parent_writable(newpath, uid, gid)
-        if err is not None:
-            return err
-        self.files[newpath] = GuestFile(uid, gid, _SYMLINK_PERMS) if symbolic else node
-        return _OK
-
-    def _do_exec(self, path: str, uid: int, gid: int) -> SyscallOutcome:
-        node = self._node(path)
-        if node is None:
-            return _NO_SUCH_FILE
-        if node.is_directory or not self._allows(node, uid, gid, EXECUTE_BIT):
-            return _PERMISSION_DENIED
-        return _OK

@@ -109,6 +109,20 @@ def test_switch_totals_by_mode():
     assert nop.total_switches == 2 * n
 
 
+@pytest.mark.parametrize("text, mode, switches", [("classic", TrapMode.CLASSIC4, 4), ("nop", TrapMode.NOP2, 2)])
+def test_trap_mode_may_be_given_as_its_text(text, mode, switches):
+    # The text --trap-mode takes, as PolicyOptions accepts it.
+    assert BenchScenario(ScenarioKind.S1_NO_TRAP, trap_mode=text).trap_mode is mode
+    assert run_workload("open", 10, BenchScenario(ScenarioKind.S1_NO_TRAP, trap_mode=text)).trap_mode == text
+    trapped = run_workload("open", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text))
+    assert (trapped.trap_mode, trapped.total_switches) == (text, switches * 10)
+
+
+def test_unknown_trap_mode_is_value_error():
+    with pytest.raises(ValueError, match="'fast' is not a valid TrapMode"):
+        BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode="fast")
+
+
 def test_modeled_cost_deterministic_under_seed():
     scenario = BenchScenario(ScenarioKind.S3_FULL_SACL, pool=500, seed=9)
     a = run_workload("rename", 100, scenario)

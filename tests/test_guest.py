@@ -233,7 +233,7 @@ def test_hard_denied_calls_reach_the_guest_only_nulled():
     # semantics for one whose slot is still set.
     guest, pid = make_guest()
     for call in ("init_module", "finit_module", "open_by_handle_at", "kexec_load", "name_to_handle_at"):
-        with pytest.raises(GuestError):
+        with pytest.raises(GuestError, match=f"^unhandled call: {call}$"):
             guest.execute_syscall(ev(pid, call, "/home/user/a.txt"))
         assert guest.execute_syscall(ev(pid, call, None)).error is NULLED_ERRORS[call][0]
 
@@ -404,3 +404,103 @@ def test_replay_is_deterministic():
         ]
 
     assert run() == run()
+
+
+# -- the order of each family's checks ---------------------------------------------
+
+NOENT, BADADDR = NO_SUCH_FILE, BAD_ADDRESS
+
+
+def make_order_guest():
+    """uid 1000 owns /w and the files in it; /d is root's, so 1000 cannot
+    create or remove names there."""
+    guest = Guest()
+    guest.add_file("/w", 1000, 1000, DIR, is_directory=True)
+    guest.add_file("/w/sub", 1000, 1000, DIR, is_directory=True)
+    guest.add_file("/w/f", 1000, 1000, RW)
+    guest.add_file("/w/g", 1000, 1000, RW)
+    guest.add_file("/w/ro", 1000, 1000, PermissionOctets(4, 4, 4))
+    guest.add_file("/w/wo", 1000, 1000, PermissionOctets(2, 0, 0))
+    guest.add_file("/d", 0, 0, DIR, is_directory=True)
+    guest.add_file("/d/f", 1000, 1000, RW)
+    return guest, guest.spawn_process(1, 1000, 1000)
+
+
+@pytest.mark.parametrize(
+    "call, path, path2, flags, expected",
+    [
+        # a null second slot faults before the source is looked at
+        ("rename", "/nope", None, [], BADADDR),
+        ("renameat2", "/nope", None, [], BADADDR),
+        ("rename", "/w/sub", None, [], BADADDR),
+        ("link", "/nope", None, [], BADADDR),
+        ("linkat", "/nope", None, [], BADADDR),
+        ("link", "/w/sub", None, [], BADADDR),
+        ("symlink", "/nope", None, [], BADADDR),
+        # a missing name
+        ("open", "/nope", None, ["O_RDONLY"], NOENT),
+        ("open", "/nope", None, ["O_WRONLY", "O_TRUNC"], NOENT),
+        ("truncate", "/nope", None, [], NOENT),
+        ("execve", "/nope", None, [], NOENT),
+        ("unlink", "/nope", None, [], NOENT),
+        ("rename", "/nope", "/w/x", [], NOENT),
+        ("rename", "/nope", "/nope/x", [], NOENT),
+        ("link", "/nope", "/w/x", [], NOENT),
+        ("link", "/nope", "/w/f", [], NOENT),
+        ("symlink", "/nope", "/w/x", [], None),
+        # a directory name
+        ("open", "/w", None, ["O_RDONLY"], None),
+        ("open", "/w", None, ["O_WRONLY"], DENIED),
+        ("open", "/w", None, ["O_CREAT", "O_WRONLY"], DENIED),
+        ("truncate", "/w/sub", None, [], DENIED),
+        ("execve", "/w/sub", None, [], DENIED),
+        ("unlink", "/w/sub", None, [], DENIED),
+        ("rename", "/w/sub", "/nope/x", [], DENIED),
+        ("link", "/w/sub", "/nope/x", [], DENIED),
+        ("symlink", "/w/sub", "/w/x", [], None),
+        # "/" as a name
+        ("open", "/", None, ["O_RDONLY"], None),
+        ("truncate", "/", None, [], DENIED),
+        ("execve", "/", None, [], DENIED),
+        ("unlink", "/", None, [], DENIED),
+        ("rename", "/", "/nope/x", [], DENIED),
+        ("link", "/", "/nope/x", [], DENIED),
+        ("symlink", "/", "/w/x", [], None),
+        ("rename", "/w/f", "/", [], DENIED),
+        ("link", "/w/f", "/", [], DENIED),
+        ("symlink", "/w/f", "/", [], DENIED),
+        # an existing destination
+        ("rename", "/w/f", "/w/g", [], None),
+        ("rename", "/w/f", "/w/sub", [], DENIED),
+        ("link", "/w/f", "/w/g", [], DENIED),
+        ("symlink", "/nope", "/w/g", [], DENIED),
+        ("open", "/w/f", None, ["O_CREAT", "O_WRONLY"], None),
+        # a missing or unwritable parent
+        ("open", "/nope/x", None, ["O_CREAT", "O_WRONLY"], NOENT),
+        ("open", "/d/x", None, ["O_CREAT", "O_WRONLY"], DENIED),
+        ("open", "/w/f/x", None, ["O_CREAT", "O_WRONLY"], NOENT),
+        ("unlink", "/d/f", None, [], DENIED),
+        ("rename", "/w/f", "/nope/x", [], NOENT),
+        ("rename", "/w/f", "/d/x", [], DENIED),
+        ("rename", "/d/f", "/nope/x", [], DENIED),
+        ("link", "/w/f", "/nope/x", [], NOENT),
+        ("link", "/w/f", "/d/x", [], DENIED),
+        ("link", "/w/f", "/d/f", [], DENIED),
+        ("symlink", "/nope", "/d/x", [], DENIED),
+        ("symlink", "/nope", "/w/f/x", [], NOENT),
+        # the guest's own permission bits
+        ("open", "/w/ro", None, ["O_RDWR"], DENIED),
+        ("open", "/w/wo", None, ["O_RDONLY"], DENIED),
+        ("open", "/w/wo", None, ["O_WRONLY", "O_APPEND"], None),
+        ("truncate", "/w/ro", None, [], DENIED),
+        ("execve", "/w/f", None, [], DENIED),
+    ],
+)
+def test_each_family_checks_in_a_fixed_order(call, path, path2, flags, expected):
+    # The first failing check decides, so a row whose call fails two checks
+    # pins which of them runs first.  A failed call leaves the tree as it was.
+    guest, pid = make_order_guest()
+    before = dict(guest.files)
+    assert guest.execute_syscall(ev(pid, call, path, path2, flags)).error is expected
+    if expected is not None:
+        assert guest.files == before
