@@ -204,10 +204,11 @@ class ScenarioResult:
     mismatches: list[str] = field(default_factory=list)
 
 
-# json.loads wraps this same decoder call in type, BOM and two whitespace
-# checks, which cost more than decoding a short event; a stripped line needs
-# none of them.
-_raw_decode = json.JSONDecoder().raw_decode
+# The C scanner under json.loads and raw_decode.  json.loads adds type, BOM
+# and whitespace checks and raw_decode one more Python frame, which cost more
+# than decoding a short event; a stripped line needs none of them.  It
+# returns (value, end), or raises StopIteration when no value starts there.
+_scan_once = json.JSONDecoder().scan_once
 
 
 # Characters read from a scenario stream at a time.
@@ -233,9 +234,10 @@ def decode_scenario(pieces: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
     ``str``, all of its lines), and the pieces' lines, and their numbers,
     are those of the whole text.
 
-    A stripped line is one JSON document exactly when ``raw_decode`` ends at
-    its end; any other line goes through ``json.loads`` so that the error
-    message is the one ``json.loads`` gives.
+    A stripped line is one JSON document exactly when the decoder's scanner,
+    started at its first character, ends at its end; any other line goes
+    through ``json.loads`` so that the error message is the one
+    ``json.loads`` gives.
     """
     if isinstance(pieces, str):
         pieces = (pieces,)
@@ -247,8 +249,8 @@ def decode_scenario(pieces: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
             if not line or line.startswith("#"):
                 continue
             try:
-                obj, stop = _raw_decode(line)
-            except (ValueError, RecursionError):
+                obj, stop = _scan_once(line, 0)
+            except (ValueError, RecursionError, StopIteration):
                 stop = None
             if stop != len(line):
                 try:

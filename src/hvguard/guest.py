@@ -17,8 +17,9 @@ from typing import NamedTuple
 from .sacl import EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, PermissionOctets, check_access
 
 # Every layer branches on a call's family, never on its name.  IMAGE: module
-# loading and the handle open, whose first slot the guest never resolves as
-# a path; KEXEC: kernel swapping; HANDLE: a path turned into a handle.
+# loading and unloading and the handle open, whose first slot the guest
+# never resolves as a path; KEXEC: kernel swapping, from memory or a file;
+# HANDLE: a path turned into a handle.
 # Reading a member from its class runs Python-level code on CPython 3.11, so
 # the layers compare against these module constants.
 Family = Enum("Family", "OPEN RENAME UNLINK TRUNCATE LINK SYMLINK EXEC EXIT CLONE IMAGE KEXEC HANDLE")
@@ -48,7 +49,9 @@ CALL_FAMILY = {
     "exit_group": EXIT,
     "init_module": IMAGE,
     "finit_module": IMAGE,
+    "delete_module": IMAGE,
     "kexec_load": KEXEC,
+    "kexec_file_load": KEXEC,
     "clone": CLONE,
 }
 TRAPPED_CALLS = tuple(CALL_FAMILY)
@@ -94,10 +97,17 @@ _NO_SUCH_FILE = SyscallOutcome(NO_SUCH_FILE)
 _PERMISSION_DENIED = SyscallOutcome(PERMISSION_DENIED)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True, eq=False)
 class GuestFile:
     """One tree node; ``Guest.files`` maps each of its names to it, so hard
-    links share one node and a rename moves it."""
+    links share one node and a rename moves it.
+
+    A node is a file, not a value: two nodes with equal fields are two
+    files, so nodes compare and hash by identity.  Not frozen: a frozen
+    dataclass's ``__init__`` stores each field through
+    ``object.__setattr__``, which made building a node about four times
+    dearer.  No code assigns a field, which a static test checks.
+    """
 
     owner_uid: int
     owner_gid: int

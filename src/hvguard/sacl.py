@@ -111,10 +111,11 @@ def parse_sacl(text: str) -> Sacl:
     entries = sacl.entries
     rules: dict[tuple[str, str, str], SaclRule] = {}
     for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        # split() drops the whitespace strip() would, so the first field
+        # starts where the stripped row does.
+        fields = raw.split()
+        if not fields or fields[0].startswith("#"):
             continue
-        fields = line.split()
         if len(fields) != 4:
             raise SaclParseError(line_no, f"expected 4 fields, got {len(fields)}")
         path, perm_text, uid_text, gid_text = fields

@@ -56,6 +56,7 @@ TRANSCRIPTS = [
     ("root_passwd_deny", ["--sacl", "root_passwd_deny.sacl"]),
     ("sudo_deny", ["--sacl", "sudo_deny.sacl"]),
     ("insmod_deny", ["--sacl", "insmod_deny.sacl"]),
+    ("kernel_modify_deny", ["--sacl", "kernel_modify_deny.sacl"]),
     ("preauth_write_deny", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
     ("token_auth_write", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
     ("exec_whitelist", ["--sacl", "exec_whitelist.sacl", "--whitelist-exec"]),

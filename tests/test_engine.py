@@ -485,7 +485,9 @@ PINNED_CALL_ARGS = {
     "exit_group": (None, None, []),
     "init_module": ("/d/f", None, []),
     "finit_module": ("/d/f", None, []),
+    "delete_module": ("/d/f", None, []),
     "kexec_load": ("/d/f", None, []),
+    "kexec_file_load": ("/d/f", None, []),
     "clone": (None, None, []),
 }
 
@@ -528,7 +530,15 @@ PINNED_OUTCOMES = {
         ("deny", "hard_denied_call", "bad_file_descriptor", 0),
         ("deny", "hard_denied_call", "bad_file_descriptor", 0),
     ),
+    "delete_module": (
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+        ("deny", "hard_denied_call", "bad_file_descriptor", 0),
+    ),
     "kexec_load": (
+        ("deny", "hard_denied_call", "bad_address", 0),
+        ("deny", "hard_denied_call", "bad_address", 0),
+    ),
+    "kexec_file_load": (
         ("deny", "hard_denied_call", "bad_address", 0),
         ("deny", "hard_denied_call", "bad_address", 0),
     ),

@@ -11,6 +11,7 @@ from hvguard.guest import (
     CALL_FAMILY,
     CLONE,
     GuestError,
+    GuestFile,
     SyscallEvent,
     SyscallOutcome,
     TRAPPED_CALLS,
@@ -38,11 +39,47 @@ def ev(pid, call, path=None, path2=None, flags=(), seq=1):
 
 def test_trapped_call_set_is_closed():
     interposed = [call for call, family in CALL_FAMILY.items() if family is not CLONE]
-    assert len(interposed) == 21
-    assert len(TRAPPED_CALLS) == 22
+    assert len(interposed) == 23
+    assert len(TRAPPED_CALLS) == 24
     assert "clone" in TRAPPED_CALLS and "clone" not in interposed
     with pytest.raises(ValueError):
         SyscallEvent(1, 1, "getpid")
+
+
+# Every modeled call and its family, written out: a call added, dropped or
+# moved to another family fails here.
+CALL_TABLE = [
+    ("open", "OPEN"),
+    ("openat", "OPEN"),
+    ("name_to_handle_at", "HANDLE"),
+    ("open_by_handle_at", "IMAGE"),
+    ("rename", "RENAME"),
+    ("renameat", "RENAME"),
+    ("renameat2", "RENAME"),
+    ("unlink", "UNLINK"),
+    ("unlinkat", "UNLINK"),
+    ("truncate", "TRUNCATE"),
+    ("link", "LINK"),
+    ("linkat", "LINK"),
+    ("symlink", "SYMLINK"),
+    ("symlinkat", "SYMLINK"),
+    ("execve", "EXEC"),
+    ("execveat", "EXEC"),
+    ("exit", "EXIT"),
+    ("exit_group", "EXIT"),
+    ("init_module", "IMAGE"),
+    ("finit_module", "IMAGE"),
+    ("delete_module", "IMAGE"),
+    ("kexec_load", "KEXEC"),
+    ("kexec_file_load", "KEXEC"),
+    ("clone", "CLONE"),
+]
+
+
+def test_every_trapped_call_and_its_family():
+    assert len(CALL_TABLE) == 24
+    assert [(call, family.name) for call, family in CALL_FAMILY.items()] == CALL_TABLE
+    assert TRAPPED_CALLS == tuple(call for call, _ in CALL_TABLE)
 
 
 def test_spawn_assigns_distinct_pids():
@@ -207,7 +244,9 @@ NULLED_ERRORS = {
     "exit_group": (_A, _A),
     "init_module": (_FD, _FD),
     "finit_module": (_FD, _FD),
+    "delete_module": (_FD, _FD),
     "kexec_load": (_A, _A),
+    "kexec_file_load": (_A, _A),
     "clone": (_A, _A),
 }
 
@@ -232,7 +271,8 @@ def test_hard_denied_calls_reach_the_guest_only_nulled():
     # Mediation denies these calls unconditionally, so the guest has no
     # semantics for one whose slot is still set.
     guest, pid = make_guest()
-    for call in ("init_module", "finit_module", "open_by_handle_at", "kexec_load", "name_to_handle_at"):
+    for call in ("init_module", "finit_module", "delete_module", "open_by_handle_at", "kexec_load",
+                 "kexec_file_load", "name_to_handle_at"):
         with pytest.raises(GuestError, match=f"^unhandled call: {call}$"):
             guest.execute_syscall(ev(pid, call, "/home/user/a.txt"))
         assert guest.execute_syscall(ev(pid, call, None)).error is NULLED_ERRORS[call][0]
@@ -385,6 +425,30 @@ def test_link_shares_the_node_and_rename_moves_it():
     assert "/a" not in guest.files
     assert guest.files["/c"] is node
     assert guest.files["/b"] is node
+
+
+def test_nodes_compare_by_identity():
+    # A node is a file, not a value: equal fields make two files.
+    a, b = GuestFile(0, 0, RW), GuestFile(0, 0, RW)
+    assert a != b and a == a
+    assert len({a: "a", b: "b"}) == 2
+    guest = Guest()
+    guest.add_file("/x", 0, 0, RW)
+    guest.add_file("/y", 0, 0, RW)
+    pid = guest.spawn_process(1, 0, 0)
+    node, other = guest.files["/x"], guest.files["/y"]
+    assert node != other
+    assert guest.execute_syscall(ev(pid, "link", "/x", "/h")).success
+    assert guest.files["/h"] is node
+    assert guest.execute_syscall(ev(pid, "rename", "/x", "/z")).success
+    assert guest.files["/z"] is node
+    # An index keyed by node holds one entry per file, whatever its names.
+    names = {}
+    for path, file in guest.files.items():
+        names.setdefault(file, set()).add(path)
+    assert names == {node: {"/h", "/z"}, other: {"/y"}}
+    # "/" names the one root node every guest shares.
+    assert guest._node("/") is Guest()._node("/")
 
 
 def test_replay_is_deterministic():

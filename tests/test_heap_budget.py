@@ -5,8 +5,8 @@ The cyclic collector walks every tracked object on each full collection, so
 a replay that keeps one object per SACL row or per parsed scenario line pays
 for it again and again.  These tests count tracked objects at the first
 trapped call, watch scenario events with weak references, and weigh the
-parsed scenario, the scenario reader and the emitted decision log with
-tracemalloc.
+parsed scenario, the scenario reader, the emitted decision log and the
+guest's file nodes with tracemalloc.
 """
 
 import gc
@@ -19,7 +19,8 @@ import weakref
 from conftest import REPO_ROOT
 from hvguard import cli, engine
 from hvguard.engine import Simulation, run_scenario
-from hvguard.sacl import parse_sacl
+from hvguard.guest import Guest
+from hvguard.sacl import PermissionOctets, parse_sacl
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
 
@@ -117,6 +118,30 @@ def test_each_event_is_freed_once_run(monkeypatch):
         assert result.sys_events == N_SYS
     finally:
         gc.enable()
+
+
+# Bytes a guest keeps per file: the node and its entry in Guest.files.  A
+# slotted node kept about 90 (CPython 3.11); one with a __dict__ keeps about
+# 130.
+BYTES_PER_NODE = 100
+
+
+def test_guest_keeps_at_most_100_bytes_a_file():
+    n = 4000
+    paths = [f"/d{i % 8}/f{i:05d}" for i in range(n)]
+    perms = PermissionOctets.from_text("644")
+    guest = Guest()
+    for d in range(8):
+        guest.add_file(f"/d{d}", 0, 0, PermissionOctets.from_text("755"), True)
+    tracemalloc.start()
+    try:
+        for i, path in enumerate(paths):
+            guest.add_file(path, i % 7, i % 5, perms)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(guest.files) == n + 8
+    assert retained / n <= BYTES_PER_NODE
 
 
 # Bytes the parsed scenario keeps per line.  One (line, dict) pair per line

@@ -3,7 +3,7 @@
 ``PermissionOctets.from_text`` returns shared instances from a table,
 ``parse_sacl`` shares one rule per (perm, uid, gid) text triple, and
 ``decode_scenario``, the first stage of ``parse_scenario``, decodes with
-``JSONDecoder.raw_decode``.  Each is checked against a straightforward
+the C scanner behind ``JSONDecoder.raw_decode``.  Each is checked against a straightforward
 reference: the length-and-alphabet rule for octal permission texts, a
 row-by-row SACL parser, and a per-line ``json.loads`` scenario parser.
 """
@@ -106,6 +106,10 @@ MALFORMED = [
     "{'ev':'user'}",
     '{"ev":"a\x01b"}',
     "{broken",
+    # No JSON value starts the line: the scanner raises StopIteration.
+    "]",
+    "x",
+    ",{}",
 ]
 
 
@@ -212,7 +216,8 @@ def random_sacl_rows(rng, n):
         perm, uid, gid = rng.choice(triples)
         rows.append(rng.choice([" ", "\t", "  "]).join((f"/d{i % 7}/f{i}", perm, uid, gid)))
         if rng.random() < 0.1:
-            rows.append(rng.choice(["", "# note", "   "]))
+            # A comment may follow whitespace, and may have 4 fields.
+            rows.append(rng.choice(["", "# note", "   ", " \t# note", "#/d0/x 644 0 0"]))
     return rows
 
 
@@ -240,7 +245,7 @@ def test_parse_sacl_matches_a_row_by_row_parse(seed):
     # Rows with equal triple texts hold the very same rule object.
     by_text = {}
     for row in rows:
-        if row.strip() and not row.startswith("#"):
+        if row.strip() and not row.lstrip().startswith("#"):
             path, *triple = row.split()
             assert by_text.setdefault(tuple(triple), sacl.entries[path]) is sacl.entries[path]
     assert len({id(rule) for rule in sacl.entries.values()}) <= len(by_text)

@@ -218,7 +218,7 @@ def test_auth_config_validation():
 
 def test_hard_denied_calls_always_deny():
     sacl, table, options, config, sessions = fresh_state()
-    assert len(HARD_DENIED_CALLS) == 5
+    assert len(HARD_DENIED_CALLS) == 7
     for call in HARD_DENIED_CALLS:
         verdict = decide(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is DENY

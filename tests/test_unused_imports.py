@@ -1,5 +1,6 @@
-"""No module of the package imports a name it never uses, and no private
-module-level name or method goes unread by the package.
+"""No module of the package imports a name it never uses, no private
+module-level name or method goes unread by the package, and no module
+assigns a guest node's fields.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library's ``ast``.  ``__init__.py`` is skipped by the
@@ -102,3 +103,55 @@ def test_checker_sees_an_uncalled_private_method():
 
 def test_package_reads_every_private_name_it_defines():
     assert unused_private_names({p.name: p.read_text(encoding="utf-8") for p in PACKAGE}) == []
+
+
+# A guest node is a plain slotted object, so nothing at run time stops a
+# store to its fields: hard links share one node, and a store through one
+# name would change the file under every name.  The guard is this check.
+NODE_FIELDS = {"owner_uid", "owner_gid", "perms", "is_directory"}
+
+
+def node_field_stores(source: str) -> list[str]:
+    """Every store to a node field: an attribute assignment, augmented
+    assignment or ``del``, and a ``setattr`` or ``object.__setattr__`` call
+    naming the field."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            name = node.attr
+        elif (
+            isinstance(node, ast.Call)
+            and (
+                (isinstance(node.func, ast.Name) and node.func.id == "setattr")
+                or (isinstance(node.func, ast.Attribute) and node.func.attr == "__setattr__")
+            )
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            name = node.args[1].value
+        else:
+            continue
+        if name in NODE_FIELDS:
+            found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_checker_sees_a_node_field_store():
+    source = (
+        "node.perms = p\n"
+        "a.b.owner_uid += 1\n"
+        "del node.is_directory\n"
+        "setattr(node, 'owner_gid', 0)\n"
+        "object.__setattr__(node, 'perms', p)\n"
+        "node.claimed_uid = 0\n"
+        "setattr(node, name, 0)\n"
+        "x = node.perms\n"
+    )
+    assert node_field_stores(source) == [
+        "line 1: perms", "line 2: owner_uid", "line 3: is_directory", "line 4: owner_gid", "line 5: perms"
+    ]
+
+
+@pytest.mark.parametrize("module", PACKAGE, ids=lambda path: path.name)
+def test_no_module_assigns_a_node_field(module):
+    assert node_field_stores(module.read_text(encoding="utf-8")) == []

@@ -4,7 +4,8 @@ Generates ``mixed_replay``, ``root_attack_100k`` and ``token_gate`` at seed 7
 with ``perfbench/gen.py``, replays each in-process through
 ``hvguard.cli.main`` and compares the SHA-256 of the decision log and of
 stderr with recorded digests.  ``mixed_replay`` and ``token_gate`` together
-cover all 22 trapped calls, the token, unauthenticated-deny and
+cover the 22 trapped calls gen.py emits (all but kexec_file_load and
+delete_module), the token, unauthenticated-deny and
 exec-whitelist branches, and sessions that expire mid-run, so a per-call
 refactor that changes any verdict, reason, resolved credential or outcome
 shows up here.  ``root_attack_100k`` is the one with 100 000 ``file``
