@@ -3,9 +3,10 @@
 ``PermissionOctets.from_text`` returns shared instances from a table,
 ``parse_sacl`` shares one rule per (perm, uid, gid) text triple, and
 ``decode_scenario``, the first stage of ``parse_scenario``, decodes with
-the C scanner behind ``JSONDecoder.raw_decode``.  Each is checked against a straightforward
-reference: the length-and-alphabet rule for octal permission texts, a
-row-by-row SACL parser, and a per-line ``json.loads`` scenario parser.
+the C scanner behind ``JSONDecoder.raw_decode``.  Each is checked against
+a straightforward reference: the length-and-alphabet rule for octal
+permission texts, a row-by-row SACL parser, and a per-line ``json.loads``
+scenario parser.
 """
 
 import itertools
