@@ -50,7 +50,6 @@ from .mediator import (
     WHITELIST_MISS,
     AuthConfig,
     OwnershipRecord,
-    OwnershipTable,
     PolicyOptions,
     Verdict,
     apply_verdict,

@@ -217,7 +217,6 @@ def sacl_scaling(
     n: int,
     trap_mode: TrapMode = TrapMode.CLASSIC4,
     cost_model: CostModel = CostModel(switch_cost=1.0),
-    seed: int = 0,
 ) -> list[BenchResult]:
     """One full-SACL result per size; sizes must be ascending."""
     sizes = list(sizes)
@@ -230,7 +229,6 @@ def sacl_scaling(
             trap_mode=trap_mode,
             cost_model=cost_model,
             pool=size,
-            seed=seed,
         )
         results.append(run_workload(call, n, scenario))
     return results

@@ -12,11 +12,12 @@ A scenario is JSON-lines text, one event object per line (blank lines and
     {"ev":"sys","pid":2,"call":"open","path":"/etc/shadow","flags":["O_WRONLY"]}
     {"ev":"expect","decision":"deny"}
 
-"sudo" is a trusted ownership change and updates the fork-time table;
-"forge" alters only what the guest kernel believes, modeling an attacker
-rewriting process credentials.  "expect" asserts on the immediately
-preceding sys event: required key "decision" (permit|deny), optional
-"error" (one of the four outcome error codes) and "status" (success|error).
+"sudo" is a trusted ownership change and updates the fork-time table,
+which starts with init (pid 1) recorded as (0, 0); "forge" alters only
+what the guest kernel believes, modeling an attacker rewriting process
+credentials.  "expect" asserts on the immediately preceding sys event:
+required key "decision" (permit|deny), optional "error" (one of the four
+outcome error codes) and "status" (success|error).
 """
 
 from __future__ import annotations
@@ -26,15 +27,18 @@ from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
 from typing import NamedTuple, TextIO
 
-from .guest import CALL_FAMILY, ERROR_CODES, EXIT, TRAPPED_CALLS, Guest, GuestError, SyscallEvent, SyscallOutcome
-from .mediator import (
-    AuthConfig,
-    OwnershipTable,
-    PolicyOptions,
-    Verdict,
-    apply_verdict,
-    mediate,
+from .guest import (
+    CALL_FAMILY,
+    ERROR_CODES,
+    EXIT,
+    INIT_PID,
+    TRAPPED_CALLS,
+    Guest,
+    GuestError,
+    SyscallEvent,
+    SyscallOutcome,
 )
+from .mediator import AuthConfig, OwnershipRecord, PolicyOptions, Verdict, apply_verdict, mediate
 from .sacl import DENY, PERMIT, PermissionOctets, Sacl
 from .trap import TrapMode, TrapSequenceRecord, arm, handle_trap, make_site
 
@@ -87,7 +91,8 @@ class Simulation:
         self.options = options if options is not None else PolicyOptions()
         self.auth = auth if auth is not None else AuthConfig()
         self.guest = Guest()
-        self.table = OwnershipTable()
+        # The fork-time record of every live pid, init's included.
+        self.table = {INIT_PID: OwnershipRecord(0, 0)}
         self.sessions: dict[int, int] = {}
         self.clock = 0
         nop = self.options.trap_mode is TrapMode.NOP2
@@ -99,11 +104,8 @@ class Simulation:
 
     def _on_clone(self, child: int, parent: int) -> None:
         """A clone runs inside the guest, where credentials can be forged, so
-        the child inherits its parent's fork-time record.  An untracked
-        parent (init) passes on the credentials the guest gave the child."""
-        proc = self.guest.processes[child]
-        uid, gid, _ = self.table.resolve_owner(parent, proc.claimed_uid, proc.claimed_gid)
-        self.table.on_fork(child, uid, gid)
+        the child inherits its parent's fork-time record."""
+        self.table[child] = self.table[parent]
 
     def _tick(self) -> int:
         self.clock += 1
@@ -123,16 +125,15 @@ class Simulation:
         """Trusted process creation: the given credentials are recorded."""
         self._tick()
         pid = self.guest.spawn_process(parent_pid, uid, gid, pid=pid)
-        self.table.on_fork(pid, uid, gid)
+        self.table[pid] = OwnershipRecord(uid, gid)
         return pid
 
     def sudo(self, pid: int, uid: int, gid: int) -> None:
-        """Legitimate credential change; a refused one (dead or untracked
-        pid) leaves the guest and the ownership table as they were."""
+        """Legitimate credential change; a refused one (dead pid) leaves the
+        guest and the ownership table as they were."""
         self._tick()
-        if pid in self.guest.processes:
-            self.table.on_sudo(pid, uid, gid)
         self.guest.set_claimed(pid, uid, gid)
+        self.table[pid] = OwnershipRecord(uid, gid)
 
     def forge_credentials(self, pid: int, uid: int, gid: int) -> None:
         """Attacker-style credential rewrite: the guest believes it, the
@@ -156,7 +157,7 @@ class Simulation:
         record, (forwarded, verdict) = handle_trap(self.sites[call], event, self._on_trap)
         outcome = guest.execute_syscall(forwarded)
         if CALL_FAMILY[call] is EXIT:
-            self.table.on_exit(pid)
+            del self.table[pid]
         self.records.append(record)
         self.outcomes.append(outcome)
         decision, reason, _, uid, gid, mismatch, _ = verdict

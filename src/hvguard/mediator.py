@@ -56,47 +56,16 @@ UNAUTHENTICATED = "unauthenticated"
 WHITELIST_MISS = "whitelist_miss"
 
 
-@dataclass(frozen=True, slots=True)
-class OwnershipRecord:
-    uid: int
-    gid: int
+class OwnershipRecord(NamedTuple):
+    """The authoritative (uid, gid) of a live pid, captured at fork time.
 
-
-class OwnershipTable:
-    """Authoritative (uid, gid) per live pid, captured at fork time.
-
-    Updated only by trusted fork/sudo/exit notifications; a claimed
-    credential that disagrees with the record is reported as a mismatch and
-    the record wins.
+    The ownership table is a plain ``dict[int, OwnershipRecord]`` holding
+    one record per live pid, init's included; only trusted spawn, sudo,
+    clone and exit events change it.
     """
 
-    def __init__(self):
-        self._records: dict[int, OwnershipRecord] = {}
-
-    def on_fork(self, pid: int, uid: int, gid: int) -> None:
-        if pid in self._records:
-            raise ValueError(f"pid {pid} already tracked")
-        self._records[pid] = OwnershipRecord(uid, gid)
-
-    def on_sudo(self, pid: int, new_uid: int, new_gid: int) -> None:
-        """Legitimate ownership change of a tracked pid."""
-        if pid not in self._records:
-            raise ValueError(f"pid {pid} not tracked")
-        self._records[pid] = OwnershipRecord(new_uid, new_gid)
-
-    def on_exit(self, pid: int) -> None:
-        self._records.pop(pid, None)
-
-    def get(self, pid: int) -> OwnershipRecord | None:
-        return self._records.get(pid)
-
-    def resolve_owner(self, pid: int, claimed_uid: int, claimed_gid: int):
-        """Recorded creds win when present; returns (uid, gid, mismatch)."""
-        record = self._records.get(pid)
-        if record is None:
-            return claimed_uid, claimed_gid, False
-        mismatch = record.uid != claimed_uid or record.gid != claimed_gid
-        return record.uid, record.gid, mismatch
+    uid: int
+    gid: int
 
 
 @dataclass(frozen=True)
@@ -213,7 +182,7 @@ def token_response(challenge: str, secret: str) -> str:
 def try_token_auth(
     path: str | None,
     pid: int,
-    table: OwnershipTable,
+    table: dict[int, OwnershipRecord],
     config: AuthConfig,
     sessions: dict[int, int],
     seq: int,
@@ -234,14 +203,12 @@ def try_token_auth(
     challenge, response = blob[:-RESPONSE_HEX_LEN], blob[-RESPONSE_HEX_LEN:]
     if not _is_lower_hex(response):
         return True
-    record = table.get(pid)
-    if record is None:
-        return True
-    secret = config.secrets.get(record.uid)
+    uid = table[pid].uid
+    secret = config.secrets.get(uid)
     if secret is None:
         return True
     if hmac.compare_digest(token_response(challenge, secret), response):
-        sessions[record.uid] = seq + config.window
+        sessions[uid] = seq + config.window
     return True
 
 
@@ -259,7 +226,7 @@ def mediate(
     claimed_uid: int,
     claimed_gid: int,
     sacl: Sacl,
-    table: OwnershipTable,
+    table: dict[int, OwnershipRecord],
     options: PolicyOptions,
     config: AuthConfig,
     sessions: dict[int, int],
@@ -268,17 +235,19 @@ def mediate(
 
     Order: (1) hard-denied calls; (2) token-auth attempt on /tokens/ opens
     when any uid has a secret, which never denies by itself; (3) owner
-    resolution; (4) one SACL fetch per distinct required path, each decided
-    on its fetched rule with unlisted paths permitted by default.  The
-    fetched rules then decide, in order of precedence: a uid with a secret
-    but no live session is denied if any path has a rule; under execute
-    white-listing an exec whose target has no rule is denied; any denied
-    path denies the call.  The event's seq is the clock that token sessions
-    are opened and checked against.
+    resolution: the pid's fork-time record in ``table`` wins, and a claim
+    that differs from it is flagged as a mismatch; (4) one SACL fetch per
+    distinct required path, each decided on its fetched rule with unlisted
+    paths permitted by default.  The fetched rules then decide, in order of
+    precedence: a uid with a secret but no live session is denied if any
+    path has a rule; under execute white-listing an exec whose target has no
+    rule is denied; any denied path denies the call.  The event's seq is the
+    clock that token sessions are opened and checked against.
     """
     seq, pid, call, path, _, _ = event
     family = CALL_FAMILY[call]
-    resolved_uid, resolved_gid, mismatch = table.resolve_owner(pid, claimed_uid, claimed_gid)
+    resolved_uid, resolved_gid = table[pid]
+    mismatch = resolved_uid != claimed_uid or resolved_gid != claimed_gid
 
     if family in _HARD_DENIED_FAMILIES:
         return _tuple_new(Verdict, (DENY, HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))

@@ -19,7 +19,7 @@ from hvguard.guest import CALL_FAMILY, CLONE, SyscallEvent
 from hvguard.mediator import (
     UNAUTHENTICATED,
     AuthConfig,
-    OwnershipTable,
+    OwnershipRecord,
     PolicyOptions,
     is_authenticated,
     try_token_auth,
@@ -60,6 +60,7 @@ TRANSCRIPTS = [
     ("preauth_write_deny", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
     ("token_auth_write", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
     ("exec_whitelist", ["--sacl", "exec_whitelist.sacl", "--whitelist-exec"]),
+    ("init_forge_deny", ["--sacl", "init_forge_deny.sacl"]),
 ]
 
 
@@ -245,8 +246,7 @@ def test_criterion_7_auth_protocol():
             secret = "".join(rng.choice(alphabet) for _ in range(rng.randrange(1, 24)))
             response = sha512_hex((challenge + secret).encode())
 
-            table = OwnershipTable()
-            table.on_fork(2, 1000, 1000)
+            table = {2: OwnershipRecord(1000, 1000)}
             config = AuthConfig(secrets={1000: secret}, window=50)
             sessions = {}
             handled = try_token_auth("/tokens/" + challenge + response, 2, table, config, sessions, seq=7)

@@ -269,11 +269,14 @@ def test_file_under_regular_file_exits_two_with_line(tmp_path, capsys):
 
 
 def test_sudo_of_untracked_pid_exits_two_unquoted(tmp_path, capsys):
-    # Init has no fork-time record, so the ownership table refuses the sudo.
-    scenario = write(tmp_path, "s.jsonl", '{"ev":"sudo","pid":1,"uid":0,"gid":0}\n')
+    # Every live pid has a fork-time record, init's too, so only a pid that
+    # is not alive has none, and its sudo is refused.
+    scenario = write(
+        tmp_path, "s.jsonl", '{"ev":"sudo","pid":1,"uid":0,"gid":0}\n{"ev":"sudo","pid":7,"uid":0,"gid":0}\n'
+    )
     code, _, err = run_cli(["--scenario", scenario], capsys)
     assert code == 2
-    assert err == "error: line 1: pid 1 not tracked\n"
+    assert err == "error: line 2: pid 7 is not alive\n"
 
 
 @pytest.mark.parametrize("kind", ["sacl", "scenario", "secrets"])

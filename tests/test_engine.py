@@ -238,6 +238,15 @@ def test_decode_pieces_match_whole_text():
     assert _decode_all(iter(pieces)) == whole
 
 
+def test_spawn_records_and_a_duplicate_spawn_is_refused():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=7)
+    assert sim.table[7] == (1000, 1000)
+    with pytest.raises(GuestError, match="pid 7 already alive"):
+        sim.spawn(1, 0, 0, pid=7)
+    assert sim.table[7] == (1000, 1000)
+
+
 def test_sudo_updates_both_guest_and_table():
     sim = Simulation(sacl=parse_sacl("/etc/shadow 600 0 0\n"))
     sim.spawn(1, 1000, 1000, pid=2)
@@ -249,11 +258,10 @@ def test_sudo_updates_both_guest_and_table():
 
 def test_refused_sudo_changes_neither_guest_nor_table():
     sim = Simulation()
-    with pytest.raises(ValueError, match="pid 1 not tracked"):
-        sim.sudo(1, 1000, 1000)  # init has no fork-time record
+    sim.sudo(1, 1000, 1000)  # init has a fork-time record, which a sudo replaces
     init = sim.guest.processes[1]
-    assert (init.claimed_uid, init.claimed_gid) == (0, 0)
-    assert sim.table.get(1) is None
+    assert (init.claimed_uid, init.claimed_gid) == (1000, 1000)
+    assert sim.table[1] == (1000, 1000)
     with pytest.raises(GuestError, match="pid 7 is not alive"):
         sim.sudo(7, 0, 0)
     assert 7 not in sim.guest.processes and sim.table.get(7) is None
@@ -275,6 +283,9 @@ def test_exit_cleans_ownership_table():
     assert sim.table.get(2) is not None
     sim.syscall(2, "exit")
     assert sim.table.get(2) is None
+    with pytest.raises(GuestError, match="pid 2 is not alive"):
+        sim.syscall(2, "exit")
+    assert sim.table == {1: (0, 0)}
 
 
 def test_clone_exit_cycles_keep_the_process_table_bounded():
@@ -325,6 +336,32 @@ def test_clone_after_forge_inherits_recorded_credentials():
     assert verdict.mismatch
     assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
     assert not outcome.success
+
+
+def test_a_clone_shares_its_parents_record_until_a_sudo_replaces_it():
+    sim = Simulation(sacl=parse_sacl("/etc/shadow 600 0 0\n"))
+    sim.add_file("/etc/shadow", 0, 0, PermissionOctets(6, 0, 0))
+    sim.spawn(1, 1000, 1000, pid=2)
+    sim.forge_credentials(2, 0, 0)
+    sim.syscall(2, "clone")
+    (child,) = sim.guest.live_pids() - {1, 2}
+    sim.syscall(child, "clone")
+    (grandchild,) = sim.guest.live_pids() - {1, 2, child}
+    assert sim.table[grandchild] is sim.table[child] is sim.table[2]
+    # The grandchild of a forged parent is decided as the grandparent's
+    # spawn-time identity.
+    verdict, _ = sim.syscall(grandchild, "open", "/etc/shadow", flags=["O_WRONLY"])
+    assert (verdict.decision, verdict.resolved_uid, verdict.resolved_gid, verdict.mismatch) == (DENY, 1000, 1000, True)
+
+    parent_before, _ = sim.syscall(2, "open", "/etc/shadow", flags=["O_WRONLY"])
+    sim.sudo(child, 0, 0)
+    assert sim.table[child] == (0, 0)
+    assert sim.table[2] == sim.table[grandchild] == (1000, 1000)
+    verdict, _ = sim.syscall(child, "open", "/etc/shadow", flags=["O_WRONLY"])
+    assert (verdict.decision, verdict.mismatch) == (PERMIT, False)
+    parent_after, _ = sim.syscall(2, "open", "/etc/shadow", flags=["O_WRONLY"])
+    assert parent_after == parent_before
+    assert (parent_after.decision, parent_after.resolved_uid, parent_after.mismatch) == (DENY, 1000, True)
 
 
 def test_spawn_event_credentials_stay_trusted():

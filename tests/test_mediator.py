@@ -22,7 +22,7 @@ from hvguard.mediator import (
     UNAUTHENTICATED,
     WHITELIST_MISS,
     AuthConfig,
-    OwnershipTable,
+    OwnershipRecord,
     PolicyOptions,
     Verdict,
     apply_verdict,
@@ -49,9 +49,10 @@ def ev(call, path=None, path2=None, flags=(), pid=2, seq=1):
     return SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
 
 
-def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, window=300):
+def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, window=300, owner=(1000, 1000)):
+    """Mediation state whose table records pid 2, the pid of ``ev``, as owner."""
     sacl = parse_sacl(sacl_text)
-    table = OwnershipTable()
+    table = {2: OwnershipRecord(*owner)}
     options = PolicyOptions(exec_whitelist=exec_whitelist)
     config = AuthConfig(secrets=dict(secrets or {}), window=window)
     sessions = {}
@@ -65,39 +66,17 @@ def decide(event, claimed, sacl, table, options, config, sessions):
 # -- ownership table --------------------------------------------------------
 
 
-def test_on_fork_and_duplicate():
-    table = OwnershipTable()
-    table.on_fork(7, 1000, 1000)
-    record = table.get(7)
-    assert (record.uid, record.gid) == (1000, 1000)
-    with pytest.raises(ValueError):
-        table.on_fork(7, 0, 0)
+def test_the_record_wins_over_any_claim():
+    sacl, table, options, config, sessions = fresh_state()
+    for claimed, mismatch in (((1000, 1000), False), ((0, 0), True), ((1000, 0), True), ((0, 1000), True)):
+        verdict = decide(ev("open", "/f"), claimed, sacl, table, options, config, sessions)
+        assert (verdict.resolved_uid, verdict.resolved_gid, verdict.mismatch) == (1000, 1000, mismatch), claimed
 
 
-def test_on_sudo_updates_and_requires_known_pid():
-    table = OwnershipTable()
-    table.on_fork(7, 1000, 1000)
-    table.on_sudo(7, 0, 0)
-    assert (table.get(7).uid, table.get(7).gid) == (0, 0)
-    table.on_sudo(7, 0, 0)  # idempotent, no error
-    with pytest.raises(ValueError):
-        table.on_sudo(99, 0, 0)
-
-
-def test_on_exit_removes_and_tolerates_unknown():
-    table = OwnershipTable()
-    table.on_fork(7, 1000, 1000)
-    table.on_exit(7)
-    assert table.get(7) is None
-    table.on_exit(7)  # no-op
-
-
-def test_resolve_owner_record_is_authoritative():
-    table = OwnershipTable()
-    table.on_fork(7, 1000, 1000)
-    assert table.resolve_owner(7, 0, 0) == (1000, 1000, True)
-    assert table.resolve_owner(7, 1000, 1000) == (1000, 1000, False)
-    assert table.resolve_owner(8, 42, 43) == (42, 43, False)  # untracked passes through
+def test_a_pid_without_a_record_is_never_decided_on_its_claim():
+    sacl, table, options, config, sessions = fresh_state()
+    with pytest.raises(KeyError):
+        decide(ev("open", "/f", pid=8), (42, 43), sacl, table, options, config, sessions)
 
 
 # -- required checks --------------------------------------------------------
@@ -164,8 +143,7 @@ def test_token_response_matches_independent_oracle():
 
 
 def test_token_auth_success_sets_window():
-    table = OwnershipTable()
-    table.on_fork(2, 1000, 1000)
+    table = {2: OwnershipRecord(1000, 1000)}
     config = AuthConfig(secrets={1000: "s"}, window=300)
     sessions = {}
     handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, config, sessions, seq=10)
@@ -176,8 +154,7 @@ def test_token_auth_success_sets_window():
 
 
 def test_token_auth_wrong_response_handled_but_no_session():
-    table = OwnershipTable()
-    table.on_fork(2, 1000, 1000)
+    table = {2: OwnershipRecord(1000, 1000)}
     config = AuthConfig(secrets={1000: "s"})
     sessions = {}
     bad = ABCS_DIGEST[:-1] + ("0" if ABCS_DIGEST[-1] != "0" else "1")
@@ -186,7 +163,7 @@ def test_token_auth_wrong_response_handled_but_no_session():
 
 
 def test_token_auth_ignores_non_token_paths_and_short_blobs():
-    table = OwnershipTable()
+    table = {2: OwnershipRecord(1000, 1000)}
     config = AuthConfig(secrets={1000: "s"})
     assert not try_token_auth("/home/user/x", 2, table, config, {}, 1)
     assert not try_token_auth(None, 2, table, config, {}, 1)
@@ -217,7 +194,7 @@ def test_auth_config_validation():
 
 
 def test_hard_denied_calls_always_deny():
-    sacl, table, options, config, sessions = fresh_state()
+    sacl, table, options, config, sessions = fresh_state(owner=(0, 0))
     assert len(HARD_DENIED_CALLS) == 7
     for call in HARD_DENIED_CALLS:
         verdict = decide(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
@@ -226,8 +203,7 @@ def test_hard_denied_calls_always_deny():
 
 
 def test_sacl_deny_root_write_to_shadow():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
-    table.on_fork(2, 0, 0)
+    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
     verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
     assert ("/etc/shadow", WRITE_BIT, DENY) in verdict.checks
@@ -244,7 +220,6 @@ def test_unauthenticated_denies_only_listed_paths():
         "/home/user/test1.txt 644 1000 1000\n",
         secrets={1000: "gatekeeper"},
     )
-    table.on_fork(2, 1000, 1000)
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=5)
     verdict = decide(listed, (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
@@ -256,7 +231,6 @@ def test_unauthenticated_denied_when_only_a_later_path_is_listed():
     # An unlisted file renamed into a listed directory: only the last of the
     # four paths has a rule, and that alone closes the gate.
     sacl, table, options, config, sessions = fresh_state("/vault 777 1000 1000\n", secrets={1000: "s"})
-    table.on_fork(2, 1000, 1000)
     verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     assert verdict.probes == 4
@@ -271,7 +245,6 @@ def test_token_then_listed_write_permits_until_expiry():
         secrets={1000: "gatekeeper"},
         window=300,
     )
-    table.on_fork(2, 1000, 1000)
     token = "/tokens/111" + token_response("111", "gatekeeper")
     token_ev = ev("open", token, flags=["O_CREAT", "O_WRONLY"], seq=10)
     verdict = decide(token_ev, (1000, 1000), sacl, table, options, config, sessions)
@@ -289,7 +262,6 @@ def test_exec_whitelist_miss_and_hit():
     sacl, table, options, config, sessions = fresh_state(
         "/home/user/test 755 1000 1000\n", exec_whitelist=True
     )
-    table.on_fork(2, 1000, 1000)
     hit = decide(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, config, sessions)
     assert hit.decision is PERMIT
     miss = decide(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, config, sessions)
@@ -305,8 +277,7 @@ def test_exec_whitelist_listed_but_no_execute_bit():
 
 
 def test_mismatched_claims_use_fork_time_credentials():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 600 0 0\n")
-    table.on_fork(2, 1000, 1000)
+    sacl, table, options, config, sessions = fresh_state("/etc/shadow 600 0 0\n", owner=(1000, 1000))
     # claims root, recorded as 1000: decided as 1000, flagged as mismatch
     verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert verdict.mismatch
@@ -315,7 +286,7 @@ def test_mismatched_claims_use_fork_time_credentials():
 
 
 def test_exit_and_clone_are_permitted_without_checks():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
+    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
     for call in ("exit", "exit_group", "clone"):
         verdict = decide(ev(call), (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is PERMIT
@@ -353,7 +324,7 @@ def test_denial_never_raises_and_yields_guest_error():
     guest.add_file("/a/x", 0, 0, PermissionOctets(7, 7, 7))
     guest.add_file("/a/y", 0, 0, PermissionOctets(7, 7, 7))
     pid = guest.spawn_process(1, 0, 0)
-    table.on_fork(pid, 0, 0)
+    table[pid] = OwnershipRecord(0, 0)
 
     cases = [
         (ev("open", "/a/x", flags=["O_WRONLY"], pid=pid), BAD_FILE_DESCRIPTOR),
@@ -379,6 +350,7 @@ def test_immutability_pattern_write_bits_clear():
     sacl, table, options, config, sessions = fresh_state("/locked 444 0 0\n")
     for uid in (0, 1, 500, 1000, 65534):
         for gid in (0, uid):
+            table[2] = OwnershipRecord(uid, gid)
             event = ev("open", "/locked", flags=["O_WRONLY"])
             verdict = decide(event, (uid, gid), sacl, table, options, config, sessions)
             assert verdict.decision is DENY, (uid, gid)
@@ -395,7 +367,7 @@ def test_hard_denied_product_space():
         for sacl in sacl_variants:
             for _ in range(5):
                 uid, gid = rng.randrange(2000), rng.randrange(2000)
-                table = OwnershipTable()
+                table = {2: OwnershipRecord(uid, gid)}
                 sessions = {}
                 config = AuthConfig(secrets={uid: "s"})
                 if rng.random() < 0.5:
@@ -414,7 +386,7 @@ def test_hard_denied_product_space():
 
 def _python_calls(event, sacl, config):
     """Names of the Python-level functions mediate calls, in call order."""
-    table, options, sessions = OwnershipTable(), PolicyOptions(), {}
+    table, options, sessions = {2: OwnershipRecord(1000, 1000)}, PolicyOptions(), {}
     called = []
 
     def profile(frame, what, arg):
@@ -470,4 +442,4 @@ def test_verdict_fields_positional_construction_and_immutability():
             setattr(verdict, name, None)
     with pytest.raises(AttributeError):
         verdict.extra = 1
-    assert type(decide(ev("open", "/f"), (0, 0), *fresh_state())) is Verdict
+    assert type(decide(ev("open", "/f"), (1000, 1000), *fresh_state())) is Verdict
