@@ -13,9 +13,11 @@ from hvguard.guest import (
     IMAGE,
     KEXEC,
     Guest,
+    GuestError,
     SyscallEvent,
 )
 from hvguard import mediator
+from hvguard.engine import Simulation
 from hvguard.mediator import (
     HARD_DENIED_CALL,
     SACL_DENY,
@@ -71,6 +73,29 @@ def test_the_record_wins_over_any_claim():
     for claimed, mismatch in (((1000, 1000), False), ((0, 0), True), ((1000, 0), True), ((0, 1000), True)):
         verdict = decide(ev("open", "/f"), claimed, sacl, table, options, config, sessions)
         assert (verdict.resolved_uid, verdict.resolved_gid, verdict.mismatch) == (1000, 1000, mismatch), claimed
+
+
+def test_on_sudo_updates_and_requires_known_pid():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=7)
+    sim.sudo(7, 0, 0)
+    assert sim.table[7] == (0, 0)
+    sim.sudo(7, 0, 0)  # idempotent, no error
+    assert sim.table[7] == (0, 0)
+    with pytest.raises(GuestError, match="pid 99 is not alive"):
+        sim.sudo(99, 0, 0)
+    assert 99 not in sim.table
+
+
+def test_on_exit_removes_and_tolerates_unknown():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=7)
+    sim.syscall(7, "exit")
+    assert 7 not in sim.table
+    # a second exit is refused by the guest before the table is touched
+    with pytest.raises(GuestError, match="pid 7 is not alive"):
+        sim.syscall(7, "exit")
+    assert sim.table == {1: (0, 0)}
 
 
 def test_a_pid_without_a_record_is_never_decided_on_its_claim():
