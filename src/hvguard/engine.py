@@ -29,6 +29,7 @@ from typing import NamedTuple, TextIO
 
 from .guest import (
     CALL_FAMILY,
+    CLONE,
     ERROR_CODES,
     EXIT,
     INIT_PID,
@@ -100,12 +101,6 @@ class Simulation:
         self.records: list[TrapSequenceRecord] = []
         self.decisions: list[DecisionRow] = []
         self.outcomes: list[SyscallOutcome] = []
-        self.guest.on_clone = self._on_clone
-
-    def _on_clone(self, child: int, parent: int) -> None:
-        """A clone runs inside the guest, where credentials can be forged, so
-        the child inherits its parent's fork-time record."""
-        self.table[child] = self.table[parent]
 
     def _tick(self) -> int:
         self.clock += 1
@@ -149,15 +144,20 @@ class Simulation:
         path2: str | None = None,
         flags=(),
     ) -> tuple[Verdict, SyscallOutcome]:
+        """Decide and run a call of a pid that is recorded and alive.  An exit
+        drops its record; a clone's child (``guest.last_pid``) shares it."""
         seq = self._tick()
-        guest = self.guest
-        if pid not in guest.processes:
+        guest, table = self.guest, self.table
+        if pid not in table or pid not in guest.processes:
             raise GuestError(f"pid {pid} is not alive")
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
         record, (forwarded, verdict) = handle_trap(self.sites[call], event, self._on_trap)
         outcome = guest.execute_syscall(forwarded)
-        if CALL_FAMILY[call] is EXIT:
-            del self.table[pid]
+        family = CALL_FAMILY[call]
+        if family is EXIT:
+            del table[pid]
+        elif family is CLONE and outcome.error is None:
+            table[guest.last_pid] = table[pid]
         self.records.append(record)
         self.outcomes.append(outcome)
         decision, reason, _, uid, gid, mismatch, _ = verdict

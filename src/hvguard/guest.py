@@ -191,10 +191,9 @@ class Guest:
         self.uids: set[int] = set()
         self.files: dict[str, GuestFile] = {}
         self.processes: dict[int, Process] = {INIT_PID: Process(0, 0)}
-        # Called as on_clone(child pid, parent pid) after a clone syscall
-        # spawned the child.
-        self.on_clone = None
-        self._next_pid = INIT_PID + 1
+        # The pid handed out last, like Linux's ns_last_pid: a clone takes
+        # the next one, and an explicit higher pid raises it.
+        self.last_pid = INIT_PID
 
     # -- construction -----------------------------------------------------
 
@@ -241,10 +240,10 @@ class Guest:
         if parent_pid not in self.processes:
             raise GuestError(f"parent pid {parent_pid} is not alive")
         if pid is None:
-            pid = self._next_pid
+            pid = self.last_pid + 1
         elif pid in self.processes:
             raise GuestError(f"pid {pid} already alive")
-        self._next_pid = max(self._next_pid, pid + 1)
+        self.last_pid = max(self.last_pid, pid)
         self.processes[pid] = Process(uid, gid)
         return pid
 
@@ -279,9 +278,7 @@ class Guest:
             del self.processes[pid]
             return _OK
         if family is CLONE:
-            child = self.spawn_process(pid, proc.claimed_uid, proc.claimed_gid)
-            if self.on_clone is not None:
-                self.on_clone(child, pid)
+            self.spawn_process(pid, proc.claimed_uid, proc.claimed_gid)
             return _OK
         # Every remaining call reads its first slot, which a denial nulls.
         if path is None:

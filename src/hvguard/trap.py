@@ -11,6 +11,7 @@ the two a hit takes, as switch counts; ``cost_of`` prices a handled trap.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -63,9 +64,9 @@ class CostModel:
     lookup_cost: float = 0.0
 
     def __post_init__(self):
-        # `c >= 0` is false for NaN, so NaN is rejected too.
-        if not all(c >= 0 for c in (self.switch_cost, self.callback_base_cost, self.lookup_cost)):
-            raise ValueError("costs must be non-negative")
+        # `0 <= c < inf` is false for NaN and for inf, so both are rejected.
+        if not all(0 <= c < math.inf for c in (self.switch_cost, self.callback_base_cost, self.lookup_cost)):
+            raise ValueError("costs must be non-negative and finite")
 
 
 @dataclass(frozen=True)

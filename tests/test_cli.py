@@ -132,7 +132,15 @@ def test_bench_prices_the_callback(capsys):
 
 @pytest.mark.parametrize(
     "flag,value",
-    [("--callback-cost", "-1"), ("--callback-cost", "nan"), ("--lookup-cost", "-0.5"), ("--lookup-cost", "nan")],
+    [
+        ("--callback-cost", "-1"),
+        ("--callback-cost", "nan"),
+        ("--callback-cost", "inf"),
+        ("--lookup-cost", "-0.5"),
+        ("--lookup-cost", "nan"),
+        ("--lookup-cost", "inf"),
+        ("--switch-cost", "inf"),
+    ],
 )
 def test_bench_bad_cost_exits_two(flag, value, capsys):
     code, out, err = run_cli(["--bench", "--sizes", "100", "--reps", "5", flag, value], capsys)

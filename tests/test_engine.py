@@ -23,7 +23,7 @@ from hvguard.engine import (
 )
 from hvguard.mediator import SACL_DENY, WHITELIST_MISS, AuthConfig, PolicyOptions
 from hvguard.sacl import DENY, PERMIT, PermissionOctets, parse_sacl
-from hvguard.guest import TRAPPED_CALLS, GuestError
+from hvguard.guest import TRAPPED_CALLS, GuestError, SyscallEvent
 from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
 from test_acceptance import TRANSCRIPTS, _transcript_args
 
@@ -336,6 +336,43 @@ def test_clone_after_forge_inherits_recorded_credentials():
     assert verdict.mismatch
     assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
     assert not outcome.success
+
+
+def test_a_clone_follows_last_pid_and_its_exit_drops_only_its_record():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=2)
+    sim.spawn(1, 0, 0, pid=50)
+    sim.syscall(2, "clone")
+    assert set(sim.guest.processes) == {1, 2, 50, 51}
+    assert sim.table[51] is sim.table[2]
+    parent_record = sim.table[2]
+    sim.syscall(51, "exit")
+    assert sim.table == {1: (0, 0), 2: (1000, 1000), 50: (0, 0)}
+    assert sim.table[2] is parent_record
+
+
+def _logged(sim):
+    return len(sim.decisions), len(sim.outcomes), len(sim.records), dict(sim.table)
+
+
+def test_a_pid_spawned_behind_the_hypervisors_back_is_not_decided():
+    sim = Simulation()
+    pid = sim.guest.spawn_process(1, 1000, 1000)
+    before = _logged(sim)
+    with pytest.raises(GuestError, match=f"^pid {pid} is not alive$"):
+        sim.syscall(pid, "open", "/x", flags=["O_RDONLY"])
+    assert _logged(sim) == before == (0, 0, 0, {1: (0, 0)})
+
+
+def test_a_recorded_pid_gone_from_the_guest_is_not_decided():
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=2)
+    # The guest runs an exit that the hypervisor never trapped.
+    assert sim.guest.execute_syscall(SyscallEvent(0, 2, "exit")).success
+    before = _logged(sim)
+    with pytest.raises(GuestError, match="^pid 2 is not alive$"):
+        sim.syscall(2, "open", "/x", flags=["O_RDONLY"])
+    assert _logged(sim) == before == (0, 0, 0, {1: (0, 0), 2: (1000, 1000)})
 
 
 def test_a_clone_shares_its_parents_record_until_a_sudo_replaces_it():

@@ -118,6 +118,17 @@ def test_clone_spawns_child_with_caller_credentials():
     assert (proc.claimed_uid, proc.claimed_gid) == (1000, 1000)
 
 
+def test_last_pid_is_the_highest_pid_handed_out():
+    guest = Guest()
+    assert guest.last_pid == 1
+    assert guest.spawn_process(1, 0, 0) == guest.last_pid == 2
+    guest.spawn_process(1, 0, 0, pid=9)
+    guest.spawn_process(1, 0, 0, pid=4)  # a lower explicit pid leaves it
+    assert guest.last_pid == 9
+    guest.execute_syscall(ev(2, "clone"))
+    assert guest.last_pid == 10 and 10 in guest.processes
+
+
 def test_add_file_creates_missing_parents_topmost_first():
     guest = Guest()
     guest.add_file("/a/b/c", 0, 0, RW)

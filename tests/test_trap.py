@@ -177,6 +177,9 @@ def test_negative_costs_rejected():
         CostModel(switch_cost=-1.0)
     with pytest.raises(ValueError):
         CostModel(lookup_cost=float("nan"))
+    for field in ("switch_cost", "callback_base_cost", "lookup_cost"):
+        with pytest.raises(ValueError, match="costs must be non-negative"):
+            CostModel(**{field: float("inf")})
 
 
 def test_one_record_per_mode_for_every_site():

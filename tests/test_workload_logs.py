@@ -148,6 +148,8 @@ def test_seed_7_outcome_and_file_set_digests(workload, replays):
     )
     assert got == GUEST_DIGESTS[workload]
     assert set(sim.guest.processes) == sim.guest.live_pids()
+    # Every live pid has a fork-time record and every record a live pid.
+    assert set(sim.table) == set(sim.guest.processes)
 
 
 @pytest.mark.parametrize("workload", sorted(DIGESTS))
