@@ -16,7 +16,7 @@ SACL_TEXT = """\
 """
 
 sacl = parse_sacl(SACL_TEXT)
-print(f"loaded {len(sacl)} rows")
+print(f"loaded {len(sacl.entries)} rows")
 
 # The owner of critical.txt may read and write; everyone else may only read.
 entry = sacl.lookup("/home/user/Documents/critical.txt")

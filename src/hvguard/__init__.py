@@ -38,7 +38,6 @@ from .guest import (
     Guest,
     GuestError,
     GuestFile,
-    Process,
     SyscallEvent,
     SyscallOutcome,
     TRAPPED_CALLS,

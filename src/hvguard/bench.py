@@ -99,19 +99,18 @@ class _TimedSimulation(Simulation):
     """A Simulation whose trap callback times mediation alone.
 
     The timed span is exactly ``mediate`` plus ``apply_verdict``, the work
-    that depends on the SACL; the process lookup of ``Simulation._on_trap``
-    stays outside it, so it cannot pull the empty-vs-full ratio of
-    acceptance criterion 6 toward 1.
+    that depends on the SACL; the read of the caller's claim from
+    ``Guest.processes`` stays outside it, so it cannot pull the
+    empty-vs-full ratio of acceptance criterion 6 toward 1.
     """
 
     wall_ns = 0
 
     def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
-        proc = self.guest.processes[event.pid]
-        uid, gid = proc.claimed_uid, proc.claimed_gid
+        claim = self.guest.processes[event.pid]
         sacl, table, options, auth, sessions = self.sacl, self.table, self.options, self.auth, self.sessions
         t0 = time.perf_counter_ns()
-        verdict = mediate(event, uid, gid, sacl, table, options, auth, sessions)
+        verdict = mediate(event, claim, sacl, table, options, auth, sessions)
         forwarded = apply_verdict(event, verdict)
         self.wall_ns += time.perf_counter_ns() - t0
         return forwarded, verdict
@@ -202,7 +201,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
         call=call,
         scenario=scenario.kind.value,
         trap_mode=scenario.trap_mode.value,
-        sacl_size=len(sim.sacl),
+        sacl_size=len(sim.sacl.entries),
         n=n,
         mean_model_cost=sum(cost_of(r, scenario.cost_model, p) for r, p in zip(records, probes)) / n,
         mean_wall_ns=mediation_ns,

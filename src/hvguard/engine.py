@@ -166,18 +166,10 @@ class Simulation:
 
     def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
         """Mediation callback run inside the trap: decides the event with the
-        caller's claimed credentials; returns (forwarded event, verdict)."""
-        proc = self.guest.processes[event.pid]
-        verdict = mediate(
-            event,
-            proc.claimed_uid,
-            proc.claimed_gid,
-            self.sacl,
-            self.table,
-            self.options,
-            self.auth,
-            self.sessions,
-        )
+        caller's claim from ``Guest.processes``; returns (forwarded event,
+        verdict)."""
+        claim = self.guest.processes[event.pid]
+        verdict = mediate(event, claim, self.sacl, self.table, self.options, self.auth, self.sessions)
         return apply_verdict(event, verdict), verdict
 
     def decision_log(self, write: Callable[[str], object]) -> None:

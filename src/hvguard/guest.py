@@ -118,16 +118,6 @@ class GuestFile:
 _ROOT_DIR = GuestFile(0, 0, _DEFAULT_DIR_PERMS, True)  # "/" exists implicitly
 
 
-@dataclass
-class Process:
-    """claimed_uid/gid are what the guest kernel believes; the mediation
-    layer keeps its own fork-time record and treats that as authoritative.
-    ``Guest.processes`` holds live processes only; exit removes the entry."""
-
-    claimed_uid: int
-    claimed_gid: int
-
-
 class _EventFields(NamedTuple):
     seq: int
     pid: int
@@ -190,7 +180,11 @@ class Guest:
     def __init__(self):
         self.uids: set[int] = set()
         self.files: dict[str, GuestFile] = {}
-        self.processes: dict[int, Process] = {INIT_PID: Process(0, 0)}
+        # Each live pid's claim: the (uid, gid) the guest kernel believes.
+        # A claim is a value, like Linux's struct cred: forge and sudo
+        # replace it whole, and exit removes the entry.  The mediation layer
+        # keeps its own fork-time record and treats that as authoritative.
+        self.processes: dict[int, tuple[int, int]] = {INIT_PID: (0, 0)}
         # The pid handed out last, like Linux's ns_last_pid: a clone takes
         # the next one, and an explicit higher pid raises it.
         self.last_pid = INIT_PID
@@ -244,15 +238,13 @@ class Guest:
         elif pid in self.processes:
             raise GuestError(f"pid {pid} already alive")
         self.last_pid = max(self.last_pid, pid)
-        self.processes[pid] = Process(uid, gid)
+        self.processes[pid] = (uid, gid)
         return pid
 
     def set_claimed(self, pid: int, uid: int, gid: int) -> None:
-        proc = self.processes.get(pid)
-        if proc is None:
+        if pid not in self.processes:
             raise GuestError(f"pid {pid} is not alive")
-        proc.claimed_uid = uid
-        proc.claimed_gid = gid
+        self.processes[pid] = (uid, gid)
 
     def live_pids(self) -> set[int]:
         return set(self.processes)
@@ -269,21 +261,21 @@ class Guest:
         checks in a fixed order, and the first that fails decides.
         """
         _, pid, call, path, path2, flags = event
-        proc = self.processes.get(pid)
-        if proc is None:
+        claim = self.processes.get(pid)
+        if claim is None:
             raise GuestError(f"pid {pid} is not alive")
+        uid, gid = claim
         family = CALL_FAMILY[call]
 
         if family is EXIT:
             del self.processes[pid]
             return _OK
         if family is CLONE:
-            self.spawn_process(pid, proc.claimed_uid, proc.claimed_gid)
+            self.spawn_process(pid, uid, gid)
             return _OK
         # Every remaining call reads its first slot, which a denial nulls.
         if path is None:
             return _nulled_outcome(family, flags)
-        uid, gid = proc.claimed_uid, proc.claimed_gid
         node = self._node(path)
 
         if family is OPEN:

@@ -223,8 +223,7 @@ def is_authenticated(sessions: dict[int, int], uid: int, seq: int) -> bool:
 
 def mediate(
     event: SyscallEvent,
-    claimed_uid: int,
-    claimed_gid: int,
+    claim: tuple[int, int],
     sacl: Sacl,
     table: dict[int, OwnershipRecord],
     options: PolicyOptions,
@@ -235,10 +234,10 @@ def mediate(
 
     Order: (1) hard-denied calls; (2) token-auth attempt on /tokens/ opens
     when any uid has a secret, which never denies by itself; (3) owner
-    resolution: the pid's fork-time record in ``table`` wins, and a claim
-    that differs from it is flagged as a mismatch; (4) one SACL fetch per
-    distinct required path, each decided on its fetched rule with unlisted
-    paths permitted by default.  The fetched rules then decide, in order of
+    resolution: the pid's fork-time record in ``table`` wins, and a claim,
+    the (uid, gid) the guest believes, that differs from it is flagged as a
+    mismatch; (4) one SACL fetch per distinct required path, each decided
+    on its fetched rule with unlisted paths permitted by default.  The fetched rules then decide, in order of
     precedence: a uid with a secret but no live session is denied if any
     path has a rule; under execute white-listing an exec whose target has no
     rule is denied; any denied path denies the call.  The event's seq is the
@@ -246,8 +245,9 @@ def mediate(
     """
     seq, pid, call, path, _, _ = event
     family = CALL_FAMILY[call]
-    resolved_uid, resolved_gid = table[pid]
-    mismatch = resolved_uid != claimed_uid or resolved_gid != claimed_gid
+    record = table[pid]
+    resolved_uid, resolved_gid = record
+    mismatch = record != claim
 
     if family in _HARD_DENIED_FAMILIES:
         return _tuple_new(Verdict, (DENY, HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))

@@ -85,9 +85,6 @@ class Sacl:
         """Exact full-path match; no prefix or glob semantics."""
         return self.entries.get(path)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 def is_decimal(text: str) -> bool:
     """Non-empty and ASCII 0-9 only; str.isdigit also accepts digits such as

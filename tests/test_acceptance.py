@@ -61,6 +61,7 @@ TRANSCRIPTS = [
     ("token_auth_write", ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]),
     ("exec_whitelist", ["--sacl", "exec_whitelist.sacl", "--whitelist-exec"]),
     ("init_forge_deny", ["--sacl", "init_forge_deny.sacl"]),
+    ("kernel_memory_deny", ["--sacl", "kernel_memory_deny.sacl"]),
 ]
 
 

@@ -52,9 +52,10 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
 
 @pytest.mark.parametrize("mode", list(TrapMode), ids=lambda mode: mode.value)
 def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir, mode):
-    """_TimedSimulation copies Simulation._on_trap to time mediation; over
-    the bundled transcripts the copy gives the same log, outcomes, trap
-    records and mismatches as the original."""
+    """_TimedSimulation copies Simulation._on_trap, the claim read and the
+    mediate call, to time mediation; over the bundled transcripts the copy
+    gives the same log, outcomes, trap records and mismatches as the
+    original."""
     for name, extra in TRANSCRIPTS:
         args = cli.build_parser().parse_args(_transcript_args(scenario_dir, name, extra))
         text = Path(args.scenario).read_text(encoding="utf-8")

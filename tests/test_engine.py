@@ -259,12 +259,35 @@ def test_sudo_updates_both_guest_and_table():
 def test_refused_sudo_changes_neither_guest_nor_table():
     sim = Simulation()
     sim.sudo(1, 1000, 1000)  # init has a fork-time record, which a sudo replaces
-    init = sim.guest.processes[1]
-    assert (init.claimed_uid, init.claimed_gid) == (1000, 1000)
+    assert sim.guest.processes[1] == (1000, 1000)
     assert sim.table[1] == (1000, 1000)
     with pytest.raises(GuestError, match="pid 7 is not alive"):
         sim.sudo(7, 0, 0)
     assert 7 not in sim.guest.processes and sim.table.get(7) is None
+
+
+def test_forge_replaces_only_the_claim():
+    # A claim is a (uid, gid) value: forge replaces it and leaves the
+    # fork-time record object as it was, a clone's child gets an equal claim
+    # and its parent's record, and sudo replaces both.
+    sim = Simulation()
+    sim.spawn(1, 1000, 1000, pid=2)
+    record = sim.table[2]
+    sim.forge_credentials(2, 0, 0)
+    assert sim.guest.processes[2] == (0, 0)
+    assert sim.table[2] is record
+    sim.syscall(2, "clone")
+    assert sim.guest.processes[3] == (0, 0)
+    assert sim.table[3] is record
+    sim.sudo(2, 500, 500)
+    assert sim.guest.processes[2] == sim.table[2] == (500, 500)
+    assert sim.table[2] is not record and sim.table[3] is record
+    sim.syscall(2, "open", "/x", flags=["O_RDONLY"])
+    log = io.StringIO()
+    sim.decision_log(log.write)
+    assert log.getvalue().splitlines()[-1].endswith(",500,500,permit,permit,false")
+    sim.syscall(2, "exit")
+    assert 2 not in sim.guest.processes and 2 not in sim.table
 
 
 def test_forged_credentials_flagged_and_ignored():

@@ -114,8 +114,7 @@ def test_clone_spawns_child_with_caller_credentials():
     before = guest.live_pids()
     assert guest.execute_syscall(ev(pid, "clone")).success
     (child,) = guest.live_pids() - before
-    proc = guest.processes[child]
-    assert (proc.claimed_uid, proc.claimed_gid) == (1000, 1000)
+    assert guest.processes[child] == (1000, 1000)
 
 
 def test_last_pid_is_the_highest_pid_handed_out():

@@ -237,7 +237,7 @@ def test_parse_sacl_matches_a_row_by_row_parse(seed):
     text = "\n".join(rows) + "\n"
     expected = reference_parse_sacl(text)
     sacl = parse_sacl(text)
-    assert len(sacl) == len(expected) == 400
+    assert len(sacl.entries) == len(expected) == 400
     for path, (octets, uid, gid) in expected.items():
         rule = sacl.entries[path]
         assert ((rule.perms.user, rule.perms.group, rule.perms.other), rule.owner_uid, rule.owner_gid) == (

@@ -61,17 +61,13 @@ def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, window=300, ow
     return sacl, table, options, config, sessions
 
 
-def decide(event, claimed, sacl, table, options, config, sessions):
-    return mediate(event, claimed[0], claimed[1], sacl, table, options, config, sessions)
-
-
 # -- ownership table --------------------------------------------------------
 
 
 def test_the_record_wins_over_any_claim():
     sacl, table, options, config, sessions = fresh_state()
     for claimed, mismatch in (((1000, 1000), False), ((0, 0), True), ((1000, 0), True), ((0, 1000), True)):
-        verdict = decide(ev("open", "/f"), claimed, sacl, table, options, config, sessions)
+        verdict = mediate(ev("open", "/f"), claimed, sacl, table, options, config, sessions)
         assert (verdict.resolved_uid, verdict.resolved_gid, verdict.mismatch) == (1000, 1000, mismatch), claimed
 
 
@@ -101,7 +97,7 @@ def test_on_exit_removes_and_tolerates_unknown():
 def test_a_pid_without_a_record_is_never_decided_on_its_claim():
     sacl, table, options, config, sessions = fresh_state()
     with pytest.raises(KeyError):
-        decide(ev("open", "/f", pid=8), (42, 43), sacl, table, options, config, sessions)
+        mediate(ev("open", "/f", pid=8), (42, 43), sacl, table, options, config, sessions)
 
 
 # -- required checks --------------------------------------------------------
@@ -222,21 +218,21 @@ def test_hard_denied_calls_always_deny():
     sacl, table, options, config, sessions = fresh_state(owner=(0, 0))
     assert len(HARD_DENIED_CALLS) == 7
     for call in HARD_DENIED_CALLS:
-        verdict = decide(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
+        verdict = mediate(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is DENY
         assert verdict.reason is HARD_DENIED_CALL
 
 
 def test_sacl_deny_root_write_to_shadow():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
-    verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
+    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
     assert ("/etc/shadow", WRITE_BIT, DENY) in verdict.checks
 
 
 def test_unlisted_path_permits_by_default():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
-    verdict = decide(ev("open", "/tmp/scratch", flags=["O_WRONLY"]), (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(ev("open", "/tmp/scratch", flags=["O_WRONLY"]), (1000, 1000), sacl, table, options, config, sessions)
     assert verdict.decision is PERMIT
 
 
@@ -246,21 +242,21 @@ def test_unauthenticated_denies_only_listed_paths():
         secrets={1000: "gatekeeper"},
     )
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=5)
-    verdict = decide(listed, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(listed, (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     unlisted = ev("open", "/tmp/free", flags=["O_WRONLY"], seq=6)
-    assert decide(unlisted, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
+    assert mediate(unlisted, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
 
 
 def test_unauthenticated_denied_when_only_a_later_path_is_listed():
     # An unlisted file renamed into a listed directory: only the last of the
     # four paths has a rule, and that alone closes the gate.
     sacl, table, options, config, sessions = fresh_state("/vault 777 1000 1000\n", secrets={1000: "s"})
-    verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     assert verdict.probes == 4
     sessions[1000] = 10  # authenticated: the 777 rule permits the same call
-    verdict = decide(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
     assert verdict.decision is PERMIT
 
 
@@ -272,14 +268,14 @@ def test_token_then_listed_write_permits_until_expiry():
     )
     token = "/tokens/111" + token_response("111", "gatekeeper")
     token_ev = ev("open", token, flags=["O_CREAT", "O_WRONLY"], seq=10)
-    verdict = decide(token_ev, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(token_ev, (1000, 1000), sacl, table, options, config, sessions)
     assert verdict.decision is PERMIT  # the artificial open itself is unlisted
 
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=20)
-    assert decide(listed, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
+    assert mediate(listed, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
 
     late = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=311)
-    verdict = decide(late, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(late, (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
 
 
@@ -287,9 +283,9 @@ def test_exec_whitelist_miss_and_hit():
     sacl, table, options, config, sessions = fresh_state(
         "/home/user/test 755 1000 1000\n", exec_whitelist=True
     )
-    hit = decide(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, config, sessions)
+    hit = mediate(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, config, sessions)
     assert hit.decision is PERMIT
-    miss = decide(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, config, sessions)
+    miss = mediate(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, config, sessions)
     assert (miss.decision, miss.reason) == (DENY, WHITELIST_MISS)
 
 
@@ -297,14 +293,14 @@ def test_exec_whitelist_listed_but_no_execute_bit():
     sacl, table, options, config, sessions = fresh_state(
         "/home/user/doc 644 1000 1000\n", exec_whitelist=True
     )
-    verdict = decide(ev("execve", "/home/user/doc"), (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(ev("execve", "/home/user/doc"), (1000, 1000), sacl, table, options, config, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
 
 
 def test_mismatched_claims_use_fork_time_credentials():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 600 0 0\n", owner=(1000, 1000))
     # claims root, recorded as 1000: decided as 1000, flagged as mismatch
-    verdict = decide(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
+    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
     assert verdict.mismatch
     assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
     assert verdict.decision is DENY
@@ -313,7 +309,7 @@ def test_mismatched_claims_use_fork_time_credentials():
 def test_exit_and_clone_are_permitted_without_checks():
     sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
     for call in ("exit", "exit_group", "clone"):
-        verdict = decide(ev(call), (0, 0), sacl, table, options, config, sessions)
+        verdict = mediate(ev(call), (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is PERMIT
         assert verdict.checks == ()
 
@@ -324,7 +320,7 @@ def test_exit_and_clone_are_permitted_without_checks():
 def test_apply_verdict_nulls_first_path_slot():
     sacl, table, options, config, sessions = fresh_state("/a/x 444 0 0\n")
     event = ev("rename", "/a/x", "/b/y")
-    verdict = decide(event, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(event, (1000, 1000), sacl, table, options, config, sessions)
     assert verdict.decision is DENY
     forwarded = apply_verdict(event, verdict)
     assert forwarded.path is None
@@ -334,7 +330,7 @@ def test_apply_verdict_nulls_first_path_slot():
 def test_apply_verdict_permit_is_identity():
     sacl, table, options, config, sessions = fresh_state()
     event = ev("open", "/tmp/x", flags=["O_RDONLY"])
-    verdict = decide(event, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(event, (1000, 1000), sacl, table, options, config, sessions)
     assert apply_verdict(event, verdict) is event
 
 
@@ -365,7 +361,7 @@ def test_denial_never_raises_and_yields_guest_error():
         (ev("name_to_handle_at", "/a/x", pid=pid), BAD_ADDRESS),
     ]
     for event, expected in cases:
-        verdict = decide(event, (0, 0), sacl, table, options, config, sessions)
+        verdict = mediate(event, (0, 0), sacl, table, options, config, sessions)
         assert verdict.decision is DENY, event.call
         outcome = guest.execute_syscall(apply_verdict(event, verdict))
         assert outcome.error is expected, event.call
@@ -377,7 +373,7 @@ def test_immutability_pattern_write_bits_clear():
         for gid in (0, uid):
             table[2] = OwnershipRecord(uid, gid)
             event = ev("open", "/locked", flags=["O_WRONLY"])
-            verdict = decide(event, (uid, gid), sacl, table, options, config, sessions)
+            verdict = mediate(event, (uid, gid), sacl, table, options, config, sessions)
             assert verdict.decision is DENY, (uid, gid)
 
 
@@ -398,7 +394,7 @@ def test_hard_denied_product_space():
                 if rng.random() < 0.5:
                     sessions[uid] = 10_000  # authenticated
                 verdict = mediate(
-                    ev(call, "/x", seq=5), uid, gid, sacl, table, PolicyOptions(), config, sessions
+                    ev(call, "/x", seq=5), (uid, gid), sacl, table, PolicyOptions(), config, sessions
                 )
                 assert (verdict.decision, verdict.reason) == (
                     DENY,
@@ -420,7 +416,7 @@ def _python_calls(event, sacl, config):
 
     sys.setprofile(profile)
     try:
-        verdict = mediate(event, 1000, 1000, sacl, table, options, config, sessions)
+        verdict = mediate(event, (1000, 1000), sacl, table, options, config, sessions)
     finally:
         sys.setprofile(None)
     return verdict, called[1:]  # mediate's own frame first
@@ -467,4 +463,4 @@ def test_verdict_fields_positional_construction_and_immutability():
             setattr(verdict, name, None)
     with pytest.raises(AttributeError):
         verdict.extra = 1
-    assert type(decide(ev("open", "/f"), (1000, 1000), *fresh_state())) is Verdict
+    assert type(mediate(ev("open", "/f"), (1000, 1000), *fresh_state())) is Verdict

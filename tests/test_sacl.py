@@ -36,14 +36,14 @@ def test_parse_single_entry():
 
 def test_parse_sample_and_lookup():
     sacl = parse_sacl(SAMPLE)
-    assert len(sacl) == 3
+    assert len(sacl.entries) == 3
     assert sacl.lookup("/etc/shadow").perms == PermissionOctets(2, 2, 0)
     assert sacl.lookup("/home/user/Desktop/read-only.pdf").owner_uid == 1000
 
 
 def test_parse_empty_input():
-    assert len(parse_sacl("")) == 0
-    assert len(parse_sacl("\n\n# only comments\n")) == 0
+    assert len(parse_sacl("").entries) == 0
+    assert len(parse_sacl("\n\n# only comments\n").entries) == 0
 
 
 def test_parse_tabs_and_extra_spaces():
@@ -211,12 +211,12 @@ def test_generate_full_sacl_small():
     guest.add_file("/b", 0, 0, PermissionOctets(4, 0, 0))
     guest.add_file("/c", 1000, 1000, PermissionOctets(7, 5, 5), is_directory=True)
     sacl = generate_full_sacl(guest.files)
-    assert len(sacl) == 3
+    assert len(sacl.entries) == 3
     assert sacl.lookup("/b").perms == PermissionOctets(4, 0, 0)
 
 
 def test_generate_full_sacl_empty_guest():
-    assert len(generate_full_sacl(Guest().files)) == 0
+    assert len(generate_full_sacl(Guest().files).entries) == 0
 
 
 def test_generate_full_sacl_large_tree_path_sets_match():
@@ -229,7 +229,7 @@ def test_generate_full_sacl_large_tree_path_sets_match():
         p = f"/f{i:06d}"
         guest.files[p] = GuestFile(i % 3000, i % 100, perms)
     sacl = generate_full_sacl(guest.files)
-    assert len(sacl) == 100_000
+    assert len(sacl.entries) == 100_000
     assert set(sacl.entries) == set(guest.files)
     probe = guest.files["/f054321"]
     entry = sacl.lookup("/f054321")

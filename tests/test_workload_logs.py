@@ -148,6 +148,11 @@ def test_seed_7_outcome_and_file_set_digests(workload, replays):
     )
     assert got == GUEST_DIGESTS[workload]
     assert set(sim.guest.processes) == sim.guest.live_pids()
+    # Every claim is a (uid, gid) pair of ints.
+    assert all(
+        type(claim) is tuple and len(claim) == 2 and all(type(v) is int for v in claim)
+        for claim in sim.guest.processes.values()
+    )
     # Every live pid has a fork-time record and every record a live pid.
     assert set(sim.table) == set(sim.guest.processes)
 
