@@ -1,19 +1,19 @@
 """Challenge-response second authentication over an artificial open().
 
-A uid listed in the auth config stays "unauthenticated" after login: every
-SACL-listed path is denied until the user proves possession of the shared
-secret by opening /tokens/<challenge><sha512(challenge + secret)>.  The
-token open itself is permitted but fails against the nonexistent path,
+A uid with a secret in the policy options stays "unauthenticated" after
+login: every SACL-listed path is denied until the user proves possession of
+the shared secret by opening /tokens/<challenge><sha512(challenge + secret)>.
+The token open itself is permitted but fails against the nonexistent path,
 exactly what a touch of an artificial file name looks like.
 """
 
-from hvguard import AuthConfig, PermissionOctets, Simulation, parse_sacl, token_response
+from hvguard import PermissionOctets, PolicyOptions, Simulation, parse_sacl, token_response
 
 SECRET = "gatekeeper"
 
 sim = Simulation(
     sacl=parse_sacl("/home/user/test1.txt 644 1000 1000\n"),
-    auth=AuthConfig(secrets={1000: SECRET}, window=300),
+    options=PolicyOptions(secrets={1000: SECRET}, window=300),
 )
 sim.add_file("/home/user", 1000, 1000, PermissionOctets(7, 5, 5), is_directory=True)
 sim.spawn(1, 1000, 1000, pid=2)
@@ -35,7 +35,7 @@ print("\nafter second auth:", verdict.decision, "| file created:", outcome.succe
 # A wrong response of the right shape is swallowed silently: no session.
 sim2 = Simulation(
     sacl=parse_sacl("/home/user/test1.txt 644 1000 1000\n"),
-    auth=AuthConfig(secrets={1000: SECRET}),
+    options=PolicyOptions(secrets={1000: SECRET}),
 )
 sim2.spawn(1, 1000, 1000, pid=2)
 bad = "/tokens/111" + "0" * 128

@@ -47,7 +47,6 @@ from .mediator import (
     SACL_DENY,
     UNAUTHENTICATED,
     WHITELIST_MISS,
-    AuthConfig,
     OwnershipRecord,
     PolicyOptions,
     Verdict,

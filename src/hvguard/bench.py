@@ -17,7 +17,7 @@ from enum import Enum
 
 from .engine import Simulation
 from .guest import Guest, GuestFile, SyscallEvent
-from .mediator import PolicyOptions, Verdict, apply_verdict, mediate
+from .mediator import Verdict, apply_verdict, mediate
 from .sacl import PermissionOctets, Sacl, generate_full_sacl
 from .trap import CostModel, TrapMode, cost_of
 
@@ -53,7 +53,7 @@ class BenchScenario:
     """pool is the guest file count the workload draws targets from; S3's
     full list has one row per file, so its size is pool too.  Comparisons
     across scenarios pin pool so only the SACL differs.  As in
-    ``PolicyOptions``, ``trap_mode`` may be given as its text."""
+    ``Simulation``, ``trap_mode`` may be given as its text."""
 
     kind: ScenarioKind
     trap_mode: TrapMode = TrapMode.CLASSIC4
@@ -108,9 +108,9 @@ class _TimedSimulation(Simulation):
 
     def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
         claim = self.guest.processes[event.pid]
-        sacl, table, options, auth, sessions = self.sacl, self.table, self.options, self.auth, self.sessions
+        sacl, table, options, sessions = self.sacl, self.table, self.options, self.sessions
         t0 = time.perf_counter_ns()
-        verdict = mediate(event, claim, sacl, table, options, auth, sessions)
+        verdict = mediate(event, claim, sacl, table, options, sessions)
         forwarded = apply_verdict(event, verdict)
         self.wall_ns += time.perf_counter_ns() - t0
         return forwarded, verdict
@@ -184,7 +184,7 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
 
     sim = _TimedSimulation(
         sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
-        options=PolicyOptions(trap_mode=scenario.trap_mode),
+        trap_mode=scenario.trap_mode,
     )
     sim.guest.files.update(files)
     pid = sim.spawn(1, 0, 0)

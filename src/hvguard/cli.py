@@ -13,7 +13,7 @@ from collections.abc import Callable, Iterator
 from .bench import BENCH_CALLS, results_csv, sacl_scaling, summary_table
 from .engine import ScenarioError, line_pieces, run_scenario
 from .guest import GuestError
-from .mediator import AuthConfig, PolicyOptions
+from .mediator import PolicyOptions
 from .sacl import Sacl, SaclParseError, is_decimal, parse_sacl
 from .trap import CostModel, TrapMode
 
@@ -115,15 +115,14 @@ def _emit(produce: Callable[[Callable[[str], object]], object], out: str | None)
 
 def _run_scenario_mode(args) -> int:
     sacl = parse_sacl(_read_text(args.sacl, SaclParseError)) if args.sacl else Sacl()
-    secrets = _load_secrets(args.auth_secrets) if args.auth_secrets else {}
-    auth = AuthConfig(secrets=secrets, window=args.auth_window)
     options = PolicyOptions(
         exec_whitelist=args.whitelist_exec,
-        trap_mode=args.trap_mode,
+        secrets=_load_secrets(args.auth_secrets) if args.auth_secrets else {},
+        window=args.auth_window,
     )
     pieces = _scenario_pieces(args.scenario)
     try:
-        result = run_scenario(pieces, sacl=sacl, options=options, auth=auth)
+        result = run_scenario(pieces, sacl=sacl, options=options, trap_mode=args.trap_mode)
     except ScenarioError:
         # An undecodable byte anywhere in the file wins over a scenario
         # error, as when the whole file was decoded first.
@@ -132,7 +131,7 @@ def _run_scenario_mode(args) -> int:
         raise
     _emit(result.simulation.decision_log, args.out)
     print(
-        f"sys events: {result.sys_events}  expect checks: {result.expect_checks}  "
+        f"sys events: {len(result.simulation.decisions)}  expect checks: {result.expect_checks}  "
         f"mismatches: {len(result.mismatches)}",
         file=sys.stderr,
     )

@@ -39,7 +39,7 @@ from .guest import (
     SyscallEvent,
     SyscallOutcome,
 )
-from .mediator import AuthConfig, OwnershipRecord, PolicyOptions, Verdict, apply_verdict, mediate
+from .mediator import OwnershipRecord, PolicyOptions, Verdict, apply_verdict, mediate
 from .sacl import DENY, PERMIT, PermissionOctets, Sacl
 from .trap import TrapMode, TrapSequenceRecord, arm, handle_trap, make_site
 
@@ -79,24 +79,25 @@ class Simulation:
     Every trapped call flows breakpoint-hit -> mediation callback ->
     forwarded (possibly nulled) event -> guest execution, with one trap
     record (the shared one its site's prologue picks) and one decision-log
-    row per call.
+    row per call.  ``trap_mode`` may also be given as the text
+    ``--trap-mode`` takes; it picks the prologue of every armed site, which
+    is the only record of it, and an unknown mode raises ``ValueError``.
     """
 
     def __init__(
         self,
         sacl: Sacl | None = None,
         options: PolicyOptions | None = None,
-        auth: AuthConfig | None = None,
+        trap_mode: TrapMode | str = TrapMode.CLASSIC4,
     ):
         self.sacl = sacl if sacl is not None else Sacl()
         self.options = options if options is not None else PolicyOptions()
-        self.auth = auth if auth is not None else AuthConfig()
         self.guest = Guest()
         # The fork-time record of every live pid, init's included.
         self.table = {INIT_PID: OwnershipRecord(0, 0)}
         self.sessions: dict[int, int] = {}
         self.clock = 0
-        nop = self.options.trap_mode is TrapMode.NOP2
+        nop = TrapMode(trap_mode) is TrapMode.NOP2
         self.sites = {call: arm(make_site(call, nop_prologue=nop)) for call in TRAPPED_CALLS}
         self.records: list[TrapSequenceRecord] = []
         self.decisions: list[DecisionRow] = []
@@ -169,7 +170,7 @@ class Simulation:
         caller's claim from ``Guest.processes``; returns (forwarded event,
         verdict)."""
         claim = self.guest.processes[event.pid]
-        verdict = mediate(event, claim, self.sacl, self.table, self.options, self.auth, self.sessions)
+        verdict = mediate(event, claim, self.sacl, self.table, self.options, self.sessions)
         return apply_verdict(event, verdict), verdict
 
     def decision_log(self, write: Callable[[str], object]) -> None:
@@ -191,8 +192,10 @@ _LOG_PIECE_ROWS = 2048
 
 @dataclass
 class ScenarioResult:
+    """A replay's outcome; each sys event that ran left one row in
+    ``simulation.decisions``, since one that fails ends the replay."""
+
     simulation: Simulation
-    sys_events: int = 0
     expect_checks: int = 0
     mismatches: list[str] = field(default_factory=list)
 
@@ -394,11 +397,11 @@ def run_scenario(
     text: str | Iterable[str],
     sacl: Sacl | None = None,
     options: PolicyOptions | None = None,
-    auth: AuthConfig | None = None,
+    trap_mode: TrapMode | str = TrapMode.CLASSIC4,
 ) -> ScenarioResult:
     """Replay a scenario, whole or in pieces (see ``decode_scenario``);
     expectation mismatches are collected, not raised."""
-    sim = Simulation(sacl=sacl, options=options, auth=auth)
+    sim = Simulation(sacl=sacl, options=options, trap_mode=trap_mode)
     result = ScenarioResult(sim)
     last: tuple[Verdict, SyscallOutcome] | None = None
 
@@ -414,7 +417,6 @@ def run_scenario(
             if kind == SYS:
                 _, _, pid, call, path, path2, flags = event
                 last = sim.syscall(pid, call, path, path2, flags)
-                result.sys_events += 1
             elif kind == EXPECT:
                 _check_expect(event, last, result)
             elif kind == FILE:

@@ -36,7 +36,6 @@ from .guest import (
     SyscallEvent,
 )
 from .sacl import DENY, EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, Sacl, check_access
-from .trap import TrapMode
 
 TOKEN_PREFIX = "/tokens/"
 RESPONSE_HEX_LEN = 128  # SHA-512 digest length in hex characters
@@ -69,32 +68,22 @@ class OwnershipRecord(NamedTuple):
 
 
 @dataclass(frozen=True)
-class AuthConfig:
-    """Challenge-response configuration.
+class PolicyOptions:
+    """What mediation reads besides the call, the SACL and the two tables.
 
-    A uid with a shared secret must authenticate; every other uid is
-    implicitly always authenticated.  The window is counted in logical event
-    ticks.
+    Under ``exec_whitelist`` an exec whose target has no SACL rule is
+    denied.  A uid with a shared secret in ``secrets`` must authenticate;
+    every other uid is implicitly always authenticated.  A verified token
+    opens a session for ``window`` logical event ticks.
     """
 
+    exec_whitelist: bool = False
     secrets: Mapping[int, str] = field(default_factory=dict)
     window: int = 300
 
     def __post_init__(self):
         if self.window <= 0:
             raise ValueError("auth window must be positive")
-
-
-@dataclass(frozen=True)
-class PolicyOptions:
-    """``trap_mode`` may also be given as the text ``--trap-mode`` takes; it
-    is held as a ``TrapMode``, and an unknown mode raises ``ValueError``."""
-
-    exec_whitelist: bool = False
-    trap_mode: TrapMode = TrapMode.CLASSIC4
-
-    def __post_init__(self):
-        object.__setattr__(self, "trap_mode", TrapMode(self.trap_mode))
 
 
 class Verdict(NamedTuple):
@@ -183,7 +172,7 @@ def try_token_auth(
     path: str | None,
     pid: int,
     table: dict[int, OwnershipRecord],
-    config: AuthConfig,
+    options: PolicyOptions,
     sessions: dict[int, int],
     seq: int,
 ) -> bool:
@@ -204,11 +193,11 @@ def try_token_auth(
     if not _is_lower_hex(response):
         return True
     uid = table[pid].uid
-    secret = config.secrets.get(uid)
+    secret = options.secrets.get(uid)
     if secret is None:
         return True
     if hmac.compare_digest(token_response(challenge, secret), response):
-        sessions[uid] = seq + config.window
+        sessions[uid] = seq + options.window
     return True
 
 
@@ -216,7 +205,7 @@ def is_authenticated(sessions: dict[int, int], uid: int, seq: int) -> bool:
     """Whether uid holds a session valid at seq: through the recorded
     expiry seq inclusive.  Only a uid with a secret needs one; a uid
     without a secret is always authenticated, which the caller decides
-    from ``AuthConfig.secrets`` before asking."""
+    from ``PolicyOptions.secrets`` before asking."""
     expiry = sessions.get(uid)
     return expiry is not None and seq <= expiry
 
@@ -227,7 +216,6 @@ def mediate(
     sacl: Sacl,
     table: dict[int, OwnershipRecord],
     options: PolicyOptions,
-    config: AuthConfig,
     sessions: dict[int, int],
 ) -> Verdict:
     """Decide one trapped call.
@@ -252,8 +240,8 @@ def mediate(
     if family in _HARD_DENIED_FAMILIES:
         return _tuple_new(Verdict, (DENY, HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))
 
-    if family is OPEN and config.secrets:
-        try_token_auth(path, pid, table, config, sessions, seq)
+    if family is OPEN and options.secrets:
+        try_token_auth(path, pid, table, options, sessions, seq)
 
     checks = {} if family is EXIT or family is CLONE else required_checks(event)
 
@@ -273,7 +261,7 @@ def mediate(
         results.append((checked, bits, decision))
 
     # Only a uid with a secret needs a session.
-    if listed and resolved_uid in config.secrets and not is_authenticated(sessions, resolved_uid, seq):
+    if listed and resolved_uid in options.secrets and not is_authenticated(sessions, resolved_uid, seq):
         decision, reason, results = DENY, UNAUTHENTICATED, ()
     elif not listed and family is EXEC and options.exec_whitelist:
         decision, reason, results = DENY, WHITELIST_MISS, ()

@@ -18,7 +18,6 @@ from hvguard.engine import Simulation
 from hvguard.guest import CALL_FAMILY, CLONE, SyscallEvent
 from hvguard.mediator import (
     UNAUTHENTICATED,
-    AuthConfig,
     OwnershipRecord,
     PolicyOptions,
     is_authenticated,
@@ -142,7 +141,7 @@ def _args_for(call):
 
 
 def _mixed_switch_total(mode, n, seed=99):
-    sim = Simulation(options=PolicyOptions(trap_mode=mode))
+    sim = Simulation(trap_mode=mode)
     worker = sim.spawn(1, 1000, 1000)
     rng = random.Random(seed)
     for _ in range(n):
@@ -157,7 +156,7 @@ def test_criterion_3_trap_count_exactness():
     with criterion(3, "trap counts 4/2 per call, 4N/2N totals"):
         for mode, per_call in ((TrapMode.CLASSIC4, 4), (TrapMode.NOP2, 2)):
             for call in INTERPOSED_CALLS:
-                sim = Simulation(options=PolicyOptions(trap_mode=mode))
+                sim = Simulation(trap_mode=mode)
                 pid = sim.spawn(1, 1000, 1000)
                 sim.syscall(pid, call, **_args_for(call))
                 record = sim.records[-1]
@@ -248,22 +247,21 @@ def test_criterion_7_auth_protocol():
             response = sha512_hex((challenge + secret).encode())
 
             table = {2: OwnershipRecord(1000, 1000)}
-            config = AuthConfig(secrets={1000: secret}, window=50)
+            options = PolicyOptions(secrets={1000: secret}, window=50)
             sessions = {}
-            handled = try_token_auth("/tokens/" + challenge + response, 2, table, config, sessions, seq=7)
+            handled = try_token_auth("/tokens/" + challenge + response, 2, table, options, sessions, seq=7)
             assert handled and sessions.get(1000) == 57
 
             # corrupt one hex digit: exact-equality means no acceptance
             pos = rng.randrange(len(response))
             bad = response[:pos] + ("0" if response[pos] != "0" else "1") + response[pos + 1 :]
             sessions = {}
-            handled = try_token_auth("/tokens/" + challenge + bad, 2, table, config, sessions, seq=7)
+            handled = try_token_auth("/tokens/" + challenge + bad, 2, table, options, sessions, seq=7)
             assert handled and sessions == {}
 
         # expiry: past the window every SACL-listed path is denied again
         sacl = parse_sacl("/home/user/f 644 1000 1000\n")
-        auth = AuthConfig(secrets={1000: "s"}, window=50)
-        sim = Simulation(sacl=sacl, auth=auth)
+        sim = Simulation(sacl=sacl, options=PolicyOptions(secrets={1000: "s"}, window=50))
         sim.spawn(1, 1000, 1000, pid=2)
         token = "/tokens/c" + sha512_hex(b"cs")
         sim.syscall(2, "open", token, flags=["O_RDONLY"])
@@ -319,7 +317,7 @@ def test_criterion_8_ownership_integrity():
 def test_criterion_9_rearm_guarantee():
     with criterion(9, "100 back-to-back traps, no misses, both modes"):
         for mode, per_call in ((TrapMode.CLASSIC4, 4), (TrapMode.NOP2, 2)):
-            sim = Simulation(options=PolicyOptions(trap_mode=mode))
+            sim = Simulation(trap_mode=mode)
             pid = sim.spawn(1, 1000, 1000)
             for _ in range(100):
                 sim.syscall(pid, "open", "/same/file", flags=["O_RDONLY"])

@@ -17,7 +17,7 @@ from hvguard.bench import (
 )
 from hvguard.engine import Simulation, run_scenario
 from hvguard.guest import Guest
-from hvguard.mediator import AuthConfig, PolicyOptions
+from hvguard.mediator import PolicyOptions
 from hvguard.sacl import parse_sacl
 from hvguard.trap import CostModel, TrapMode
 from test_acceptance import TRANSCRIPTS, _transcript_args
@@ -66,8 +66,8 @@ def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir
             result = run_scenario(
                 text,
                 sacl=parse_sacl(Path(args.sacl).read_text(encoding="utf-8")),
-                options=PolicyOptions(exec_whitelist=args.whitelist_exec, trap_mode=mode),
-                auth=AuthConfig(secrets=secrets),
+                options=PolicyOptions(exec_whitelist=args.whitelist_exec, secrets=secrets),
+                trap_mode=mode,
             )
             sim = result.simulation
             assert type(sim) is simulation
@@ -112,7 +112,7 @@ def test_switch_totals_by_mode():
 
 @pytest.mark.parametrize("text, mode, switches", [("classic", TrapMode.CLASSIC4, 4), ("nop", TrapMode.NOP2, 2)])
 def test_trap_mode_may_be_given_as_its_text(text, mode, switches):
-    # The text --trap-mode takes, as PolicyOptions accepts it.
+    # The text --trap-mode takes, as Simulation accepts it.
     assert BenchScenario(ScenarioKind.S1_NO_TRAP, trap_mode=text).trap_mode is mode
     assert run_workload("open", 10, BenchScenario(ScenarioKind.S1_NO_TRAP, trap_mode=text)).trap_mode == text
     trapped = run_workload("open", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text))

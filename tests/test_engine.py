@@ -21,7 +21,7 @@ from hvguard.engine import (
     parse_scenario,
     run_scenario,
 )
-from hvguard.mediator import SACL_DENY, WHITELIST_MISS, AuthConfig, PolicyOptions
+from hvguard.mediator import SACL_DENY, WHITELIST_MISS, PolicyOptions
 from hvguard.sacl import DENY, PERMIT, PermissionOctets, parse_sacl
 from hvguard.guest import TRAPPED_CALLS, GuestError, SyscallEvent
 from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
@@ -145,7 +145,7 @@ def test_an_open_that_reads_needs_the_sacl_read_bit():
 def test_run_scenario_deny_expectation_met():
     result = run_scenario(BASIC, sacl=parse_sacl("/etc/shadow 400 0 0\n"))
     assert result.mismatches == []
-    assert result.sys_events == 1
+    assert len(result.simulation.decisions) == 1
     assert result.expect_checks == 1
 
 
@@ -178,7 +178,7 @@ def test_decision_log_row_per_sys_event():
 {"ev":"sys","pid":2,"call":"exit"}
 """
     result = run_scenario(text)
-    assert result.sys_events == 3
+    assert len(result.simulation.decisions) == 3
     log = "".join(_log_pieces(result.simulation)).splitlines()
     assert log[0] == ",".join(DECISION_LOG_COLUMNS)
     assert len(log) == 1 + 3
@@ -208,8 +208,10 @@ def test_decision_log_pieces_join_to_the_whole_log(scenario_dir, name):
     result = run_scenario(
         (scenario_dir / f"{name}.jsonl").read_text(),
         sacl=parse_sacl(Path(args.sacl).read_text()),
-        options=PolicyOptions(exec_whitelist=args.whitelist_exec),
-        auth=AuthConfig(secrets=cli._load_secrets(args.auth_secrets) if args.auth_secrets else {}),
+        options=PolicyOptions(
+            exec_whitelist=args.whitelist_exec,
+            secrets=cli._load_secrets(args.auth_secrets) if args.auth_secrets else {},
+        ),
     )
     pieces = _log_pieces(result.simulation)
     assert len(pieces) == 2  # the header, then the rows
@@ -460,7 +462,7 @@ def test_scenario_replay_bit_identical():
 
 
 def test_nop_mode_runs_scenarios_with_two_switches():
-    sim = Simulation(options=PolicyOptions(trap_mode=TrapMode.NOP2))
+    sim = Simulation(trap_mode=TrapMode.NOP2)
     sim.spawn(1, 0, 0, pid=2)
     sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
     record = sim.records[-1]
@@ -469,21 +471,42 @@ def test_nop_mode_runs_scenarios_with_two_switches():
 
 @pytest.mark.parametrize("text,record", [("nop", NOP2_RECORD), ("classic", CLASSIC4_RECORD)], ids=["nop", "classic"])
 def test_trap_mode_given_as_its_text_picks_its_handling(text, record):
-    sim = Simulation(options=PolicyOptions(trap_mode=text))
-    assert sim.options.trap_mode is TrapMode(text)
+    sim = Simulation(trap_mode=text)
     sim.spawn(1, 0, 0, pid=2)
     sim.syscall(2, "open", "/missing", flags=["O_RDONLY"])
     assert sim.records == [record]
 
 
+@pytest.mark.parametrize("text,record", [("nop", NOP2_RECORD), ("classic", CLASSIC4_RECORD)], ids=["nop", "classic"])
+def test_trap_mode_reaches_the_sites_from_run_scenario_and_the_cli(monkeypatch, scenario_dir, tmp_path, text, record):
+    """Neither ``run_scenario`` nor the CLI drops the mode on its way to the
+    Simulation, which alone holds it: every call takes that mode's record."""
+    result = run_scenario(BASIC, trap_mode=text)
+    assert result.simulation.records == [record]
+
+    sims = []
+
+    class Recording(Simulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            sims.append(self)
+
+    monkeypatch.setattr(engine, "Simulation", Recording)
+    name, extra = TRANSCRIPTS[0]
+    args = _transcript_args(scenario_dir, name, extra) + ["--trap-mode", text, "--out", str(tmp_path / "log.csv")]
+    assert cli.main(args) == 0
+    [sim] = sims
+    assert sim.records and all(r is record for r in sim.records)
+
+
 def test_unknown_trap_mode_rejected():
     with pytest.raises(ValueError, match="'fast' is not a valid TrapMode"):
-        PolicyOptions(trap_mode="fast")
+        Simulation(trap_mode="fast")
 
 
 def test_every_record_is_the_modes_shared_record():
     for mode, shared in ((TrapMode.CLASSIC4, CLASSIC4_RECORD), (TrapMode.NOP2, NOP2_RECORD)):
-        sim = Simulation(sacl=parse_sacl("/w/a 400 0 0\n"), options=PolicyOptions(trap_mode=mode))
+        sim = Simulation(sacl=parse_sacl("/w/a 400 0 0\n"), trap_mode=mode)
         sim.add_file("/w/a", 0, 0, PermissionOctets.from_text("644"))
         for call in TRAPPED_CALLS:
             pid = sim.spawn(1, 0, 0)
@@ -544,8 +567,8 @@ def test_ownership_invariance_random_scenarios():
 
 
 def test_auth_config_window_flows_from_simulation():
-    auth = AuthConfig(secrets={1000: "s"}, window=5)
-    sim = Simulation(sacl=parse_sacl("/f 644 1000 1000\n"), auth=auth)
+    options = PolicyOptions(secrets={1000: "s"}, window=5)
+    sim = Simulation(sacl=parse_sacl("/f 644 1000 1000\n"), options=options)
     sim.spawn(1, 1000, 1000, pid=2)
     from hvguard.mediator import token_response
 

@@ -77,7 +77,7 @@ def test_replay_heap_scales_with_files_not_rows_or_lines(monkeypatch):
     gc.collect()
     before = len(gc.get_objects())
     result = run_scenario(scenario, sacl=parse_sacl(sacl_text))
-    assert result.sys_events == N_SYS
+    assert len(result.simulation.decisions) == N_SYS
     tracked, files = counts[0]
     assert files == N_FILES + 50
     assert tracked - before < files + SMALL
@@ -115,7 +115,7 @@ def test_each_event_is_freed_once_run(monkeypatch):
         assert live_at_syscalls == [2 * (N_SYS - k) for k in range(N_SYS)]
         assert len(refs) == n_events
         assert all(ref() is None for ref in refs)
-        assert result.sys_events == N_SYS
+        assert len(result.simulation.decisions) == N_SYS
     finally:
         gc.enable()
 

@@ -23,7 +23,6 @@ from hvguard.mediator import (
     SACL_DENY,
     UNAUTHENTICATED,
     WHITELIST_MISS,
-    AuthConfig,
     OwnershipRecord,
     PolicyOptions,
     Verdict,
@@ -55,19 +54,18 @@ def fresh_state(sacl_text="", exec_whitelist=False, secrets=None, window=300, ow
     """Mediation state whose table records pid 2, the pid of ``ev``, as owner."""
     sacl = parse_sacl(sacl_text)
     table = {2: OwnershipRecord(*owner)}
-    options = PolicyOptions(exec_whitelist=exec_whitelist)
-    config = AuthConfig(secrets=dict(secrets or {}), window=window)
+    options = PolicyOptions(exec_whitelist=exec_whitelist, secrets=dict(secrets or {}), window=window)
     sessions = {}
-    return sacl, table, options, config, sessions
+    return sacl, table, options, sessions
 
 
 # -- ownership table --------------------------------------------------------
 
 
 def test_the_record_wins_over_any_claim():
-    sacl, table, options, config, sessions = fresh_state()
+    sacl, table, options, sessions = fresh_state()
     for claimed, mismatch in (((1000, 1000), False), ((0, 0), True), ((1000, 0), True), ((0, 1000), True)):
-        verdict = mediate(ev("open", "/f"), claimed, sacl, table, options, config, sessions)
+        verdict = mediate(ev("open", "/f"), claimed, sacl, table, options, sessions)
         assert (verdict.resolved_uid, verdict.resolved_gid, verdict.mismatch) == (1000, 1000, mismatch), claimed
 
 
@@ -95,9 +93,9 @@ def test_on_exit_removes_and_tolerates_unknown():
 
 
 def test_a_pid_without_a_record_is_never_decided_on_its_claim():
-    sacl, table, options, config, sessions = fresh_state()
+    sacl, table, options, sessions = fresh_state()
     with pytest.raises(KeyError):
-        mediate(ev("open", "/f", pid=8), (42, 43), sacl, table, options, config, sessions)
+        mediate(ev("open", "/f", pid=8), (42, 43), sacl, table, options, sessions)
 
 
 # -- required checks --------------------------------------------------------
@@ -165,9 +163,9 @@ def test_token_response_matches_independent_oracle():
 
 def test_token_auth_success_sets_window():
     table = {2: OwnershipRecord(1000, 1000)}
-    config = AuthConfig(secrets={1000: "s"}, window=300)
+    options = PolicyOptions(secrets={1000: "s"}, window=300)
     sessions = {}
-    handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, config, sessions, seq=10)
+    handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, options, sessions, seq=10)
     assert handled
     assert sessions[1000] == 310
     assert is_authenticated(sessions, 1000, seq=310)
@@ -176,19 +174,19 @@ def test_token_auth_success_sets_window():
 
 def test_token_auth_wrong_response_handled_but_no_session():
     table = {2: OwnershipRecord(1000, 1000)}
-    config = AuthConfig(secrets={1000: "s"})
+    options = PolicyOptions(secrets={1000: "s"})
     sessions = {}
     bad = ABCS_DIGEST[:-1] + ("0" if ABCS_DIGEST[-1] != "0" else "1")
-    assert try_token_auth("/tokens/abc" + bad, 2, table, config, sessions, seq=10)
+    assert try_token_auth("/tokens/abc" + bad, 2, table, options, sessions, seq=10)
     assert sessions == {}
 
 
 def test_token_auth_ignores_non_token_paths_and_short_blobs():
     table = {2: OwnershipRecord(1000, 1000)}
-    config = AuthConfig(secrets={1000: "s"})
-    assert not try_token_auth("/home/user/x", 2, table, config, {}, 1)
-    assert not try_token_auth(None, 2, table, config, {}, 1)
-    assert try_token_auth("/tokens/short", 2, table, config, {}, 1)  # handled, no auth
+    options = PolicyOptions(secrets={1000: "s"})
+    assert not try_token_auth("/home/user/x", 2, table, options, {}, 1)
+    assert not try_token_auth(None, 2, table, options, {}, 1)
+    assert try_token_auth("/tokens/short", 2, table, options, {}, 1)  # handled, no auth
 
 
 def _is_lower_hex_by_generator(text):
@@ -207,109 +205,112 @@ def test_lower_hex_check_matches_the_generator_definition(text):
 
 
 def test_auth_config_validation():
-    with pytest.raises(ValueError):
-        AuthConfig(window=0)
+    with pytest.raises(ValueError, match="^auth window must be positive$"):
+        PolicyOptions(window=0)
 
 
 # -- mediate ------------------------------------------------------------------
 
 
 def test_hard_denied_calls_always_deny():
-    sacl, table, options, config, sessions = fresh_state(owner=(0, 0))
+    sacl, table, options, sessions = fresh_state(owner=(0, 0))
     assert len(HARD_DENIED_CALLS) == 7
     for call in HARD_DENIED_CALLS:
-        verdict = mediate(ev(call, "/x"), (0, 0), sacl, table, options, config, sessions)
+        verdict = mediate(ev(call, "/x"), (0, 0), sacl, table, options, sessions)
         assert verdict.decision is DENY
         assert verdict.reason is HARD_DENIED_CALL
 
 
 def test_sacl_deny_root_write_to_shadow():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
-    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
+    sacl, table, options, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
+    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
     assert ("/etc/shadow", WRITE_BIT, DENY) in verdict.checks
 
 
 def test_unlisted_path_permits_by_default():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n")
-    verdict = mediate(ev("open", "/tmp/scratch", flags=["O_WRONLY"]), (1000, 1000), sacl, table, options, config, sessions)
+    sacl, table, options, sessions = fresh_state("/etc/shadow 400 0 0\n")
+    verdict = mediate(ev("open", "/tmp/scratch", flags=["O_WRONLY"]), (1000, 1000), sacl, table, options, sessions)
     assert verdict.decision is PERMIT
 
 
 def test_unauthenticated_denies_only_listed_paths():
-    sacl, table, options, config, sessions = fresh_state(
+    sacl, table, options, sessions = fresh_state(
         "/home/user/test1.txt 644 1000 1000\n",
         secrets={1000: "gatekeeper"},
     )
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=5)
-    verdict = mediate(listed, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(listed, (1000, 1000), sacl, table, options, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     unlisted = ev("open", "/tmp/free", flags=["O_WRONLY"], seq=6)
-    assert mediate(unlisted, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
+    assert mediate(unlisted, (1000, 1000), sacl, table, options, sessions).decision is PERMIT
 
 
 def test_unauthenticated_denied_when_only_a_later_path_is_listed():
     # An unlisted file renamed into a listed directory: only the last of the
     # four paths has a rule, and that alone closes the gate.
-    sacl, table, options, config, sessions = fresh_state("/vault 777 1000 1000\n", secrets={1000: "s"})
-    verdict = mediate(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
+    sacl, table, options, sessions = fresh_state("/vault 777 1000 1000\n", secrets={1000: "s"})
+    verdict = mediate(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
     assert verdict.probes == 4
     sessions[1000] = 10  # authenticated: the 777 rule permits the same call
-    verdict = mediate(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(ev("rename", "/tmp/x", "/vault/x"), (1000, 1000), sacl, table, options, sessions)
     assert verdict.decision is PERMIT
 
 
 def test_token_then_listed_write_permits_until_expiry():
-    sacl, table, options, config, sessions = fresh_state(
+    sacl, table, options, sessions = fresh_state(
         "/home/user/test1.txt 644 1000 1000\n",
         secrets={1000: "gatekeeper"},
         window=300,
     )
     token = "/tokens/111" + token_response("111", "gatekeeper")
     token_ev = ev("open", token, flags=["O_CREAT", "O_WRONLY"], seq=10)
-    verdict = mediate(token_ev, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(token_ev, (1000, 1000), sacl, table, options, sessions)
     assert verdict.decision is PERMIT  # the artificial open itself is unlisted
 
     listed = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=20)
-    assert mediate(listed, (1000, 1000), sacl, table, options, config, sessions).decision is PERMIT
+    assert mediate(listed, (1000, 1000), sacl, table, options, sessions).decision is PERMIT
+
+    last = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=310)  # 10 + window
+    assert mediate(last, (1000, 1000), sacl, table, options, sessions).decision is PERMIT
 
     late = ev("open", "/home/user/test1.txt", flags=["O_CREAT", "O_WRONLY"], seq=311)
-    verdict = mediate(late, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(late, (1000, 1000), sacl, table, options, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
 
 
 def test_exec_whitelist_miss_and_hit():
-    sacl, table, options, config, sessions = fresh_state(
+    sacl, table, options, sessions = fresh_state(
         "/home/user/test 755 1000 1000\n", exec_whitelist=True
     )
-    hit = mediate(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, config, sessions)
+    hit = mediate(ev("execve", "/home/user/test"), (1000, 1000), sacl, table, options, sessions)
     assert hit.decision is PERMIT
-    miss = mediate(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, config, sessions)
+    miss = mediate(ev("execve", "/home/user/newfile"), (1000, 1000), sacl, table, options, sessions)
     assert (miss.decision, miss.reason) == (DENY, WHITELIST_MISS)
 
 
 def test_exec_whitelist_listed_but_no_execute_bit():
-    sacl, table, options, config, sessions = fresh_state(
+    sacl, table, options, sessions = fresh_state(
         "/home/user/doc 644 1000 1000\n", exec_whitelist=True
     )
-    verdict = mediate(ev("execve", "/home/user/doc"), (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(ev("execve", "/home/user/doc"), (1000, 1000), sacl, table, options, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
 
 
 def test_mismatched_claims_use_fork_time_credentials():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 600 0 0\n", owner=(1000, 1000))
+    sacl, table, options, sessions = fresh_state("/etc/shadow 600 0 0\n", owner=(1000, 1000))
     # claims root, recorded as 1000: decided as 1000, flagged as mismatch
-    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, config, sessions)
+    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, sessions)
     assert verdict.mismatch
     assert (verdict.resolved_uid, verdict.resolved_gid) == (1000, 1000)
     assert verdict.decision is DENY
 
 
 def test_exit_and_clone_are_permitted_without_checks():
-    sacl, table, options, config, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
+    sacl, table, options, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
     for call in ("exit", "exit_group", "clone"):
-        verdict = mediate(ev(call), (0, 0), sacl, table, options, config, sessions)
+        verdict = mediate(ev(call), (0, 0), sacl, table, options, sessions)
         assert verdict.decision is PERMIT
         assert verdict.checks == ()
 
@@ -318,9 +319,9 @@ def test_exit_and_clone_are_permitted_without_checks():
 
 
 def test_apply_verdict_nulls_first_path_slot():
-    sacl, table, options, config, sessions = fresh_state("/a/x 444 0 0\n")
+    sacl, table, options, sessions = fresh_state("/a/x 444 0 0\n")
     event = ev("rename", "/a/x", "/b/y")
-    verdict = mediate(event, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(event, (1000, 1000), sacl, table, options, sessions)
     assert verdict.decision is DENY
     forwarded = apply_verdict(event, verdict)
     assert forwarded.path is None
@@ -328,9 +329,9 @@ def test_apply_verdict_nulls_first_path_slot():
 
 
 def test_apply_verdict_permit_is_identity():
-    sacl, table, options, config, sessions = fresh_state()
+    sacl, table, options, sessions = fresh_state()
     event = ev("open", "/tmp/x", flags=["O_RDONLY"])
-    verdict = mediate(event, (1000, 1000), sacl, table, options, config, sessions)
+    verdict = mediate(event, (1000, 1000), sacl, table, options, sessions)
     assert apply_verdict(event, verdict) is event
 
 
@@ -340,7 +341,7 @@ def test_denial_never_raises_and_yields_guest_error():
     deny_all = "\n".join(
         f"{p} 000 0 0" for p in ("/a/x", "/a/y", "/a", "/etc/mod.ko")
     )
-    sacl, table, options, config, sessions = fresh_state(deny_all + "\n")
+    sacl, table, options, sessions = fresh_state(deny_all + "\n")
     guest = Guest()
     guest.add_file("/a/x", 0, 0, PermissionOctets(7, 7, 7))
     guest.add_file("/a/y", 0, 0, PermissionOctets(7, 7, 7))
@@ -361,19 +362,19 @@ def test_denial_never_raises_and_yields_guest_error():
         (ev("name_to_handle_at", "/a/x", pid=pid), BAD_ADDRESS),
     ]
     for event, expected in cases:
-        verdict = mediate(event, (0, 0), sacl, table, options, config, sessions)
+        verdict = mediate(event, (0, 0), sacl, table, options, sessions)
         assert verdict.decision is DENY, event.call
         outcome = guest.execute_syscall(apply_verdict(event, verdict))
         assert outcome.error is expected, event.call
 
 
 def test_immutability_pattern_write_bits_clear():
-    sacl, table, options, config, sessions = fresh_state("/locked 444 0 0\n")
+    sacl, table, options, sessions = fresh_state("/locked 444 0 0\n")
     for uid in (0, 1, 500, 1000, 65534):
         for gid in (0, uid):
             table[2] = OwnershipRecord(uid, gid)
             event = ev("open", "/locked", flags=["O_WRONLY"])
-            verdict = mediate(event, (uid, gid), sacl, table, options, config, sessions)
+            verdict = mediate(event, (uid, gid), sacl, table, options, sessions)
             assert verdict.decision is DENY, (uid, gid)
 
 
@@ -390,11 +391,11 @@ def test_hard_denied_product_space():
                 uid, gid = rng.randrange(2000), rng.randrange(2000)
                 table = {2: OwnershipRecord(uid, gid)}
                 sessions = {}
-                config = AuthConfig(secrets={uid: "s"})
+                options = PolicyOptions(secrets={uid: "s"})
                 if rng.random() < 0.5:
                     sessions[uid] = 10_000  # authenticated
                 verdict = mediate(
-                    ev(call, "/x", seq=5), (uid, gid), sacl, table, PolicyOptions(), config, sessions
+                    ev(call, "/x", seq=5), (uid, gid), sacl, table, options, sessions
                 )
                 assert (verdict.decision, verdict.reason) == (
                     DENY,
@@ -405,9 +406,9 @@ def test_hard_denied_product_space():
 # -- the cost of a hit ----------------------------------------------------------
 
 
-def _python_calls(event, sacl, config):
+def _python_calls(event, sacl, options):
     """Names of the Python-level functions mediate calls, in call order."""
-    table, options, sessions = {2: OwnershipRecord(1000, 1000)}, PolicyOptions(), {}
+    table, sessions = {2: OwnershipRecord(1000, 1000)}, {}
     called = []
 
     def profile(frame, what, arg):
@@ -416,7 +417,7 @@ def _python_calls(event, sacl, config):
 
     sys.setprofile(profile)
     try:
-        verdict = mediate(event, (1000, 1000), sacl, table, options, config, sessions)
+        verdict = mediate(event, (1000, 1000), sacl, table, options, sessions)
     finally:
         sys.setprofile(None)
     return verdict, called[1:]  # mediate's own frame first
@@ -424,9 +425,9 @@ def _python_calls(event, sacl, config):
 
 def test_a_hit_makes_the_same_calls_as_a_miss():
     sacl = parse_sacl("/etc/listed 644 0 0\n")
-    config = AuthConfig()
-    hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, config)
-    miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, config)
+    options = PolicyOptions()
+    hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
+    miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
     assert hit.decision is miss.decision is PERMIT
     assert hit.checks == (("/etc/listed", R, PERMIT),)
     # No session check for a uid without a secret, and the cascade runs
@@ -435,18 +436,18 @@ def test_a_hit_makes_the_same_calls_as_a_miss():
     assert "check_access" in hit_calls
     # No token attempt without a secret: no uid could verify one.
     assert "try_token_auth" not in hit_calls
-    with_secret = AuthConfig(secrets={1: "s"})
+    with_secret = PolicyOptions(secrets={1: "s"})
     _, secret_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, with_secret)
     assert "try_token_auth" in secret_calls
 
 
 def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
     sacl = parse_sacl("/etc/listed 644 0 0\n")
-    config = AuthConfig(secrets={1000: "s"})
-    verdict, called = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, config)
+    options = PolicyOptions(secrets={1000: "s"})
+    verdict, called = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
     assert "is_authenticated" in called
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
-    _, called = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, config)
+    _, called = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
     assert "is_authenticated" not in called
 
 

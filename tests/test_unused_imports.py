@@ -1,6 +1,7 @@
 """No module of the package imports a name it never uses, no private
-module-level name or method goes unread by the package, and no module
-assigns a guest node's fields.
+module-level name or method goes unread by the package, no module
+assigns a guest node's fields, and mediation imports nothing from the
+trap layer.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library's ``ast``.  ``__init__.py`` is skipped by the
@@ -155,3 +156,41 @@ def test_checker_sees_a_node_field_store():
 @pytest.mark.parametrize("module", PACKAGE, ids=lambda path: path.name)
 def test_no_module_assigns_a_node_field(module):
     assert node_field_stores(module.read_text(encoding="utf-8")) == []
+
+
+def package_imports(source: str) -> set[str]:
+    """The package modules a source imports from, by bare name: ``from .trap
+    import x``, ``from . import trap``, ``from hvguard.trap import x``,
+    ``from hvguard import trap`` and ``import hvguard.trap`` each give
+    ``trap``."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = ".".join(filter(None, ("hvguard" if node.level else None, node.module)))
+            names = [f"{module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found.update(name.split(".")[1] for name in names if name.startswith("hvguard."))
+    return found
+
+
+def test_checker_sees_every_spelling_of_a_package_import():
+    source = (
+        "from .trap import A\n"
+        "from . import sacl\n"
+        "from hvguard.guest import B\n"
+        "import hvguard.engine\n"
+        "from hvguard import cli\n"
+        "import os, hvguard\n"
+        "from typing import C\n"
+    )
+    assert package_imports(source) == {"trap", "sacl", "guest", "engine", "cli"}
+
+
+def test_mediator_imports_nothing_from_the_trap_layer():
+    # Mediation is the policy; how a call is trapped, and in which mode, is
+    # the mechanism, which only the Simulation wires to it.
+    source = (REPO_ROOT / "src" / "hvguard" / "mediator.py").read_text(encoding="utf-8")
+    assert "trap" not in package_imports(source)
