@@ -17,7 +17,6 @@ from enum import Enum
 
 from .engine import Simulation
 from .guest import Guest, GuestFile, SyscallEvent
-from .mediator import Verdict, apply_verdict, mediate
 from .sacl import PermissionOctets, Sacl, generate_full_sacl
 from .trap import CostModel, TrapMode, cost_of
 
@@ -96,24 +95,22 @@ class BenchResult:
 
 
 class _TimedSimulation(Simulation):
-    """A Simulation whose trap callback times mediation alone.
+    """A Simulation that times its mediation step alone.
 
-    The timed span is exactly ``mediate`` plus ``apply_verdict``, the work
-    that depends on the SACL; the read of the caller's claim from
-    ``Guest.processes`` stays outside it, so it cannot pull the
-    empty-vs-full ratio of acceptance criterion 6 toward 1.
+    The timed span is ``Simulation._decide``, the one call of ``mediate``
+    plus ``apply_verdict``, the work that depends on the SACL; the trap
+    callback reads the caller's claim from ``Guest.processes`` before it,
+    so that read cannot pull the empty-vs-full ratio of acceptance
+    criterion 6 toward 1.
     """
 
     wall_ns = 0
 
-    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
-        claim = self.guest.processes[event.pid]
-        sacl, table, options, sessions = self.sacl, self.table, self.options, self.sessions
+    def _decide(self, event, claim):
         t0 = time.perf_counter_ns()
-        verdict = mediate(event, claim, sacl, table, options, sessions)
-        forwarded = apply_verdict(event, verdict)
+        decided = Simulation._decide(self, event, claim)
         self.wall_ns += time.perf_counter_ns() - t0
-        return forwarded, verdict
+        return decided
 
 
 def _issue_calls(issue, guest: Guest, pid: int, call: str, files: dict, count: int, seed: int) -> list:
@@ -169,42 +166,32 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
     files = {f"/f{i:07d}": GuestFile(0, 0, _WORKLOAD_PERMS) for i in range(scenario.pool)}
     bare_ns = _bare_mean_ns(call, n, files, scenario.seed)
 
-    if scenario.kind is ScenarioKind.S1_NO_TRAP:
-        return BenchResult(
-            call=call,
-            scenario=scenario.kind.value,
-            trap_mode=scenario.trap_mode.value,
-            sacl_size=0,
-            n=n,
-            mean_model_cost=0.0,
-            mean_wall_ns=bare_ns,
-            ratio_vs_s1=1.0,
-            total_switches=0,
+    # S1 skips only the trapped run; its figures are those of an empty one.
+    trapped = scenario.kind is not ScenarioKind.S1_NO_TRAP
+    records, probes, sacl_size, mediation_ns = [], [], 0, 0.0
+    if trapped:
+        sim = _TimedSimulation(
+            sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
+            trap_mode=scenario.trap_mode,
         )
+        sim.guest.files.update(files)
+        pid = sim.spawn(1, 0, 0)
 
-    sim = _TimedSimulation(
-        sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
-        trap_mode=scenario.trap_mode,
-    )
-    sim.guest.files.update(files)
-    pid = sim.spawn(1, 0, 0)
+        # Warm up the interpreter path before measuring.
+        warm = min(100, n)
+        _issue_calls(sim.syscall, sim.guest, pid, call, files, warm, scenario.seed + 1)
+        sim.wall_ns = 0
+        probes = _issue_calls(lambda *args: sim.syscall(*args)[0].probes, sim.guest, pid, call, files, n, scenario.seed)
+        records, sacl_size, mediation_ns = sim.records[warm:], len(sim.sacl.entries), sim.wall_ns / n
 
-    # Warm up the interpreter path before measuring.
-    warm = min(100, n)
-    _issue_calls(sim.syscall, sim.guest, pid, call, files, warm, scenario.seed + 1)
-    sim.wall_ns = 0
-    probes = _issue_calls(lambda *args: sim.syscall(*args)[0].probes, sim.guest, pid, call, files, n, scenario.seed)
-
-    records = sim.records[warm:]
-    mediation_ns = sim.wall_ns / n
     return BenchResult(
         call=call,
         scenario=scenario.kind.value,
         trap_mode=scenario.trap_mode.value,
-        sacl_size=len(sim.sacl.entries),
+        sacl_size=sacl_size,
         n=n,
         mean_model_cost=sum(cost_of(r, scenario.cost_model, p) for r, p in zip(records, probes)) / n,
-        mean_wall_ns=mediation_ns,
+        mean_wall_ns=mediation_ns if trapped else bare_ns,
         ratio_vs_s1=(bare_ns + mediation_ns) / bare_ns if bare_ns > 0 else 1.0,
         total_switches=sum(r.vm_exits + r.vm_entries for r in records),
     )

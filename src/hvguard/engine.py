@@ -167,9 +167,12 @@ class Simulation:
 
     def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
         """Mediation callback run inside the trap: decides the event with the
-        caller's claim from ``Guest.processes``; returns (forwarded event,
-        verdict)."""
-        claim = self.guest.processes[event.pid]
+        caller's claim from ``Guest.processes``."""
+        return self._decide(event, self.guest.processes[event.pid])
+
+    def _decide(self, event: SyscallEvent, claim: tuple[int, int]) -> tuple[SyscallEvent, Verdict]:
+        """The one mediation step, and the only caller of ``mediate`` and
+        ``apply_verdict``: returns (forwarded event, verdict)."""
         verdict = mediate(event, claim, self.sacl, self.table, self.options, self.sessions)
         return apply_verdict(event, verdict), verdict
 

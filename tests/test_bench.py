@@ -52,8 +52,8 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
 
 @pytest.mark.parametrize("mode", list(TrapMode), ids=lambda mode: mode.value)
 def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir, mode):
-    """_TimedSimulation copies Simulation._on_trap, the claim read and the
-    mediate call, to time mediation; over the bundled transcripts the copy
+    """_TimedSimulation times Simulation._decide, the one mediation step,
+    by overriding it; over the bundled transcripts the timed simulation
     gives the same log, outcomes, trap records and mismatches as the
     original."""
     for name, extra in TRANSCRIPTS:

@@ -264,16 +264,28 @@ def test_unknown_expect_value_exits_two_with_line(tmp_path, capsys, expect_event
     assert "mismatch" not in err
 
 
-def test_file_under_regular_file_exits_two_with_line(tmp_path, capsys):
-    scenario = write(
-        tmp_path,
-        "s.jsonl",
-        '{"ev":"file","path":"/a","uid":0,"gid":0,"perm":"644"}\n'
-        '{"ev":"file","path":"/a/b","uid":0,"gid":0,"perm":"644"}\n',
-    )
-    code, _, err = run_cli(["--scenario", scenario], capsys)
+@pytest.mark.parametrize(
+    "lines,message",
+    [
+        (
+            '{"ev":"file","path":"/a","uid":0,"gid":0,"perm":"644"}\n'
+            '{"ev":"file","path":"/a/b","uid":0,"gid":0,"perm":"644"}\n',
+            "parent is not a directory: /a",
+        ),
+        ('{"ev":"user","uid":7,"gid":7}\n{"ev":"user","uid":7,"gid":7}\n', "duplicate uid: 7"),
+        (
+            '{"ev":"file","path":"/x","uid":0,"gid":0,"perm":"644"}\n'
+            '{"ev":"file","path":"/x","uid":0,"gid":0,"perm":"644"}\n',
+            "duplicate path: /x",
+        ),
+    ],
+    ids=["parent_not_directory", "duplicate_uid", "duplicate_path"],
+)
+def test_file_under_regular_file_exits_two_with_line(tmp_path, capsys, lines, message):
+    # Each guest set-up error of a scenario names its line.
+    code, _, err = run_cli(["--scenario", write(tmp_path, "s.jsonl", lines)], capsys)
     assert code == 2
-    assert "error: line 2: parent is not a directory: /a" in err
+    assert f"error: line 2: {message}" in err
 
 
 def test_sudo_of_untracked_pid_exits_two_unquoted(tmp_path, capsys):

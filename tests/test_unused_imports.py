@@ -1,7 +1,7 @@
 """No module of the package imports a name it never uses, no private
 module-level name or method goes unread by the package, no module
-assigns a guest node's fields, and mediation imports nothing from the
-trap layer.
+assigns a guest node's fields, mediation imports nothing from the trap
+layer, and ``mediate`` and ``apply_verdict`` have one call site.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library's ``ast``.  ``__init__.py`` is skipped by the
@@ -194,3 +194,54 @@ def test_mediator_imports_nothing_from_the_trap_layer():
     # the mechanism, which only the Simulation wires to it.
     source = (REPO_ROOT / "src" / "hvguard" / "mediator.py").read_text(encoding="utf-8")
     assert "trap" not in package_imports(source)
+
+
+def calls_by_scope(source: str, names: set[str]) -> list[str]:
+    """Each call of one of the named functions, by bare name or as an
+    attribute (``engine.mediate(...)``), as ``name in Scope``: the dotted
+    names of the class and function definitions around it, or
+    ``<module>`` at top level."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in names:
+                    found.append(f"{name} in {'.'.join(scope) or '<module>'}")
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_checker_sees_a_call_in_every_scope():
+    source = (
+        "f(1)\n"
+        "class A:\n"
+        "    def g(self):\n"
+        "        return m.f(lambda: f(2))\n"
+        "def h():\n"
+        "    def inner(): f\n"
+        "    return inner\n"
+    )
+    assert calls_by_scope(source, {"f"}) == ["f in <module>", "f in A.g", "f in A.g"]
+
+
+def test_mediation_has_one_call_site_that_the_bench_times():
+    # One trap -> mediate -> guest path for the engine and the benchmark:
+    # Simulation._decide is the only caller of mediate and apply_verdict,
+    # and the benchmark's timed subclass overrides that step and no other.
+    sites = [
+        f"{module.name}: {site}"
+        for module in PACKAGE
+        for site in calls_by_scope(module.read_text(encoding="utf-8"), {"mediate", "apply_verdict"})
+    ]
+    assert sites == ["engine.py: mediate in Simulation._decide", "engine.py: apply_verdict in Simulation._decide"]
+    bench = ast.parse((REPO_ROOT / "src" / "hvguard" / "bench.py").read_text(encoding="utf-8"))
+    (timed,) = [node for node in bench.body if isinstance(node, ast.ClassDef) and node.name == "_TimedSimulation"]
+    assert [node.name for node in timed.body if isinstance(node, ast.FunctionDef)] == ["_decide"]
