@@ -20,7 +20,6 @@ from .bench import (
     sacl_scaling,
 )
 from .engine import (
-    DecisionRow,
     ScenarioError,
     ScenarioResult,
     Simulation,

@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
-from typing import NamedTuple, TextIO
+from typing import TextIO
 
 from .guest import (
     CALL_FAMILY,
@@ -51,26 +51,9 @@ class ScenarioError(ValueError):
         self.line_no = line_no
 
 
-class DecisionRow(NamedTuple):
-    """One decision-log line, emitted per mediated sys event.
-
-    A named tuple, built once per call with ``tuple.__new__``: a frozen
-    dataclass costs several times as much to construct.
-    """
-
-    seq: int
-    pid: int
-    call: str
-    resolved_uid: int
-    resolved_gid: int
-    decision: str
-    reason: str
-    mismatch: bool
-
-
-DECISION_LOG_COLUMNS = DecisionRow._fields
+# A verdict is the log row of its call; its last field, probes, is not logged.
+DECISION_LOG_COLUMNS = Verdict._fields[:8]
 _CSV_BOOLS = ("false", "true")  # indexed by a bool
-_tuple_new = tuple.__new__
 
 
 class Simulation:
@@ -100,7 +83,7 @@ class Simulation:
         nop = TrapMode(trap_mode) is TrapMode.NOP2
         self.sites = {call: arm(make_site(call, nop_prologue=nop)) for call in TRAPPED_CALLS}
         self.records: list[TrapSequenceRecord] = []
-        self.decisions: list[DecisionRow] = []
+        self.decisions: list[Verdict] = []
         self.outcomes: list[SyscallOutcome] = []
 
     def _tick(self) -> int:
@@ -145,8 +128,9 @@ class Simulation:
         path2: str | None = None,
         flags=(),
     ) -> tuple[Verdict, SyscallOutcome]:
-        """Decide and run a call of a pid that is recorded and alive.  An exit
-        drops its record; a clone's child (``guest.last_pid``) shares it."""
+        """Decide and run a call of a pid that is recorded and alive; the
+        verdict returned is the call's row in ``decisions``.  An exit drops
+        its record; a clone's child (``guest.last_pid``) shares it."""
         seq = self._tick()
         guest, table = self.guest, self.table
         if pid not in table or pid not in guest.processes:
@@ -161,8 +145,7 @@ class Simulation:
             table[guest.last_pid] = table[pid]
         self.records.append(record)
         self.outcomes.append(outcome)
-        decision, reason, _, uid, gid, mismatch, _ = verdict
-        self.decisions.append(_tuple_new(DecisionRow, (seq, pid, call, uid, gid, decision, reason, mismatch)))
+        self.decisions.append(verdict)
         return verdict, outcome
 
     def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
@@ -185,7 +168,7 @@ class Simulation:
         for start in range(0, len(decisions), _LOG_PIECE_ROWS):
             write("".join([
                 f"{seq},{pid},{call},{uid},{gid},{decision},{reason},{_CSV_BOOLS[mismatch]}\n"
-                for seq, pid, call, uid, gid, decision, reason, mismatch in decisions[start:start + _LOG_PIECE_ROWS]
+                for seq, pid, call, uid, gid, decision, reason, mismatch, _ in decisions[start:start + _LOG_PIECE_ROWS]
             ]))
 
 

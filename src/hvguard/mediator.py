@@ -87,17 +87,20 @@ class PolicyOptions:
 
 
 class Verdict(NamedTuple):
-    """The decision on one trapped call and what it rests on.
+    """The decision on one trapped call and what it rests on; its first
+    eight fields are the decision log's columns, so it is the log's row.
 
     An immutable named tuple, which ``mediate`` builds with
     ``tuple.__new__``: a frozen dataclass cost about six times as much.
     """
 
-    decision: str  # PERMIT or DENY
-    reason: str  # PERMIT, SACL_DENY, HARD_DENIED_CALL, UNAUTHENTICATED or WHITELIST_MISS
-    checks: tuple  # (path, access bits, decision) per distinct path
+    seq: int
+    pid: int
+    call: str
     resolved_uid: int
     resolved_gid: int
+    decision: str  # PERMIT or DENY
+    reason: str  # PERMIT, SACL_DENY, HARD_DENIED_CALL, UNAUTHENTICATED or WHITELIST_MISS
     mismatch: bool
     probes: int  # distinct paths named, one SACL fetch each; priced by trap.cost_of
 
@@ -229,7 +232,8 @@ def mediate(
     precedence: a uid with a secret but no live session is denied if any
     path has a rule; under execute white-listing an exec whose target has no
     rule is denied; any denied path denies the call.  The event's seq is the
-    clock that token sessions are opened and checked against.
+    clock that token sessions are opened and checked against.  The verdict
+    carries the event's seq, pid and call, so it is the call's log row.
     """
     seq, pid, call, path, _, _ = event
     family = CALL_FAMILY[call]
@@ -238,7 +242,7 @@ def mediate(
     mismatch = record != claim
 
     if family in _HARD_DENIED_FAMILIES:
-        return _tuple_new(Verdict, (DENY, HARD_DENIED_CALL, (), resolved_uid, resolved_gid, mismatch, 0))
+        return _tuple_new(Verdict, (seq, pid, call, resolved_uid, resolved_gid, DENY, HARD_DENIED_CALL, mismatch, 0))
 
     if family is OPEN and options.secrets:
         try_token_auth(path, pid, table, options, sessions, seq)
@@ -249,28 +253,25 @@ def mediate(
     # A hit makes the same Python-level calls as a miss: check_access holds
     # the owner -> group -> other cascade inline.
     get = sacl.entries.get
-    results = []
     listed = denied = False
     for checked, bits in checks.items():
         rule = get(checked)
         if rule is not None:
             listed = True
-        decision = check_access(rule, resolved_uid, resolved_gid, bits)
-        if decision is DENY:
+        if check_access(rule, resolved_uid, resolved_gid, bits) is DENY:
             denied = True
-        results.append((checked, bits, decision))
 
     # Only a uid with a secret needs a session.
     if listed and resolved_uid in options.secrets and not is_authenticated(sessions, resolved_uid, seq):
-        decision, reason, results = DENY, UNAUTHENTICATED, ()
+        decision, reason = DENY, UNAUTHENTICATED
     elif not listed and family is EXEC and options.exec_whitelist:
-        decision, reason, results = DENY, WHITELIST_MISS, ()
+        decision, reason = DENY, WHITELIST_MISS
     elif denied:
         decision, reason = DENY, SACL_DENY
     else:
         decision, reason = PERMIT, PERMIT
     return _tuple_new(
-        Verdict, (decision, reason, tuple(results), resolved_uid, resolved_gid, mismatch, len(checks))
+        Verdict, (seq, pid, call, resolved_uid, resolved_gid, decision, reason, mismatch, len(checks))
     )
 
 

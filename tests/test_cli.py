@@ -332,6 +332,7 @@ def test_undecodable_byte_exits_two_with_line(tmp_path, capsys, kind):
         ("sacl", "/a\0b 644 0 0"),
         ("secrets", "١ s"),
         ("secrets", "² s"),
+        pytest.param("secrets", "9" * 5000 + " s", id="secrets-5000-digit uid"),  # past int()'s digit limit
     ],
 )
 def test_non_ascii_id_or_nul_path_exits_two_with_line(tmp_path, capsys, kind, row):
@@ -345,6 +346,8 @@ def test_non_ascii_id_or_nul_path_exits_two_with_line(tmp_path, capsys, kind, ro
     code, _, err = run_cli(["--scenario", scenario] + args, capsys)
     assert code == 2
     assert where in err
+    if row.startswith("9"):
+        assert f"{where} uid too large" in err, err
 
 
 # Every line break str.splitlines knows, the ones text-mode files use and

@@ -354,7 +354,7 @@ def test_event_replace_and_make_validate():
 def test_nulled_and_deny_verdict_null_only_the_first_slot():
     event = SyscallEvent(7, 2, "rename", "/a", "/b", frozenset({"X"}))
     expected = SyscallEvent(7, 2, "rename", None, "/b", frozenset({"X"}))
-    deny = Verdict(DENY, SACL_DENY, (), 0, 0, True, 1)
+    deny = Verdict(7, 2, "rename", 0, 0, DENY, SACL_DENY, True, 1)
     for forwarded in (event.nulled(), apply_verdict(event, deny)):
         assert type(forwarded) is SyscallEvent
         assert forwarded == expected

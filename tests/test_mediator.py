@@ -33,7 +33,7 @@ from hvguard.mediator import (
     token_response,
     try_token_auth,
 )
-from hvguard.sacl import DENY, EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, PermissionOctets, parse_sacl
+from hvguard.sacl import DENY, EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, PermissionOctets, check_access, parse_sacl
 from sha512_oracle import sha512_hex
 
 # Module loading, kernel swapping and the two handle-based calls.
@@ -223,9 +223,12 @@ def test_hard_denied_calls_always_deny():
 
 def test_sacl_deny_root_write_to_shadow():
     sacl, table, options, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
-    verdict = mediate(ev("open", "/etc/shadow", flags=["O_WRONLY"]), (0, 0), sacl, table, options, sessions)
+    event = ev("open", "/etc/shadow", flags=["O_WRONLY"])
+    verdict = mediate(event, (0, 0), sacl, table, options, sessions)
     assert (verdict.decision, verdict.reason) == (DENY, SACL_DENY)
-    assert ("/etc/shadow", WRITE_BIT, DENY) in verdict.checks
+    # The deciding check, worked out again from the SACL, which no call writes.
+    assert required_checks(event) == {"/etc/shadow": WRITE_BIT} and verdict.probes == 1
+    assert check_access(sacl.entries.get("/etc/shadow"), 0, 0, WRITE_BIT) is DENY
 
 
 def test_unlisted_path_permits_by_default():
@@ -310,9 +313,12 @@ def test_mismatched_claims_use_fork_time_credentials():
 def test_exit_and_clone_are_permitted_without_checks():
     sacl, table, options, sessions = fresh_state("/etc/shadow 400 0 0\n", owner=(0, 0))
     for call in ("exit", "exit_group", "clone"):
-        verdict = mediate(ev(call), (0, 0), sacl, table, options, sessions)
+        event = ev(call)
+        verdict = mediate(event, (0, 0), sacl, table, options, sessions)
         assert verdict.decision is PERMIT
-        assert verdict.checks == ()
+        assert verdict.probes == 0
+        with pytest.raises(ValueError, match="not a file-operation call"):
+            required_checks(event)
 
 
 # -- apply_verdict ------------------------------------------------------------
@@ -429,7 +435,8 @@ def test_a_hit_makes_the_same_calls_as_a_miss():
     hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
     miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
     assert hit.decision is miss.decision is PERMIT
-    assert hit.checks == (("/etc/listed", R, PERMIT),)
+    assert required_checks(ev("open", "/etc/listed", flags=["O_RDONLY"])) == {"/etc/listed": R}
+    assert hit.probes == miss.probes == 1
     # No session check for a uid without a secret, and the cascade runs
     # inside check_access, which a miss calls too.
     assert hit_calls == miss_calls
@@ -455,8 +462,9 @@ def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
 
 
 def test_verdict_fields_positional_construction_and_immutability():
-    names = ("decision", "reason", "checks", "resolved_uid", "resolved_gid", "mismatch", "probes")
-    values = (DENY, SACL_DENY, (("/f", W, DENY),), 1000, 100, True, 1)
+    names = ("seq", "pid", "call", "resolved_uid", "resolved_gid", "decision", "reason", "mismatch", "probes")
+    assert Verdict._fields == names
+    values = (5, 2, "open", 1000, 100, DENY, SACL_DENY, True, 1)
     verdict = Verdict(*values)
     assert tuple(getattr(verdict, name) for name in names) == values
     for name in names:

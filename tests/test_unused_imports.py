@@ -1,7 +1,8 @@
 """No module of the package imports a name it never uses, no private
 module-level name or method goes unread by the package, no module
 assigns a guest node's fields, mediation imports nothing from the trap
-layer, and ``mediate`` and ``apply_verdict`` have one call site.
+layer, ``mediate`` and ``apply_verdict`` have one call site, and nothing
+writes the SACL after load.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library's ``ast``.  ``__init__.py`` is skipped by the
@@ -9,6 +10,7 @@ import check: its imports are the package's exports.
 """
 
 import ast
+from collections.abc import Iterator
 
 import pytest
 
@@ -158,6 +160,107 @@ def test_no_module_assigns_a_node_field(module):
     assert node_field_stores(module.read_text(encoding="utf-8")) == []
 
 
+# The SACL is written only while it is built, and never after load, so a
+# verdict's deciding check can be worked out again from it: each path's
+# decision is check_access(sacl.entries.get(path), uid, gid, bits).
+SACL_BUILDERS = {"Sacl.__init__", "parse_sacl", "generate_full_sacl"}
+DICT_MUTATORS = {"__setitem__", "__delitem__", "__ior__", "clear", "pop", "popitem", "setdefault", "update"}
+
+
+def nodes_by_scope(source: str) -> Iterator[tuple[ast.AST, str]]:
+    """Each node of a source, with its scope: the dotted names of the class
+    and function definitions around it, or ``<module>`` at top level."""
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield from visit(child, f"{scope}.{child.name}" if scope else child.name)
+                continue
+            yield child, scope or "<module>"
+            yield from visit(child, scope)
+
+    return visit(ast.parse(source), "")
+
+
+def entries_writes(source: str) -> list[str]:
+    """Each write to an ``entries`` dict, as ``line N in Scope``: a store or
+    ``del`` of an item or of the attribute itself, an augmented assignment,
+    and a call of a mutating dict method.  The dict is ``x.entries`` or a
+    name that the same scope, or one around it, binds to ``x.entries``."""
+    nodes = list(nodes_by_scope(source))
+    bound = {
+        (scope, target.id)
+        for node, scope in nodes
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr == "entries"
+        for target in node.targets if isinstance(target, ast.Name)
+    }
+
+    def is_alias(node, scope):
+        if not isinstance(node, ast.Name):
+            return False
+        parts = scope.split(".")
+        scopes = ["<module>"] + [".".join(parts[:i]) for i in range(1, len(parts) + 1)]
+        return any((outer, node.id) in bound for outer in scopes)
+
+    def is_entries(node, scope):
+        return (isinstance(node, ast.Attribute) and node.attr == "entries") or is_alias(node, scope)
+
+    return [
+        f"line {node.lineno} in {scope}"
+        for node, scope in nodes
+        if (isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del))
+            and is_entries(node.value, scope))
+        or (isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)) and node.attr == "entries")
+        or (isinstance(node, ast.AugAssign) and is_alias(node.target, scope))
+        or (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in DICT_MUTATORS and is_entries(node.func.value, scope))
+    ]
+
+
+def test_checker_sees_every_write_to_the_entries():
+    source = (
+        "class Sacl:\n"
+        "    def __init__(self):\n"
+        "        self.entries = {}\n"
+        "def parse_sacl(text):\n"
+        "    entries = Sacl().entries\n"
+        "    entries['/a'] = 1\n"
+        "def mediate(sacl, p, entries):\n"
+        "    get = sacl.entries.get\n"
+        "    x = get(p), sacl.entries[p], entries.pop(p)\n"
+        "    sacl.entries[p] = None\n"
+        "    del sacl.entries[p]\n"
+        "    sacl.entries.update({})\n"
+        "    sacl.entries |= {}\n"
+        "    table = sacl.entries\n"
+        "    def inner():\n"
+        "        table.setdefault(p, None)\n"
+        "        table |= {}\n"
+        "    sacl.entries = {}\n"
+    )
+    assert entries_writes(source) == [
+        "line 3 in Sacl.__init__",
+        "line 6 in parse_sacl",
+        "line 10 in mediate",
+        "line 11 in mediate",
+        "line 12 in mediate",
+        "line 13 in mediate",
+        "line 16 in mediate.inner",
+        "line 17 in mediate.inner",
+        "line 18 in mediate",
+    ]
+
+
+def test_nothing_writes_the_sacl_after_load():
+    writes = [
+        f"{module.name}: {write}"
+        for module in PACKAGE
+        for write in entries_writes(module.read_text(encoding="utf-8"))
+        if write.partition(" in ")[2] not in SACL_BUILDERS
+    ]
+    assert writes == []
+
+
 def package_imports(source: str) -> set[str]:
     """The package modules a source imports from, by bare name: ``from .trap
     import x``, ``from . import trap``, ``from hvguard.trap import x``,
@@ -198,24 +301,15 @@ def test_mediator_imports_nothing_from_the_trap_layer():
 
 def calls_by_scope(source: str, names: set[str]) -> list[str]:
     """Each call of one of the named functions, by bare name or as an
-    attribute (``engine.mediate(...)``), as ``name in Scope``: the dotted
-    names of the class and function definitions around it, or
-    ``<module>`` at top level."""
+    attribute (``engine.mediate(...)``), as ``name in Scope`` (see
+    ``nodes_by_scope``)."""
     found = []
-
-    def visit(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, scope + (child.name,))
-                continue
-            if isinstance(child, ast.Call):
-                func = child.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name in names:
-                    found.append(f"{name} in {'.'.join(scope) or '<module>'}")
-            visit(child, scope)
-
-    visit(ast.parse(source), ())
+    for node, scope in nodes_by_scope(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in names:
+                found.append(f"{name} in {scope}")
     return found
 
 
