@@ -86,23 +86,19 @@ class Simulation:
         self.decisions: list[Verdict] = []
         self.outcomes: list[SyscallOutcome] = []
 
-    def _tick(self) -> int:
-        self.clock += 1
-        return self.clock
-
     # -- scenario events ----------------------------------------------------
 
     def add_user(self, uid: int) -> None:
-        self._tick()
+        self.clock += 1
         self.guest.add_user(uid)
 
     def add_file(self, path, uid, gid, perms: PermissionOctets, is_directory=False) -> None:
-        self._tick()
+        self.clock += 1
         self.guest.add_file(path, uid, gid, perms, is_directory)
 
     def spawn(self, parent_pid: int, uid: int, gid: int, pid: int | None = None) -> int:
         """Trusted process creation: the given credentials are recorded."""
-        self._tick()
+        self.clock += 1
         pid = self.guest.spawn_process(parent_pid, uid, gid, pid=pid)
         self.table[pid] = OwnershipRecord(uid, gid)
         return pid
@@ -110,14 +106,14 @@ class Simulation:
     def sudo(self, pid: int, uid: int, gid: int) -> None:
         """Legitimate credential change; a refused one (dead pid) leaves the
         guest and the ownership table as they were."""
-        self._tick()
+        self.clock += 1
         self.guest.set_claimed(pid, uid, gid)
         self.table[pid] = OwnershipRecord(uid, gid)
 
     def forge_credentials(self, pid: int, uid: int, gid: int) -> None:
         """Attacker-style credential rewrite: the guest believes it, the
         ownership table does not."""
-        self._tick()
+        self.clock += 1
         self.guest.set_claimed(pid, uid, gid)
 
     def syscall(
@@ -131,7 +127,7 @@ class Simulation:
         """Decide and run a call of a pid that is recorded and alive; the
         verdict returned is the call's row in ``decisions``.  An exit drops
         its record; a clone's child (``guest.last_pid``) shares it."""
-        seq = self._tick()
+        self.clock = seq = self.clock + 1
         guest, table = self.guest, self.table
         if pid not in table or pid not in guest.processes:
             raise GuestError(f"pid {pid} is not alive")
@@ -207,43 +203,29 @@ def line_pieces(stream: TextIO) -> Iterator[str]:
         yield piece + stream.readline()
 
 
-def decode_scenario(pieces: str | Iterable[str]) -> Iterator[tuple[int, dict]]:
-    """JSON-lines to (line_no, event dict) pairs, one line at a time.
+def decode_line(line_no: int, line: str) -> dict:
+    """One stripped scenario line that is neither blank nor a comment to
+    its event dict.
 
-    The scenario comes as pieces of text that each end where a line ends,
-    as ``line_pieces`` cuts them, or as a whole ``str``, which is one
-    piece.  Only one piece's line strings are alive at once (for a whole
-    ``str``, all of its lines), and the pieces' lines, and their numbers,
-    are those of the whole text.
-
-    A stripped line is one JSON document exactly when the decoder's scanner,
+    The line is one JSON document exactly when the decoder's scanner,
     started at its first character, ends at its end; any other line goes
     through ``json.loads`` so that the error message is the one
     ``json.loads`` gives.
     """
-    if isinstance(pieces, str):
-        pieces = (pieces,)
-    line_no = 0
-    for piece in pieces:
-        for raw in piece.splitlines():
-            line_no += 1
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj, stop = _scan_once(line, 0)
-            except (ValueError, RecursionError, StopIteration):
-                stop = None
-            if stop != len(line):
-                try:
-                    obj = json.loads(line)
-                # Besides JSONDecodeError: a plain ValueError for an int past the
-                # digit limit, RecursionError for arrays or objects nested too deep.
-                except (ValueError, RecursionError) as exc:
-                    raise ScenarioError(line_no, f"bad JSON: {exc}") from None
-            if not isinstance(obj, dict) or "ev" not in obj:
-                raise ScenarioError(line_no, "event must be an object with an 'ev' key")
-            yield line_no, obj
+    try:
+        obj, stop = _scan_once(line, 0)
+    except (ValueError, RecursionError, StopIteration):
+        stop = None
+    if stop != len(line):
+        try:
+            obj = json.loads(line)
+        # Besides JSONDecodeError: a plain ValueError for an int past the
+        # digit limit, RecursionError for arrays or objects nested too deep.
+        except (ValueError, RecursionError) as exc:
+            raise ScenarioError(line_no, f"bad JSON: {exc}") from None
+    if not isinstance(obj, dict) or "ev" not in obj:
+        raise ScenarioError(line_no, "event must be an object with an 'ev' key")
+    return obj
 
 
 # The kind of a parsed event, its second field.
@@ -263,8 +245,7 @@ _CREDENTIAL_FIELDS = (("pid", 1), ("uid", 0), ("gid", 0))
 
 
 def parse_scenario(text: str | Iterable[str]) -> list[tuple]:
-    """Scenario text, whole or in pieces that end where lines end (see
-    ``decode_scenario``), to one flat tuple per event, in line order:
+    """Scenario text to one flat tuple per event, in line order:
 
         (line_no, SYS, pid, call, path, path2, flags)
         (line_no, EXPECT, decision, status, error)   status, error may be _ABSENT
@@ -274,89 +255,117 @@ def parse_scenario(text: str | Iterable[str]) -> list[tuple]:
         (line_no, SUDO or FORGE, pid, uid, gid)
         (line_no, ERROR, ScenarioError)
 
-    A line that does not decode raises here, so nothing is replayed.  A line
-    whose fields are wrong becomes an ERROR event in its place, which
-    ``run_scenario`` raises when the replay reaches it, so a guest error on
-    an earlier line still wins.  Fields are type-tested inline, in the order
-    their errors take precedence; ``_need`` and ``_int`` only word an error.
-    Whether a call name is known and a path absolute depends on the pid
-    being alive first, so ``SyscallEvent`` still checks both.  Every sys
-    event with the same flag list holds the same frozenset.
+    The scenario comes as pieces of text that each end where a line ends,
+    as ``line_pieces`` cuts them, or as a whole ``str``, which is one
+    piece.  Only one piece's line strings are alive at once (for a whole
+    ``str``, all of its lines), and the pieces' lines, and their numbers,
+    are those of the whole text.  Within a piece, a stripped line seen
+    before gives its earlier event again under its own line number, so it
+    is decoded and checked once; an ERROR event is never reused.
+
+    A line that does not decode (``decode_line``) raises here, so nothing
+    is replayed.  A line whose fields are wrong becomes an ERROR event in
+    its place, which ``run_scenario`` raises when the replay reaches it, so
+    a guest error on an earlier line still wins.  Fields are type-tested
+    inline, in the order their errors take precedence; ``_need`` and
+    ``_int`` only word an error.  Whether a call name is known and a path
+    absolute depends on the pid being alive first, so ``SyscallEvent``
+    still checks both.  Every sys event with the same flag list holds the
+    same frozenset.
     """
+    if isinstance(text, str):
+        text = (text,)
     events = []
     append = events.append
     flag_sets = {(): _NO_FLAGS}
     seen_sys = False
-    for line_no, obj in decode_scenario(text):
-        ev = obj["ev"]
-        try:
-            if ev == "sys":
-                pid, call = obj.get("pid"), obj.get("call", _ABSENT)
-                if type(pid) is not int or pid < 1:
-                    _int(line_no, obj, "pid", 1)  # raises
-                if call is _ABSENT:
-                    _need(line_no, obj, "call")  # raises
-                if type(call) is str:
-                    call = _CALL_NAMES.get(call, call)
-                path, path2 = obj.get("path"), obj.get("path2")
-                if not (path is None or type(path) is str) or not (path2 is None or type(path2) is str):
-                    raise ScenarioError(line_no, "'path' and 'path2' must be strings")
-                flags = obj.get("flags", _NO_FLAGS)
-                if flags is not _NO_FLAGS:
-                    if type(flags) is not list:
-                        raise ScenarioError(line_no, "'flags' must be a list of strings")
+    line_no = 0
+    parsed = {}  # each stripped line of the current piece -> its event
+    for piece in text:
+        for raw in piece.splitlines():
+            line_no += 1
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            event = parsed.get(line)
+            if event is not None:
+                append((line_no,) + event[1:])
+                continue
+            obj = decode_line(line_no, line)
+            ev = obj["ev"]
+            try:
+                if ev == "sys":
+                    pid, call = obj.get("pid"), obj.get("call", _ABSENT)
+                    if type(pid) is not int or pid < 1:
+                        _int(line_no, obj, "pid", 1)  # raises
+                    if call is _ABSENT:
+                        _need(line_no, obj, "call")  # raises
+                    if type(call) is str:
+                        call = _CALL_NAMES.get(call, call)
+                    path, path2 = obj.get("path"), obj.get("path2")
+                    if not (path is None or type(path) is str) or not (path2 is None or type(path2) is str):
+                        raise ScenarioError(line_no, "'path' and 'path2' must be strings")
+                    flags = obj.get("flags", _NO_FLAGS)
+                    if flags is not _NO_FLAGS:
+                        if type(flags) is not list:
+                            raise ScenarioError(line_no, "'flags' must be a list of strings")
+                        key = tuple(flags)
+                        try:
+                            flags = flag_sets[key]
+                        except (KeyError, TypeError):  # new, or holding an unhashable value
+                            if not all(type(flag) is str for flag in flags):
+                                raise ScenarioError(line_no, "'flags' must be a list of strings") from None
+                            flags = flag_sets[key] = frozenset(flags)
+                    event = (line_no, SYS, pid, call, path, path2, flags)
+                    seen_sys = True
+                elif ev == "expect":
+                    if not seen_sys:
+                        raise ScenarioError(line_no, "'expect' with no preceding sys event")
+                    wanted = obj.get("decision")
+                    if wanted not in (PERMIT, DENY):
+                        _need(line_no, obj, "decision")
+                        raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
+                    wanted = DENY if wanted == DENY else PERMIT  # a shared str, not the decoded one
+                    status, error = obj.get("status", _ABSENT), obj.get("error", _ABSENT)
+                    if status is not _ABSENT and status not in _STATUSES:
+                        raise ScenarioError(line_no, f"'status' must be success or error, got {status!r}")
+                    if error is not _ABSENT and error not in ERROR_CODES:
+                        raise ScenarioError(line_no, f"'error' must be one of {', '.join(ERROR_CODES)}, got {error!r}")
+                    event = (line_no, EXPECT, wanted, status, error)
+                elif ev == "file":
+                    path, is_dir, perm = obj.get("path"), obj.get("dir", False), obj.get("perm")
+                    if type(path) is not str:
+                        _need(line_no, obj, "path")
+                        raise ScenarioError(line_no, f"'path' must be a string, got {path!r}")
+                    if type(is_dir) is not bool:
+                        raise ScenarioError(line_no, f"'dir' must be true or false, got {is_dir!r}")
+                    if type(perm) is not str:
+                        _need(line_no, obj, "perm")
+                        raise ScenarioError(line_no, f"'perm' must be a string, got {perm!r}")
                     try:
-                        flags = flag_sets[tuple(flags)]
-                    except (KeyError, TypeError):  # new, or holding an unhashable value
-                        if not all(type(flag) is str for flag in flags):
-                            raise ScenarioError(line_no, "'flags' must be a list of strings") from None
-                        flags = flag_sets[tuple(flags)] = frozenset(flags)
-                append((line_no, SYS, pid, call, path, path2, flags))
-                seen_sys = True
-            elif ev == "expect":
-                if not seen_sys:
-                    raise ScenarioError(line_no, "'expect' with no preceding sys event")
-                wanted = obj.get("decision")
-                if wanted not in (PERMIT, DENY):
-                    _need(line_no, obj, "decision")
-                    raise ScenarioError(line_no, f"decision must be permit or deny, got {wanted!r}")
-                wanted = DENY if wanted == DENY else PERMIT  # a shared str, not the decoded one
-                status, error = obj.get("status", _ABSENT), obj.get("error", _ABSENT)
-                if status is not _ABSENT and status not in _STATUSES:
-                    raise ScenarioError(line_no, f"'status' must be success or error, got {status!r}")
-                if error is not _ABSENT and error not in ERROR_CODES:
-                    raise ScenarioError(line_no, f"'error' must be one of {', '.join(ERROR_CODES)}, got {error!r}")
-                append((line_no, EXPECT, wanted, status, error))
-            elif ev == "file":
-                path, is_dir, perm = obj.get("path"), obj.get("dir", False), obj.get("perm")
-                if type(path) is not str:
-                    _need(line_no, obj, "path")
-                    raise ScenarioError(line_no, f"'path' must be a string, got {path!r}")
-                if type(is_dir) is not bool:
-                    raise ScenarioError(line_no, f"'dir' must be true or false, got {is_dir!r}")
-                if type(perm) is not str:
-                    _need(line_no, obj, "perm")
-                    raise ScenarioError(line_no, f"'perm' must be a string, got {perm!r}")
-                try:
-                    perms = PermissionOctets.from_text(perm)
-                except ValueError as exc:
-                    raise ScenarioError(line_no, str(exc)) from None
-                uid, gid = obj.get("uid"), obj.get("gid")
-                if type(uid) is not int or uid < 0 or type(gid) is not int or gid < 0:
-                    _int_fields(line_no, obj, _ID_FIELDS)  # raises
-                append((line_no, FILE, path, uid, gid, perms, is_dir))
-            elif ev == "user":
-                append((line_no, USER, _int_fields(line_no, obj, _ID_FIELDS)[0]))
-            elif ev == "spawn":
-                append((line_no, SPAWN, *_int_fields(line_no, obj, _SPAWN_FIELDS)))
-            elif ev == "sudo":
-                append((line_no, SUDO, *_int_fields(line_no, obj, _CREDENTIAL_FIELDS)))
-            elif ev == "forge":
-                append((line_no, FORGE, *_int_fields(line_no, obj, _CREDENTIAL_FIELDS)))
-            else:
-                raise ScenarioError(line_no, f"unknown event type {ev!r}")
-        except ScenarioError as exc:
-            append((line_no, ERROR, exc))
+                        perms = PermissionOctets.from_text(perm)
+                    except ValueError as exc:
+                        raise ScenarioError(line_no, str(exc)) from None
+                    uid, gid = obj.get("uid"), obj.get("gid")
+                    if type(uid) is not int or uid < 0 or type(gid) is not int or gid < 0:
+                        _int_fields(line_no, obj, _ID_FIELDS)  # raises
+                    event = (line_no, FILE, path, uid, gid, perms, is_dir)
+                elif ev == "user":
+                    event = (line_no, USER, _int_fields(line_no, obj, _ID_FIELDS)[0])
+                elif ev == "spawn":
+                    event = (line_no, SPAWN, *_int_fields(line_no, obj, _SPAWN_FIELDS))
+                elif ev == "sudo":
+                    event = (line_no, SUDO, *_int_fields(line_no, obj, _CREDENTIAL_FIELDS))
+                elif ev == "forge":
+                    event = (line_no, FORGE, *_int_fields(line_no, obj, _CREDENTIAL_FIELDS))
+                else:
+                    raise ScenarioError(line_no, f"unknown event type {ev!r}")
+            except ScenarioError as exc:
+                append((line_no, ERROR, exc))
+                continue
+            append(event)
+            parsed[line] = event
+        parsed.clear()  # an event is reused only within its piece
     return events
 
 
@@ -385,7 +394,7 @@ def run_scenario(
     options: PolicyOptions | None = None,
     trap_mode: TrapMode | str = TrapMode.CLASSIC4,
 ) -> ScenarioResult:
-    """Replay a scenario, whole or in pieces (see ``decode_scenario``);
+    """Replay a scenario, whole or in pieces (see ``parse_scenario``);
     expectation mismatches are collected, not raised."""
     sim = Simulation(sacl=sacl, options=options, trap_mode=trap_mode)
     result = ScenarioResult(sim)

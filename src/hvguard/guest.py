@@ -9,7 +9,6 @@ File contents are not modeled, only existence, ownership, and permissions.
 
 from __future__ import annotations
 
-import posixpath
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -157,6 +156,14 @@ class SyscallEvent(_EventFields):
         return _tuple_new(type(self), (self[0], self[1], self[2], None, self[4], self[5]))
 
 
+def parent_dir(path: str) -> str:
+    """``posixpath.dirname`` of a ``str`` path, by its own algorithm: the
+    text before the last "/", kept whole if it is all slashes.  It skips
+    ``dirname``'s ``os.fspath`` call and separator lookup."""
+    head = path[:path.rfind("/") + 1]
+    return head.rstrip("/") or head
+
+
 class GuestError(RuntimeError):
     """Scenario-level misuse of the guest (dead pid, duplicate path, ...)."""
 
@@ -215,7 +222,7 @@ class Guest:
         if path in files:
             raise GuestError(f"duplicate path: {path}")
         missing = []
-        parent = posixpath.dirname(path)
+        parent = parent_dir(path)
         while parent != "/":
             node = files.get(parent)
             if node is not None:
@@ -223,7 +230,7 @@ class Guest:
                     raise GuestError(f"parent is not a directory: {parent}")
                 break
             missing.append(parent)
-            parent = posixpath.dirname(parent)
+            parent = parent_dir(parent)
         for parent in reversed(missing):
             files[parent] = GuestFile(0, 0, _DEFAULT_DIR_PERMS, True)
         files[path] = GuestFile(owner_uid, owner_gid, perms, is_directory)
@@ -355,7 +362,7 @@ class Guest:
     def _parent_writable(self, path: str, uid: int, gid: int) -> SyscallOutcome | None:
         """The error outcome if the parent directory is missing or not
         writable, else None."""
-        parent = self._dir_node(posixpath.dirname(path))
+        parent = self._dir_node(parent_dir(path))
         if parent is None:
             return _NO_SUCH_FILE
         if not self._allows(parent, uid, gid, WRITE_BIT):

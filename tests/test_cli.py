@@ -437,13 +437,11 @@ def test_bad_byte_after_a_json_error_is_the_error_reported(tmp_path, monkeypatch
 
 
 def decoded(source):
-    """The (line, event) pairs decode_scenario yields, then its error."""
-    pairs = []
+    """The repr of parse_scenario's events, or the error it raises."""
     try:
-        pairs.extend(engine.decode_scenario(source))
+        return repr(engine.parse_scenario(source))
     except cli.ScenarioError as exc:
-        pairs.append(str(exc))
-    return pairs
+        return str(exc)
 
 
 @pytest.mark.parametrize("sep", ["\r\n", "\u2028"], ids=ascii)
@@ -455,6 +453,12 @@ def test_pieces_cut_next_to_line_breaks_give_the_whole_text_lines(tmp_path, monk
     text = sep.join(rows) + "\n" + sep.join(rows[:4]) + "\n"
     path = tmp_path / "s.jsonl"
     path.write_bytes(text.encode())
+    # The same text with the bad line commented out, cut at the same places,
+    # so that the events before and after it are compared too.
+    good = text.replace("{broken", "# roken")
+    good_path = tmp_path / "good.jsonl"
+    good_path.write_bytes(good.encode())
+    assert [event[0] for event in engine.parse_scenario(good)] == [1, 4, 6, 9]
     whole = run_in_blocks(monkeypatch, capsys, ["--scenario", str(path)], 1 << 16)
     assert whole[0] == 2 and whole[2].startswith("error: line 5: bad JSON")
     for block in SMALL_BLOCKS + [len(text.encode()) - 1]:
@@ -463,6 +467,7 @@ def test_pieces_cut_next_to_line_breaks_give_the_whole_text_lines(tmp_path, monk
         assert "".join(pieces) == text
         assert all(piece.endswith("\n") for piece in pieces)
         assert decoded(pieces) == decoded(text)
+        assert decoded(list(cli._scenario_pieces(str(good_path)))) == decoded(good)
         assert run_cli(["--scenario", str(path)], capsys) == whole
 
 

@@ -17,7 +17,6 @@ from hvguard.engine import (
     USER,
     ScenarioError,
     Simulation,
-    decode_scenario,
     parse_scenario,
     run_scenario,
 )
@@ -56,12 +55,68 @@ def test_parse_scenario_shares_one_flag_set_per_flag_list():
     line = '{"ev":"sys","pid":2,"call":"open","path":"/a","flags":%s}\n'
     text = "".join(line % flags for flags in ('["O_WRONLY"]', '["O_RDONLY"]', '["O_WRONLY"]', "[]"))
     text += '{"ev":"sys","pid":2,"call":"getpid"}\n'
+    # Two-flag lists in both orders, on lines that differ only in the path:
+    # the set's own order matches at most one of them.
+    for flags in ('["O_CREAT","O_WRONLY"]', '["O_WRONLY","O_CREAT"]'):
+        text += "".join(line.replace("/a", path) % flags for path in ("/b", "/c"))
     flag_sets = [e[6] for e in parse_scenario(text)]
     assert flag_sets[0] is flag_sets[2] == frozenset({"O_WRONLY"})
     assert flag_sets[1] == frozenset({"O_RDONLY"})
     assert flag_sets[3] is flag_sets[4] == frozenset()
+    assert flag_sets[5] is flag_sets[6] == frozenset({"O_CREAT", "O_WRONLY"})
+    assert flag_sets[7] is flag_sets[8] == flag_sets[5]
     # Simulation.syscall's frozenset() hands the shared set on unchanged.
     assert frozenset(flag_sets[0]) is flag_sets[0]
+
+
+# Repeated lines of every cached kind, a repeated field error, a repeated
+# comment, and an expect line that is an error before the first sys line and
+# an event after it.
+REPEATS = """\
+{"ev":"expect","decision":"deny"}
+# again
+{"ev":"spawn","pid":2,"parent":1,"uid":1000,"gid":1000}
+{"ev":"file","path":"/etc/shadow","uid":0,"gid":0,"perm":"640"}
+{"ev":"sys","pid":2,"call":"open","path":"/etc/shadow","flags":["O_WRONLY"]}
+{"ev":"expect","decision":"deny"}
+{"ev":"user","uid":-1,"gid":0}
+# again
+  {"ev":"sys","pid":2,"call":"open","path":"/etc/shadow","flags":["O_WRONLY"]}\t
+{"ev":"expect","decision":"deny"}
+{"ev":"spawn","pid":2,"parent":1,"uid":1000,"gid":1000}
+{"ev":"file","path":"/etc/shadow","uid":0,"gid":0,"perm":"640"}
+{"ev":"user","uid":-1,"gid":0}
+"""
+
+
+def test_a_repeated_line_parses_as_if_it_were_parsed_again():
+    # One-line pieces leave nothing to reuse.
+    events = parse_scenario(REPEATS)
+    assert repr(events) == repr(parse_scenario(REPEATS.splitlines(keepends=True)))
+    assert [e[:2] for e in events] == [
+        (1, ERROR), (3, SPAWN), (4, FILE), (5, SYS), (6, EXPECT), (7, ERROR),
+        (9, SYS), (10, EXPECT), (11, SPAWN), (12, FILE), (13, ERROR),
+    ]
+
+
+def test_a_repeated_line_shares_its_first_events_values_within_its_piece():
+    first, second = (e for e in parse_scenario(REPEATS) if e[1] == SYS)
+    assert (first[0], second[0]) == (5, 9)
+    assert second[4] is first[4] and second[1:] == first[1:]
+    # The next piece parses the line afresh.
+    cut = REPEATS.index("  {")
+    first, second = (e for e in parse_scenario([REPEATS[:cut], REPEATS[cut:]]) if e[1] == SYS)
+    assert second[4] == first[4] and second[4] is not first[4]
+
+
+def test_a_repeated_field_error_is_raised_at_each_of_its_lines():
+    errors = [e[2] for e in parse_scenario(REPEATS) if e[1] == ERROR]
+    assert [(exc.line_no, str(exc)) for exc in errors] == [
+        (1, "line 1: 'expect' with no preceding sys event"),
+        (7, "line 7: 'uid' must be an integer >= 0, got -1"),
+        (13, "line 13: 'uid' must be an integer >= 0, got -1"),
+    ]
+    assert errors[1] is not errors[2]
 
 
 def test_field_errors_wait_for_the_replay_to_reach_their_line():
@@ -87,9 +142,9 @@ def test_parse_scenario_rejects_bad_json_and_shape():
 
 
 def _decode_all(text):
-    """decode_scenario's pairs, or the message of the error it raises."""
+    """parse_scenario's events, or the message of the error it raises."""
     try:
-        return list(decode_scenario(text))
+        return parse_scenario(text)
     except ScenarioError as exc:
         return str(exc)
 
@@ -109,7 +164,7 @@ BREAKS_TEXT = (
 @pytest.mark.parametrize("slice_chars", [1, 2, 7])
 def test_decode_in_slices_matches_whole_text(monkeypatch, slice_chars):
     whole = _decode_all(BREAKS_TEXT)
-    assert [line for line, _ in whole] == [1, 4, 7, 11, 16]
+    assert [event[0] for event in whole] == [1, 4, 7, 11, 16]
     bad = BREAKS_TEXT.replace('"uid":4', '"uid":4,')
     whole_bad = _decode_all(bad)
     assert whole_bad.startswith("line 11: bad JSON")
@@ -119,7 +174,7 @@ def test_decode_in_slices_matches_whole_text(monkeypatch, slice_chars):
         return engine.line_pieces(io.StringIO(text, newline=""))
 
     assert len(list(pieces(BREAKS_TEXT))) > 1
-    assert _decode_all(pieces(BREAKS_TEXT)) == whole
+    assert repr(_decode_all(pieces(BREAKS_TEXT))) == repr(whole)
     assert _decode_all(pieces(bad)) == whole_bad
 
 
@@ -238,7 +293,7 @@ def test_decode_pieces_match_whole_text():
     cuts = [i + 1 for i, c in enumerate(BREAKS_TEXT) if c == "\n"]
     pieces = [BREAKS_TEXT[a:b] for a, b in zip([0] + cuts, cuts + [len(BREAKS_TEXT)])]
     assert len(pieces) == 6 and pieces[-1] == '{"ev":"user","uid":5}'
-    assert _decode_all(iter(pieces)) == whole
+    assert repr(_decode_all(iter(pieces))) == repr(whole)
 
 
 def test_spawn_records_and_a_duplicate_spawn_is_refused():

@@ -1,5 +1,8 @@
 """Guest model: processes, file-tree syscall semantics, determinism."""
 
+import itertools
+import posixpath
+
 import pytest
 
 from hvguard.guest import (
@@ -16,6 +19,7 @@ from hvguard.guest import (
     SyscallOutcome,
     TRAPPED_CALLS,
     _nulled_outcome,
+    parent_dir,
 )
 from hvguard.mediator import SACL_DENY, Verdict, apply_verdict
 from hvguard.sacl import DENY, PermissionOctets
@@ -126,6 +130,14 @@ def test_last_pid_is_the_highest_pid_handed_out():
     assert guest.last_pid == 9
     guest.execute_syscall(ev(2, "clone"))
     assert guest.last_pid == 10 and 10 in guest.processes
+
+
+def test_parent_dir_is_posixpath_dirname():
+    paths = ["".join(chars) for n in range(6) for chars in itertools.product("/a.", repeat=n)]
+    paths.append("/\u00e9/\u00fc")
+    assert len(paths) == 365
+    for path in paths:
+        assert parent_dir(path) == posixpath.dirname(path), path
 
 
 def test_add_file_creates_missing_parents_topmost_first():

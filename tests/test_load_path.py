@@ -2,11 +2,11 @@
 
 ``PermissionOctets.from_text`` returns shared instances from a table,
 ``parse_sacl`` shares one rule per (perm, uid, gid) text triple, and
-``decode_scenario``, the first stage of ``parse_scenario``, decodes with
-the C scanner behind ``JSONDecoder.raw_decode``.  Each is checked against
-a straightforward reference: the length-and-alphabet rule for octal
-permission texts, a row-by-row SACL parser, and a per-line ``json.loads``
-scenario parser.
+``decode_line``, which ``parse_scenario`` calls on each line it has not
+parsed before, decodes with the C scanner behind ``JSONDecoder.raw_decode``.
+Each is checked against a straightforward reference: the
+length-and-alphabet rule for octal permission texts, a row-by-row SACL
+parser, and a per-line ``json.loads`` scenario parser.
 """
 
 import itertools
@@ -17,7 +17,7 @@ import sys
 import pytest
 
 from conftest import REPO_ROOT
-from hvguard.engine import ScenarioError, decode_scenario, parse_scenario
+from hvguard.engine import ScenarioError, decode_line, parse_scenario
 from hvguard.sacl import PermissionOctets, SaclParseError, parse_sacl
 
 sys.path.insert(0, str(REPO_ROOT / "perfbench"))
@@ -121,15 +121,26 @@ def workload_text(tmp_path_factory):
     return (outdir / "trace.jsonl").read_text(encoding="utf-8")
 
 
+def decode_lines(text):
+    """(line_no, decode_line(line_no, line)) over the lines the reference
+    decodes: stripped, neither blank nor a comment."""
+    pairs = []
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line and not line.startswith("#"):
+            pairs.append((line_no, decode_line(line_no, line)))
+    return pairs
+
+
 def test_parse_scenario_matches_json_loads_on_a_generated_workload(workload_text):
-    events = list(decode_scenario(workload_text))
+    events = decode_lines(workload_text)
     assert events == reference_parse_scenario(workload_text)
     assert len(events) > 10_000
 
 
 def test_parse_scenario_matches_json_loads_on_odd_but_valid_lines():
     text = "# odd lines\n\n" + "\n".join(ODD_BUT_VALID) + "\n"
-    events = list(decode_scenario(text))
+    events = decode_lines(text)
     assert repr(events) == repr(reference_parse_scenario(text))
     assert [line_no for line_no, _ in events] == list(range(3, 3 + len(ODD_BUT_VALID)))
 
