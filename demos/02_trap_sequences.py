@@ -16,7 +16,7 @@ model = CostModel(switch_cost=1.0)
 def show(nop):
     # The site's first byte picks the handling.
     site = arm(make_site("open", nop_prologue=nop))
-    record, _ = handle_trap(site, event, lambda ev: ev)
+    record = handle_trap(site, event)
     print(f"\n{'nop' if nop else 'classic'} handling of one open():")
     for step in NOP2_STEPS if nop else CLASSIC4_STEPS:
         print("   ", step)

@@ -98,10 +98,10 @@ class _TimedSimulation(Simulation):
     """A Simulation that times its mediation step alone.
 
     The timed span is ``Simulation._decide``, the one call of ``mediate``
-    plus ``apply_verdict``, the work that depends on the SACL; the trap
-    callback reads the caller's claim from ``Guest.processes`` before it,
-    so that read cannot pull the empty-vs-full ratio of acceptance
-    criterion 6 toward 1.
+    plus ``apply_verdict``, the work that depends on the SACL.
+    ``Simulation.syscall`` reads the caller's claim from ``Guest.processes``
+    in its liveness test, before the trap and this span, so that read
+    cannot pull the empty-vs-full ratio of acceptance criterion 6 toward 1.
     """
 
     wall_ns = 0

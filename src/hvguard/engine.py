@@ -59,10 +59,10 @@ _CSV_BOOLS = ("false", "true")  # indexed by a bool
 class Simulation:
     """Owns all mutable state for one run; strictly single-threaded.
 
-    Every trapped call flows breakpoint-hit -> mediation callback ->
-    forwarded (possibly nulled) event -> guest execution, with one trap
-    record (the shared one its site's prologue picks) and one decision-log
-    row per call.  ``trap_mode`` may also be given as the text
+    Every trapped call flows breakpoint-hit -> mediation on the caller's
+    claim -> forwarded (possibly nulled) event -> guest execution, with one
+    trap record (the shared one its site's prologue picks) and one
+    decision-log row per call.  ``trap_mode`` may also be given as the text
     ``--trap-mode`` takes; it picks the prologue of every armed site, which
     is the only record of it, and an unknown mode raises ``ValueError``.
     """
@@ -129,10 +129,12 @@ class Simulation:
         its record; a clone's child (``guest.last_pid``) shares it."""
         self.clock = seq = self.clock + 1
         guest, table = self.guest, self.table
-        if pid not in table or pid not in guest.processes:
+        claim = guest.processes.get(pid)
+        if claim is None or pid not in table:
             raise GuestError(f"pid {pid} is not alive")
         event = SyscallEvent(seq, pid, call, path, path2, frozenset(flags))
-        record, (forwarded, verdict) = handle_trap(self.sites[call], event, self._on_trap)
+        record = handle_trap(self.sites[call], event)
+        forwarded, verdict = self._decide(event, claim)
         outcome = guest.execute_syscall(forwarded)
         family = CALL_FAMILY[call]
         if family is EXIT:
@@ -144,14 +146,10 @@ class Simulation:
         self.decisions.append(verdict)
         return verdict, outcome
 
-    def _on_trap(self, event: SyscallEvent) -> tuple[SyscallEvent, Verdict]:
-        """Mediation callback run inside the trap: decides the event with the
-        caller's claim from ``Guest.processes``."""
-        return self._decide(event, self.guest.processes[event.pid])
-
     def _decide(self, event: SyscallEvent, claim: tuple[int, int]) -> tuple[SyscallEvent, Verdict]:
         """The one mediation step, and the only caller of ``mediate`` and
-        ``apply_verdict``: returns (forwarded event, verdict)."""
+        ``apply_verdict``: returns (forwarded event, verdict).  It runs
+        after ``handle_trap`` has taken the hit, while the site is armed."""
         verdict = mediate(event, claim, self.sacl, self.table, self.options, self.sessions)
         return apply_verdict(event, verdict), verdict
 
@@ -261,7 +259,9 @@ def parse_scenario(text: str | Iterable[str]) -> list[tuple]:
     ``str``, all of its lines), and the pieces' lines, and their numbers,
     are those of the whole text.  Within a piece, a stripped line seen
     before gives its earlier event again under its own line number, so it
-    is decoded and checked once; an ERROR event is never reused.
+    is decoded and checked once.  A FILE or ERROR event is never reused:
+    file lines are almost all distinct, so keeping them costs more than a
+    repeat saves.
 
     A line that does not decode (``decode_line``) raises here, so nothing
     is replayed.  A line whose fields are wrong becomes an ERROR event in
@@ -364,7 +364,8 @@ def parse_scenario(text: str | Iterable[str]) -> list[tuple]:
                 append((line_no, ERROR, exc))
                 continue
             append(event)
-            parsed[line] = event
+            if event[1] != FILE:
+                parsed[line] = event
         parsed.clear()  # an event is reused only within its piece
     return events
 

@@ -159,26 +159,17 @@ class SyscallEvent(_EventFields):
 def parent_dir(path: str) -> str:
     """``posixpath.dirname`` of a ``str`` path, by its own algorithm: the
     text before the last "/", kept whole if it is all slashes.  It skips
-    ``dirname``'s ``os.fspath`` call and separator lookup."""
-    head = path[:path.rfind("/") + 1]
+    ``dirname``'s ``os.fspath`` call and separator lookup, and a path whose
+    last "/" follows another character needs no ``rstrip``."""
+    i = path.rfind("/")
+    if i > 0 and path[i - 1] != "/":
+        return path[:i]
+    head = path[:i + 1]
     return head.rstrip("/") or head
 
 
 class GuestError(RuntimeError):
     """Scenario-level misuse of the guest (dead pid, duplicate path, ...)."""
-
-
-def _nulled_outcome(family: Family, flags: frozenset[str]) -> SyscallOutcome:
-    """What a call yields when its pointer slot was nulled by a denial.
-
-    Fixed per family: a write-intent open surfaces at the shell-redirection
-    level as a bad descriptor, a read-only open fails the address lookup
-    itself; an IMAGE call reports a bad descriptor; every other call faults
-    on the null address.
-    """
-    if family is IMAGE or (family is OPEN and not flags.isdisjoint(WRITE_INTENT_FLAGS)):
-        return _BAD_FILE_DESCRIPTOR
-    return _BAD_ADDRESS
 
 
 class Guest:
@@ -281,9 +272,16 @@ class Guest:
             self.spawn_process(pid, uid, gid)
             return _OK
         # Every remaining call reads its first slot, which a denial nulls.
+        # The outcome is fixed per family: a write-intent open surfaces at
+        # the shell-redirection level as a bad descriptor, a read-only open
+        # fails the address lookup itself; an IMAGE call reports a bad
+        # descriptor; every other call faults on the null address.
         if path is None:
-            return _nulled_outcome(family, flags)
-        node = self._node(path)
+            if family is IMAGE or (family is OPEN and not flags.isdisjoint(WRITE_INTENT_FLAGS)):
+                return _BAD_FILE_DESCRIPTOR
+            return _BAD_ADDRESS
+        # "/" is always the implicit root directory.
+        node = _ROOT_DIR if path == "/" else self.files.get(path)
 
         if family is OPEN:
             if node is None:
@@ -294,17 +292,18 @@ class Guest:
                     return err
                 self.files[path] = GuestFile(uid, gid, _DEFAULT_FILE_PERMS)
                 return _OK
-            wants_write = not flags.isdisjoint(_WRITE_EXISTING_FLAGS)
-            if wants_write and (node.is_directory or not self._allows(node, uid, gid, WRITE_BIT)):
+            if not flags.isdisjoint(_WRITE_EXISTING_FLAGS) and (
+                node.is_directory or (uid != 0 and check_access(node, uid, gid, WRITE_BIT) is not PERMIT)
+            ):
                 return _PERMISSION_DENIED
-            if "O_WRONLY" not in flags and not self._allows(node, uid, gid, READ_BIT):
+            if "O_WRONLY" not in flags and uid != 0 and check_access(node, uid, gid, READ_BIT) is not PERMIT:
                 return _PERMISSION_DENIED
             return _OK
         if family is TRUNCATE or family is EXEC:
             if node is None:
                 return _NO_SUCH_FILE
             bit = WRITE_BIT if family is TRUNCATE else EXECUTE_BIT
-            if node.is_directory or not self._allows(node, uid, gid, bit):
+            if node.is_directory or (uid != 0 and check_access(node, uid, gid, bit) is not PERMIT):
                 return _PERMISSION_DENIED
             return _OK
         # Mediation denies IMAGE, KEXEC and HANDLE calls unconditionally, so
@@ -334,11 +333,12 @@ class Guest:
                 err = self._parent_writable(endpoint, uid, gid)
                 if err is not None:
                     return err
-            if self._dir_node(path2) is not None:
+            target = _ROOT_DIR if path2 == "/" else self.files.get(path2)
+            if target is not None and target.is_directory:
                 return _PERMISSION_DENIED
             self.files[path2] = self.files.pop(path)
             return _OK
-        if self._node(path2) is not None:
+        if path2 == "/" or path2 in self.files:
             return _PERMISSION_DENIED
         err = self._parent_writable(path2, uid, gid)
         if err is not None:
@@ -348,23 +348,13 @@ class Guest:
 
     # -- helpers ----------------------------------------------------------
 
-    def _allows(self, node: GuestFile, uid: int, gid: int, bit: int) -> bool:
-        return uid == 0 or check_access(node, uid, gid, bit) is PERMIT
-
-    def _node(self, path: str) -> GuestFile | None:
-        """The node a path names; "/" is always the implicit root directory."""
-        return _ROOT_DIR if path == "/" else self.files.get(path)
-
-    def _dir_node(self, path: str) -> GuestFile | None:
-        node = self._node(path)
-        return node if node is not None and node.is_directory else None
-
     def _parent_writable(self, path: str, uid: int, gid: int) -> SyscallOutcome | None:
         """The error outcome if the parent directory is missing or not
         writable, else None."""
-        parent = self._dir_node(parent_dir(path))
-        if parent is None:
+        parent = parent_dir(path)
+        node = _ROOT_DIR if parent == "/" else self.files.get(parent)
+        if node is None or not node.is_directory:
             return _NO_SUCH_FILE
-        if not self._allows(parent, uid, gid, WRITE_BIT):
+        if uid != 0 and check_access(node, uid, gid, WRITE_BIT) is not PERMIT:
             return _PERMISSION_DENIED
         return None

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import posixpath
 import re
 from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
@@ -34,15 +33,13 @@ from .guest import (
     UNLINK,
     WRITE_INTENT_FLAGS,
     SyscallEvent,
+    parent_dir,
 )
 from .sacl import DENY, EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, Sacl, check_access
 
 TOKEN_PREFIX = "/tokens/"
 RESPONSE_HEX_LEN = 128  # SHA-512 digest length in hex characters
 
-# Unconditionally blocked families: module loading, kernel swapping, and the
-# two handle-based calls that bypass path-based checks.
-_HARD_DENIED_FAMILIES = (IMAGE, KEXEC, HANDLE)
 _READ_WRITE = READ_BIT | WRITE_BIT
 _tuple_new = tuple.__new__
 
@@ -132,33 +129,30 @@ def required_checks(event: SyscallEvent) -> dict[str, int]:
         else:
             checks = {path: _READ_WRITE}
         if "O_CREAT" in flags:
-            parent = posixpath.dirname(path)
+            parent = parent_dir(path)
             checks[parent] = checks.get(parent, 0) | WRITE_BIT
         return checks
+    # Rename, unlink, link and symlink need write on one name and its
+    # parent, unless a rename names both.
     if family is RENAME:
-        if path is not None and path2 is not None:
-            return {
-                path: WRITE_BIT,
-                path2: WRITE_BIT,
-                posixpath.dirname(path): WRITE_BIT,
-                posixpath.dirname(path2): WRITE_BIT,
-            }
-        return _write_with_parent(path if path2 is None else path2)
-    if family is UNLINK:
-        return _write_with_parent(path)
-    if family is TRUNCATE:
+        if path2 is not None:
+            if path is not None:
+                return {
+                    path: WRITE_BIT,
+                    path2: WRITE_BIT,
+                    parent_dir(path): WRITE_BIT,
+                    parent_dir(path2): WRITE_BIT,
+                }
+            path = path2
+    elif family is LINK or family is SYMLINK:
+        path = path2
+    elif family is TRUNCATE:
         return {} if path is None else {path: WRITE_BIT}
-    if family is LINK or family is SYMLINK:
-        return _write_with_parent(path2)
-    if family is EXEC:
+    elif family is EXEC:
         return {} if path is None else {path: EXECUTE_BIT}
-    raise ValueError(f"not a file-operation call: {call!r}")
-
-
-def _write_with_parent(path: str | None) -> dict[str, int]:
-    if path is None:
-        return {}
-    return {path: WRITE_BIT, posixpath.dirname(path): WRITE_BIT}
+    elif family is not UNLINK:
+        raise ValueError(f"not a file-operation call: {call!r}")
+    return {} if path is None else {path: WRITE_BIT, parent_dir(path): WRITE_BIT}
 
 
 # Whether a whole str is lowercase hex digits; "[0-9]" in a str pattern is
@@ -241,7 +235,9 @@ def mediate(
     resolved_uid, resolved_gid = record
     mismatch = record != claim
 
-    if family in _HARD_DENIED_FAMILIES:
+    # Unconditionally blocked: module loading, kernel swapping, and the two
+    # handle-based calls that bypass path-based checks.
+    if family is IMAGE or family is KEXEC or family is HANDLE:
         return _tuple_new(Verdict, (seq, pid, call, resolved_uid, resolved_gid, DENY, HARD_DENIED_CALL, mismatch, 0))
 
     if family is OPEN and options.secrets:

@@ -7,6 +7,8 @@ restore/single-step/re-inject dance (two VM-exit/VM-entry pairs), while a
 NOP prologue lets the handler step the instruction pointer past the
 permanently armed breakpoint (one pair).  The trap models only which of
 the two a hit takes, as switch counts; ``cost_of`` prices a handled trap.
+The trap does not run the mediation: it returns only the hit's record, and
+the caller decides the call while the site stays armed.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ class TrapStateError(RuntimeError):
     """Illegal transition: double-arm, unarmed handle, wrong symbol."""
 
 
-@dataclass
+@dataclass(slots=True)
 class TrapSite:
     """First code byte of one trapped syscall symbol; the site is armed
     while its current byte is ``BREAKPOINT_OPCODE``."""
@@ -104,27 +106,25 @@ CLASSIC4_RECORD = TrapSequenceRecord(2, 2, 1)
 NOP2_RECORD = TrapSequenceRecord(1, 1, 0)
 
 
-def handle_trap(site: TrapSite, event, callback):
-    """Handle one breakpoint hit; returns (record, ``callback(event)``).
+def handle_trap(site: TrapSite, event) -> TrapSequenceRecord:
+    """Handle one breakpoint hit of ``event`` at ``site``; returns its record.
 
-    The callback runs between the VM-exit and the VM-entry, with the
-    breakpoint in place; its result is passed back untouched.  The site's
-    first byte picks the handling: a NOP prologue steps past the permanent
-    breakpoint (``NOP2_RECORD``); any other byte is restored, single-stepped
-    and re-injected (``CLASSIC4_RECORD``), which nothing can observe, so the
+    The caller then decides the call, the "callback" step of the record's
+    sequence, with the breakpoint in place.  The site's first byte picks
+    the handling: a NOP prologue steps past the permanent breakpoint
+    (``NOP2_RECORD``); any other byte is restored, single-stepped and
+    re-injected (``CLASSIC4_RECORD``), which nothing can observe, so the
     byte stays armed through the hit and no instruction pointer is modeled.
     On return the site is armed, so no later instance of the same call can
-    be missed.
-    Denial is never an error at this layer.
+    be missed.  Denial is never an error at this layer.
     """
     if site.current_byte != BREAKPOINT_OPCODE:
         raise TrapStateError(f"site {site.symbol} is not armed")
     if event.call != site.symbol:
         raise TrapStateError(f"event {event.call!r} hit site {site.symbol!r}")
-    result = callback(event)
     if site.original_opcode == NOP_OPCODE:
-        return NOP2_RECORD, result
-    return CLASSIC4_RECORD, result
+        return NOP2_RECORD
+    return CLASSIC4_RECORD
 
 
 def cost_of(record: TrapSequenceRecord, model: CostModel, probes: int = 0) -> float:

@@ -173,8 +173,8 @@ def test_criterion_3_trap_count_exactness():
 def _modeled_ratio(switch_cost, callback_cost):
     model = CostModel(switch_cost=switch_cost, callback_base_cost=callback_cost)
     event = SyscallEvent(1, 2, "open", "/f", flags=frozenset({"O_RDONLY"}))
-    classic, _ = handle_trap(arm(make_site("open")), event, lambda e: e)
-    nop, _ = handle_trap(arm(make_site("open", nop_prologue=True)), event, lambda e: e)
+    classic = handle_trap(arm(make_site("open")), event)
+    nop = handle_trap(arm(make_site("open", nop_prologue=True)), event)
     return cost_of(classic, model) / cost_of(nop, model)
 
 

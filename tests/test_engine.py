@@ -22,8 +22,8 @@ from hvguard.engine import (
 )
 from hvguard.mediator import SACL_DENY, WHITELIST_MISS, PolicyOptions
 from hvguard.sacl import DENY, PERMIT, PermissionOctets, parse_sacl
-from hvguard.guest import TRAPPED_CALLS, GuestError, SyscallEvent
-from hvguard.trap import CLASSIC4_RECORD, NOP2_RECORD, TrapMode
+from hvguard.guest import TRAPPED_CALLS, Guest, GuestError, SyscallEvent
+from hvguard.trap import BREAKPOINT_OPCODE, CLASSIC4_RECORD, NOP2_RECORD, TrapMode
 from test_acceptance import TRANSCRIPTS, _transcript_args
 
 BASIC = """\
@@ -117,6 +117,18 @@ def test_a_repeated_field_error_is_raised_at_each_of_its_lines():
         (13, "line 13: 'uid' must be an integer >= 0, got -1"),
     ]
     assert errors[1] is not errors[2]
+
+
+def test_a_file_line_repeated_within_a_piece_is_a_duplicate_path_at_the_repeat():
+    # A file event is not kept for reuse; the repeat is parsed afresh and
+    # its replay stops on the guest's duplicate-path error at its own line.
+    line = '{"ev":"file","path":"/etc/shadow","uid":0,"gid":0,"perm":"640"}\n'
+    text = line + '{"ev":"user","uid":1000,"gid":1000}\n\n' + line
+    first, _, again = parse_scenario(text)
+    assert (first[:2], again[:2]) == ((1, FILE), (4, FILE)) and again[2:] == first[2:]
+    with pytest.raises(ScenarioError, match="^line 4: duplicate path: /etc/shadow$") as excinfo:
+        run_scenario(text)
+    assert excinfo.value.line_no == 4
 
 
 def test_field_errors_wait_for_the_replay_to_reach_their_line():
@@ -571,6 +583,53 @@ def test_every_record_is_the_modes_shared_record():
         assert len(sim.records) == len(TRAPPED_CALLS)
         assert all(record is shared for record in sim.records), mode
         assert {row.decision for row in sim.decisions} == {"permit", "deny"}
+
+
+@pytest.mark.parametrize("mode", list(TrapMode), ids=lambda mode: mode.value)
+def test_mediation_runs_while_the_calls_site_is_armed(monkeypatch, mode):
+    # handle_trap returns only its record; the mediation step that follows
+    # it sees the breakpoint in place, and the site is armed after the call.
+    armed = []
+    decide = Simulation._decide
+
+    def spy(self, event, claim):
+        armed.append(self.sites[event.call].current_byte == BREAKPOINT_OPCODE)
+        return decide(self, event, claim)
+
+    monkeypatch.setattr(Simulation, "_decide", spy)
+    sim = Simulation(trap_mode=mode)
+    sim.add_file("/f", 0, 0, PermissionOctets.from_text("644"))
+    for call in ("open", "unlink", "open"):
+        sim.syscall(1, call, "/f", flags=["O_CREAT"])
+    assert armed == [True] * 3
+    assert all(site.current_byte == BREAKPOINT_OPCODE for site in sim.sites.values())
+
+
+def test_the_guest_executes_the_event_decide_forwarded(monkeypatch):
+    # Whatever the mediation step forwards, nulled or not, is the very
+    # event the guest runs; the event built before the trap is not.
+    forwarded, executed = [], []
+    decide, execute = Simulation._decide, Guest.execute_syscall
+
+    def spy_decide(self, event, claim):
+        result = decide(self, event, claim)
+        forwarded.append(result[0])
+        return result
+
+    def spy_execute(self, event):
+        executed.append(event)
+        return execute(self, event)
+
+    monkeypatch.setattr(Simulation, "_decide", spy_decide)
+    monkeypatch.setattr(Guest, "execute_syscall", spy_execute)
+    sim = Simulation(sacl=parse_sacl("/f 400 0 0\n"))
+    sim.add_file("/f", 0, 0, PermissionOctets.from_text("644"))
+    verdict, outcome = sim.syscall(1, "open", "/f", flags=["O_WRONLY"])
+    assert verdict.decision == DENY and outcome.error == "bad_file_descriptor"
+    sim.syscall(1, "open", "/f", flags=["O_RDONLY"])
+    assert [event.path for event in executed] == [None, "/f"]
+    assert len(executed) == len(forwarded) == 2
+    assert all(ran is sent for ran, sent in zip(executed, forwarded))
 
 
 def test_dead_pid_sys_event_is_scenario_error():

@@ -18,7 +18,7 @@ from hvguard.guest import (
     SyscallEvent,
     SyscallOutcome,
     TRAPPED_CALLS,
-    _nulled_outcome,
+    _ROOT_DIR,
     parent_dir,
 )
 from hvguard.mediator import SACL_DENY, Verdict, apply_verdict
@@ -239,7 +239,7 @@ def test_execve_semantics():
 
 _A, _FD = BAD_ADDRESS, BAD_FILE_DESCRIPTOR
 # Per trapped call: its nulled-slot error with read-only flags, then with
-# write flags.
+# write flags.  Exit and clone never read a slot, so they succeed.
 NULLED_ERRORS = {
     "open": (_A, _FD),
     "openat": (_A, _FD),
@@ -257,19 +257,20 @@ NULLED_ERRORS = {
     "symlinkat": (_A, _A),
     "execve": (_A, _A),
     "execveat": (_A, _A),
-    "exit": (_A, _A),
-    "exit_group": (_A, _A),
+    "exit": (None, None),
+    "exit_group": (None, None),
     "init_module": (_FD, _FD),
     "finit_module": (_FD, _FD),
     "delete_module": (_FD, _FD),
     "kexec_load": (_A, _A),
     "kexec_file_load": (_A, _A),
-    "clone": (_A, _A),
+    "clone": (None, None),
 }
 
 
 def nulled_error(call, flags):
-    return _nulled_outcome(CALL_FAMILY[call], flags).error
+    guest, pid = make_guest()
+    return guest.execute_syscall(ev(pid, call, None, flags=flags)).error
 
 
 def test_nulled_slot_error_codes():
@@ -377,11 +378,11 @@ def test_nulled_and_deny_verdict_null_only_the_first_slot():
 
 
 def test_root_dir_node_is_one_shared_root_owned_755_directory():
-    guest = Guest()
-    root = guest._dir_node("/")
-    assert root is guest._dir_node("/") is guest._node("/")
+    # No guest holds a node of its own for "/": every guest reads the one
+    # module-level root node.
+    root = _ROOT_DIR
     assert (root.owner_uid, root.owner_gid, root.is_directory) == (0, 0, True)
-    assert "/" not in guest.files
+    assert "/" not in Guest().files
     assert root.perms == PermissionOctets(7, 5, 5)
 
 
@@ -464,8 +465,8 @@ def test_nodes_compare_by_identity():
     for path, file in guest.files.items():
         names.setdefault(file, set()).add(path)
     assert names == {node: {"/h", "/z"}, other: {"/y"}}
-    # "/" names the one root node every guest shares.
-    assert guest._node("/") is Guest()._node("/")
+    # "/" names the one root node every guest shares, which no tree holds.
+    assert "/" not in guest.files and _ROOT_DIR.is_directory
 
 
 def test_replay_is_deterministic():

@@ -20,10 +20,6 @@ from hvguard.trap import (
 )
 
 
-def passthrough(event):
-    return event
-
-
 def armed_site(call="open", mode=TrapMode.CLASSIC4):
     return arm(make_site(call, nop_prologue=mode is TrapMode.NOP2))
 
@@ -56,14 +52,14 @@ def test_nop_site_original_is_nop():
 
 def test_classic_sequence_counts():
     site = armed_site()
-    record, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough)
+    record = handle_trap(site, SyscallEvent(1, 2, "open", "/f"))
     assert (record.vm_exits, record.vm_entries, record.single_steps) == (2, 2, 1)
     assert step_counts(CLASSIC4_STEPS) == (2, 2, 1)
 
 
 def test_nop_sequence_counts():
     site = armed_site(mode=TrapMode.NOP2)
-    record, _ = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough)
+    record = handle_trap(site, SyscallEvent(1, 2, "open", "/f"))
     assert (record.vm_exits, record.vm_entries, record.single_steps) == (1, 1, 0)
     assert step_counts(NOP2_STEPS) == (1, 1, 0)
 
@@ -79,23 +75,10 @@ def test_classic_step_order_brackets_the_restore_window():
     assert steps.index("re-inject-0xCC") > second_exit
 
 
-def test_breakpoint_present_during_callback_and_after_completion():
-    site = armed_site()
-    seen = []
-
-    def spy(event):
-        seen.append(site.current_byte)
-        return event
-
-    handle_trap(site, SyscallEvent(1, 2, "open", "/f"), spy)
-    assert seen == [BREAKPOINT_OPCODE]
-    assert site.current_byte == BREAKPOINT_OPCODE
-
-
 def test_nop_site_never_shows_nop_after_arming():
     site = armed_site(mode=TrapMode.NOP2)
     for seq in range(1, 20):
-        handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough)
+        handle_trap(site, SyscallEvent(seq, 2, "open", "/f"))
         assert site.current_byte == BREAKPOINT_OPCODE
     assert "restore-original" not in NOP2_STEPS
 
@@ -104,7 +87,7 @@ def test_rearm_guarantee_back_to_back():
     site = armed_site()
     records = []
     for seq in (1, 2):
-        record, _ = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough)
+        record = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"))
         records.append(record)
     assert len(records) == 2
     assert all(r.vm_exits == 2 for r in records)
@@ -113,17 +96,17 @@ def test_rearm_guarantee_back_to_back():
 def test_unarmed_or_mismatched_site_rejected():
     site = make_site("open")
     with pytest.raises(TrapStateError):
-        handle_trap(site, SyscallEvent(1, 2, "open", "/f"), passthrough)
+        handle_trap(site, SyscallEvent(1, 2, "open", "/f"))
     arm(site)
     with pytest.raises(TrapStateError):
-        handle_trap(site, SyscallEvent(1, 2, "unlink", "/f"), passthrough)
+        handle_trap(site, SyscallEvent(1, 2, "unlink", "/f"))
 
 
 def test_switch_counts_hold_for_every_trapped_call():
     for call in TRAPPED_CALLS:
         for mode, exits in ((TrapMode.CLASSIC4, 2), (TrapMode.NOP2, 1)):
             site = armed_site(call, mode)
-            record, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough)
+            record = handle_trap(site, SyscallEvent(1, 2, call, "/f"))
             assert record.vm_exits == record.vm_entries == exits
             assert site.current_byte == BREAKPOINT_OPCODE
 
@@ -133,43 +116,32 @@ def test_switch_totals_are_linear():
         site = armed_site(mode=mode)
         total = 0
         for seq in range(1, 51):
-            record, _ = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"), passthrough)
+            record = handle_trap(site, SyscallEvent(seq, 2, "open", "/f"))
             total += record.vm_exits + record.vm_entries
         assert total == per * 50
 
 
 def test_cost_arithmetic():
     model = CostModel(switch_cost=3.0, callback_base_cost=5.0)
-    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough)
-    nop, _ = handle_trap(armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough)
+    classic = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"))
+    nop = handle_trap(armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"))
     assert cost_of(classic, model) == 4 * 3.0 + 5.0
     assert cost_of(nop, model) == 2 * 3.0 + 5.0
 
 
 def test_cost_ratio_is_two_with_free_callback():
     model = CostModel(switch_cost=7.0)
-    classic, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough)
-    nop, _ = handle_trap(armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"), passthrough)
+    classic = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"))
+    nop = handle_trap(armed_site(mode=TrapMode.NOP2), SyscallEvent(1, 2, "open", "/f"))
     assert cost_of(classic, model) / cost_of(nop, model) == 2.0
 
 
 def test_callback_probes_are_priced():
     model = CostModel(switch_cost=1.0, callback_base_cost=2.0, lookup_cost=0.5)
-    record, _ = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"), passthrough)
+    record = handle_trap(armed_site(), SyscallEvent(1, 2, "open", "/f"))
     assert cost_of(record, model, 3) == 4 * 1.0 + (2.0 + 3 * 0.5)
     assert cost_of(record, model) == 4 * 1.0 + 2.0
     assert cost_of(NOP2_RECORD, model, 3) == 2 * 1.0 + (2.0 + 3 * 0.5)
-
-
-def test_forwarded_event_is_callbacks_output():
-    site = armed_site()
-    result = (SyscallEvent(1, 2, "open", None), "verdict")
-
-    def denier(event):
-        return result
-
-    _, returned = handle_trap(site, SyscallEvent(1, 2, "open", "/f"), denier)
-    assert returned is result
 
 
 def test_negative_costs_rejected():
@@ -185,10 +157,10 @@ def test_negative_costs_rejected():
 def test_one_record_per_mode_for_every_site():
     for call in ("open", "unlink"):
         site = armed_site(call, TrapMode.NOP2)
-        first, _ = handle_trap(site, SyscallEvent(1, 2, call, "/f"), passthrough)
-        again, _ = handle_trap(site, SyscallEvent(2, 2, call, "/g"), passthrough)
+        first = handle_trap(site, SyscallEvent(1, 2, call, "/f"))
+        again = handle_trap(site, SyscallEvent(2, 2, call, "/g"))
         ordinary = armed_site(call)
-        classic, _ = handle_trap(ordinary, SyscallEvent(3, 2, call, "/f"), passthrough)
+        classic = handle_trap(ordinary, SyscallEvent(3, 2, call, "/f"))
         assert first is again is NOP2_RECORD
         assert classic is CLASSIC4_RECORD
         assert site.current_byte == ordinary.current_byte == BREAKPOINT_OPCODE

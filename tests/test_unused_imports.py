@@ -1,8 +1,9 @@
 """No module of the package imports a name it never uses, no private
 module-level name or method goes unread by the package, no module
 assigns a guest node's fields, mediation imports nothing from the trap
-layer, ``mediate`` and ``apply_verdict`` have one call site, and nothing
-writes the SACL after load.
+layer, ``mediate`` and ``apply_verdict`` have one call site, one trapped
+call runs trap -> mediation -> guest once each, and nothing writes the SACL
+after load.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library's ``ast``.  ``__init__.py`` is skipped by the
@@ -339,3 +340,24 @@ def test_mediation_has_one_call_site_that_the_bench_times():
     bench = ast.parse((REPO_ROOT / "src" / "hvguard" / "bench.py").read_text(encoding="utf-8"))
     (timed,) = [node for node in bench.body if isinstance(node, ast.ClassDef) and node.name == "_TimedSimulation"]
     assert [node.name for node in timed.body if isinstance(node, ast.FunctionDef)] == ["_decide"]
+
+
+def test_one_trapped_call_runs_trap_then_mediation_then_guest():
+    # Simulation.syscall is the only caller of handle_trap, and it runs
+    # handle_trap, self._decide and guest.execute_syscall once each, in
+    # that order: the trap returns only its record, and the call is decided
+    # and executed in the engine's own frame.
+    path = REPO_ROOT / "src" / "hvguard" / "engine.py"
+    sites = [
+        f"{module.name}: {site}"
+        for module in PACKAGE
+        for site in calls_by_scope(module.read_text(encoding="utf-8"), {"handle_trap"})
+    ]
+    assert sites == ["engine.py: handle_trap in Simulation.syscall"]
+    steps = sorted(
+        (node.lineno, node.col_offset, ast.unparse(node.func))
+        for node, scope in nodes_by_scope(path.read_text(encoding="utf-8"))
+        if scope == "Simulation.syscall" and isinstance(node, ast.Call)
+        and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"handle_trap", "_decide", "execute_syscall"}
+    )
+    assert [func for _, _, func in steps] == ["handle_trap", "self._decide", "guest.execute_syscall"]
