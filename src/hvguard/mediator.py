@@ -179,7 +179,9 @@ def try_token_auth(
     trailing 128 lowercase hex characters.  On a digest match the caller's
     fork-time uid becomes authenticated through seq + window.  Returns True
     whenever the path was a token attempt, verified or not; the open itself
-    still reaches the guest and fails against the artificial path.
+    still reaches the guest and fails against the artificial path.  A
+    challenge UTF-8 cannot encode (a lone surrogate the guest put in its
+    path) has no digest, so it is a rejected attempt.
     """
     if path is None or not path.startswith(TOKEN_PREFIX):
         return False
@@ -193,7 +195,11 @@ def try_token_auth(
     secret = options.secrets.get(uid)
     if secret is None:
         return True
-    if hmac.compare_digest(token_response(challenge, secret), response):
+    try:
+        expected = token_response(challenge, secret)
+    except UnicodeEncodeError:
+        return True
+    if hmac.compare_digest(expected, response):
         sessions[uid] = seq + options.window
     return True
 

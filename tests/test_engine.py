@@ -2,6 +2,7 @@
 
 import io
 import random
+import sys
 from pathlib import Path
 
 import pytest
@@ -24,7 +25,12 @@ from hvguard.mediator import SACL_DENY, WHITELIST_MISS, PolicyOptions
 from hvguard.sacl import DENY, PERMIT, PermissionOctets, parse_sacl
 from hvguard.guest import TRAPPED_CALLS, Guest, GuestError, SyscallEvent
 from hvguard.trap import BREAKPOINT_OPCODE, CLASSIC4_RECORD, NOP2_RECORD, TrapMode
+from conftest import REPO_ROOT
 from test_acceptance import TRANSCRIPTS, _transcript_args
+
+sys.path.insert(0, str(REPO_ROOT / "perfbench"))
+
+import gen  # noqa: E402
 
 BASIC = """\
 # comment lines and blanks are fine
@@ -99,14 +105,38 @@ def test_a_repeated_line_parses_as_if_it_were_parsed_again():
     ]
 
 
-def test_a_repeated_line_shares_its_first_events_values_within_its_piece():
-    first, second = (e for e in parse_scenario(REPEATS) if e[1] == SYS)
-    assert (first[0], second[0]) == (5, 9)
-    assert second[4] is first[4] and second[1:] == first[1:]
-    # The next piece parses the line afresh.
+def test_a_line_repeated_in_a_later_piece_shares_its_first_events_values():
     cut = REPEATS.index("  {")
-    first, second = (e for e in parse_scenario([REPEATS[:cut], REPEATS[cut:]]) if e[1] == SYS)
-    assert second[4] == first[4] and second[4] is not first[4]
+    for text in (REPEATS, [REPEATS[:cut], REPEATS[cut:]]):
+        first, second = (e for e in parse_scenario(text) if e[1] == SYS)
+        assert (first[0], second[0]) == (5, 9)
+        assert second[4] is first[4] and second[1:] == first[1:]
+
+
+@pytest.mark.parametrize("memo_lines, shared", [(3, True), (2, False)])
+def test_a_repeat_seen_after_the_memo_empties_is_parsed_afresh(monkeypatch, memo_lines, shared):
+    # Lines 3, 5 and 6 are the memo's first three; with room for two, line
+    # 6 empties it and line 9 repeats line 5 after that.
+    monkeypatch.setattr(engine, "_MEMO_LINES", memo_lines)
+    first, second = (e for e in parse_scenario(REPEATS) if e[1] == SYS)
+    assert second[1:] == first[1:]
+    assert (second[4] is first[4]) is shared
+    assert repr(parse_scenario(REPEATS)) == repr(parse_scenario(REPEATS.splitlines(keepends=True)))
+
+
+def test_a_generated_trace_parses_as_it_does_with_no_line_repeated(tmp_path):
+    """The memo-free reference: a distinct unknown key on every line, which
+    the parser ignores, leaves no line to reuse."""
+    gen.generate("token_gate", 7, tmp_path)
+    path = tmp_path / "trace.jsonl"
+    lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert all(line.startswith("{") for line in lines)
+    unique = tmp_path / "unique.jsonl"
+    unique.write_text("".join(f'{{"n":{i},{line[1:]}' for i, line in enumerate(lines)), encoding="utf-8")
+    assert len(set(lines)) < len(lines) // 2
+    events = parse_scenario(cli._scenario_pieces(str(path)))
+    assert len(events) == len(lines)
+    assert repr(events) == repr(parse_scenario(cli._scenario_pieces(str(unique))))
 
 
 def test_a_repeated_field_error_is_raised_at_each_of_its_lines():

@@ -227,3 +227,25 @@ def test_emit_never_holds_the_whole_log(tmp_path, monkeypatch):
     size = log.stat().st_size
     assert size > 1_500_000
     assert peaks[0] < size / 4
+
+
+def test_the_line_memo_holds_at_most_its_bound_of_lines(tmp_path):
+    """Parsed from pieces, a trace of distinct sys lines allocates, beyond
+    what the parse keeps, one piece's text and lines and at most
+    _MEMO_LINES memo keys with their dict slots.  A memo of every distinct
+    line would hold six times as many keys."""
+    line = '{"ev":"sys","pid":2,"call":"open","path":"/home/u/f%06d","flags":["O_WRONLY"]}\n'
+    n = 6 * engine._MEMO_LINES
+    path = tmp_path / "distinct.jsonl"
+    path.write_text("".join(line % i for i in range(n)), encoding="utf-8")
+    key = sys.getsizeof(line.strip() % 0)
+    piece_lines = engine._PIECE_CHARS // len(line % 0) + 1
+    limit = 2 * engine._PIECE_CHARS + (engine._MEMO_LINES + piece_lines) * (key + 64)
+    tracemalloc.start()
+    try:
+        events = engine.parse_scenario(cli._scenario_pieces(str(path)))
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(events) == n and len({event[4] for event in events}) == n
+    assert peak - retained < limit

@@ -1,5 +1,6 @@
 """Mediation callback: ownership, required checks, token auth, verdicts."""
 
+import json
 import random
 import sys
 
@@ -16,7 +17,7 @@ from hvguard.guest import (
     GuestError,
     SyscallEvent,
 )
-from hvguard import mediator
+from hvguard import cli, mediator
 from hvguard.engine import Simulation
 from hvguard.mediator import (
     HARD_DENIED_CALL,
@@ -187,6 +188,48 @@ def test_token_auth_ignores_non_token_paths_and_short_blobs():
     assert not try_token_auth("/home/user/x", 2, table, options, {}, 1)
     assert not try_token_auth(None, 2, table, options, {}, 1)
     assert try_token_auth("/tokens/short", 2, table, options, {}, 1)  # handled, no auth
+
+
+# A challenge UTF-8 cannot encode: a lone surrogate, then a well-formed response.
+SURROGATE_TOKEN = "/tokens/\ud800" + "a" * 128
+
+
+def test_token_auth_rejects_a_challenge_utf8_cannot_encode():
+    sacl, table, options, sessions = fresh_state("/home/u/f 600 1000 1000\n", secrets={1000: "gatekeeper"})
+    assert try_token_auth(SURROGATE_TOKEN, 2, table, options, sessions, seq=10)
+    assert sessions == {}
+    # The open still reaches the guest, like every token open; the uid's
+    # next write to a listed file has no session.
+    token = mediate(ev("open", SURROGATE_TOKEN, seq=11), (1000, 1000), sacl, table, options, sessions)
+    assert token.decision is PERMIT and sessions == {}
+    write = mediate(ev("open", "/home/u/f", flags=["O_WRONLY"], seq=12), (1000, 1000), sacl, table, options, sessions)
+    assert (write.decision, write.reason) == (DENY, UNAUTHENTICATED)
+
+
+def test_a_replay_with_an_unencodable_token_path_finishes(tmp_path, capsys):
+    (tmp_path / "sacl").write_text("/home/u/f 600 1000 1000\n")
+    (tmp_path / "secrets").write_text("1000 gatekeeper\n")
+    events = [
+        {"ev": "file", "path": "/home/u", "uid": 1000, "gid": 1000, "perm": "755", "dir": True},
+        {"ev": "file", "path": "/home/u/f", "uid": 1000, "gid": 1000, "perm": "600"},
+        {"ev": "spawn", "pid": 2, "parent": 1, "uid": 1000, "gid": 1000},
+        {"ev": "sys", "pid": 2, "call": "open", "path": SURROGATE_TOKEN},
+        {"ev": "expect", "decision": "permit", "error": "no_such_file"},
+        {"ev": "sys", "pid": 2, "call": "open", "path": "/home/u/f", "flags": ["O_WRONLY"]},
+        {"ev": "expect", "decision": "deny"},
+    ]
+    (tmp_path / "scenario").write_text("".join(json.dumps(e) + "\n" for e in events))
+    log = tmp_path / "log.csv"
+    code = cli.main([
+        "--sacl", str(tmp_path / "sacl"), "--scenario", str(tmp_path / "scenario"),
+        "--auth-secrets", str(tmp_path / "secrets"), "--out", str(log),
+    ])
+    assert capsys.readouterr().err == "sys events: 2  expect checks: 2  mismatches: 0\n"
+    assert code == 0
+    assert log.read_text().splitlines()[1:] == [
+        "4,2,open,1000,1000,permit,permit,false",
+        "5,2,open,1000,1000,deny,unauthenticated,false",
+    ]
 
 
 def _is_lower_hex_by_generator(text):
