@@ -1,10 +1,9 @@
 """Synthetic workloads quantifying trap overhead and mediation cost.
 
-Three deployment scenarios: S1 issues bare syscalls with no trapping at
-all; S2 runs the full trap/mediation stack against an empty shadow list;
-S3 runs it against a full list with one entry per guest file.  Modeled cost
-prices the context-switch sequence; wall-clock timing covers only the
-mediation function, since simulated switches cost no real time.
+Two deployment scenarios run the full trap/mediation stack: S2 against an
+empty shadow list, S3 against a full list with one entry per guest file.
+Modeled cost prices the context-switch sequence; wall-clock timing covers
+only the mediation step, since simulated switches cost no real time.
 """
 
 from __future__ import annotations
@@ -12,11 +11,11 @@ from __future__ import annotations
 import gc
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 
 from .engine import Simulation
-from .guest import Guest, GuestFile, SyscallEvent
+from .guest import GuestFile
 from .sacl import PermissionOctets, Sacl, generate_full_sacl
 from .trap import CostModel, TrapMode, cost_of
 
@@ -26,23 +25,10 @@ from .trap import CostModel, TrapMode, cost_of
 _CALL_ARGS = {"open": (frozenset({"O_RDONLY"}), False), "rename": (frozenset(), True), "unlink": (frozenset(), False)}
 BENCH_CALLS = tuple(_CALL_ARGS)
 
-CSV_COLUMNS = (
-    "call",
-    "scenario",
-    "trap_mode",
-    "sacl_size",
-    "n",
-    "mean_model_cost",
-    "mean_wall_ns",
-    "ratio_vs_S1",
-    "total_switches",
-)
-
 _WORKLOAD_PERMS = PermissionOctets(6, 4, 4)
 
 
 class ScenarioKind(Enum):
-    S1_NO_TRAP = "S1_NoTrap"
     S2_EMPTY_SACL = "S2_EmptySacl"
     S3_FULL_SACL = "S3_FullSacl"
 
@@ -71,9 +57,8 @@ class BenchResult:
     """Aggregates for one (call, scenario) workload.
 
     mean_model_cost is deterministic under a fixed seed; mean_wall_ns is
-    measured and covers the mediation function only (the bare syscall for
-    S1).  ratio_vs_S1 compares (bare + mediation) time against a twin
-    bare-guest run of the same workload, and is 1.0 for S1 by definition.
+    measured and is the mean time of one ``Simulation._decide``, the
+    mediation step, in every row.
     """
 
     call: str
@@ -83,15 +68,16 @@ class BenchResult:
     n: int
     mean_model_cost: float
     mean_wall_ns: float
-    ratio_vs_s1: float
     total_switches: int
 
     def csv(self) -> str:
         return (
             f"{self.call},{self.scenario},{self.trap_mode},{self.sacl_size},"
-            f"{self.n},{self.mean_model_cost:.6f},{self.mean_wall_ns:.1f},"
-            f"{self.ratio_vs_s1:.3f},{self.total_switches}"
+            f"{self.n},{self.mean_model_cost:.6f},{self.mean_wall_ns:.1f},{self.total_switches}"
         )
+
+
+CSV_COLUMNS = tuple(field.name for field in fields(BenchResult))
 
 
 class _TimedSimulation(Simulation):
@@ -113,50 +99,35 @@ class _TimedSimulation(Simulation):
         return decided
 
 
-def _issue_calls(issue, guest: Guest, pid: int, call: str, files: dict, count: int, seed: int) -> list:
-    """The results of count ``issue(pid, call, path, path2, flags)`` calls, with
-    the collector off, on files drawn by ``random.Random(seed)``.  After each
-    call its file is put back into ``guest``, so every unlink finds it."""
+def _issue_calls(sim: Simulation, pid: int, call: str, files: dict, count: int, seed: int) -> list:
+    """The verdicts of count ``sim.syscall`` calls, with the collector off,
+    on files drawn by ``random.Random(seed)``.  After each call its file is
+    put back into the guest, so every unlink finds it."""
     paths = list(files)
     flags, onto_self = _CALL_ARGS[call]
     rng = random.Random(seed)
-    results = []
+    verdicts = []
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
         for _ in range(count):
             path = paths[rng.randrange(len(paths))]
-            results.append(issue(pid, call, path, path if onto_self else None, flags))
-            guest.files[path] = files[path]
+            verdicts.append(sim.syscall(pid, call, path, path if onto_self else None, flags)[0])
+            sim.guest.files[path] = files[path]
     finally:
         if gc_was_enabled:
             gc.enable()
-    return results
-
-
-def _bare_mean_ns(call: str, n: int, files: dict, seed: int) -> float:
-    """Twin run of the same workload with no trapping or mediation."""
-    guest = Guest()
-    guest.files.update(files)
-
-    def timed(pid, call, path, path2, flags):
-        event = SyscallEvent(0, pid, call, path, path2, flags)
-        t0 = time.perf_counter_ns()
-        guest.execute_syscall(event)
-        return time.perf_counter_ns() - t0
-
-    return sum(_issue_calls(timed, guest, guest.spawn_process(1, 0, 0), call, files, n, seed)) / n
+    return verdicts
 
 
 def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
-    """Issue n independent syscalls of one kind through the chosen stack.
+    """Issue n independent syscalls of one kind through ``Simulation.syscall``.
 
-    S2 and S3 run each call through ``Simulation.syscall`` against a guest
-    of ``scenario.pool`` root-level files (so a full SACL has exactly that
-    many rows) and one root worker, which keeps guest-side permission checks
-    out of the way.  Totals come from the trap records of the measured calls
-    and the probe counts of their verdicts, which are read outside the timed
-    span.
+    The guest holds ``scenario.pool`` root-level files (so a full SACL has
+    exactly that many rows) and one root worker, which keeps guest-side
+    permission checks out of the way.  Totals come from the trap records of
+    the measured calls and the probe counts of their verdicts, which are
+    read outside the timed span.
     """
     if call not in BENCH_CALLS:
         raise ValueError(f"call must be one of {BENCH_CALLS}, got {call!r}")
@@ -164,35 +135,28 @@ def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
         raise ValueError("n must be >= 1")
 
     files = {f"/f{i:07d}": GuestFile(0, 0, _WORKLOAD_PERMS) for i in range(scenario.pool)}
-    bare_ns = _bare_mean_ns(call, n, files, scenario.seed)
+    sim = _TimedSimulation(
+        sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
+        trap_mode=scenario.trap_mode,
+    )
+    sim.guest.files.update(files)
+    pid = sim.spawn(1, 0, 0)
 
-    # S1 skips only the trapped run; its figures are those of an empty one.
-    trapped = scenario.kind is not ScenarioKind.S1_NO_TRAP
-    records, probes, sacl_size, mediation_ns = [], [], 0, 0.0
-    if trapped:
-        sim = _TimedSimulation(
-            sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
-            trap_mode=scenario.trap_mode,
-        )
-        sim.guest.files.update(files)
-        pid = sim.spawn(1, 0, 0)
-
-        # Warm up the interpreter path before measuring.
-        warm = min(100, n)
-        _issue_calls(sim.syscall, sim.guest, pid, call, files, warm, scenario.seed + 1)
-        sim.wall_ns = 0
-        probes = _issue_calls(lambda *args: sim.syscall(*args)[0].probes, sim.guest, pid, call, files, n, scenario.seed)
-        records, sacl_size, mediation_ns = sim.records[warm:], len(sim.sacl.entries), sim.wall_ns / n
+    # Warm up the interpreter path before measuring.
+    warm = min(100, n)
+    _issue_calls(sim, pid, call, files, warm, scenario.seed + 1)
+    sim.wall_ns = 0
+    verdicts = _issue_calls(sim, pid, call, files, n, scenario.seed)
+    records = sim.records[warm:]
 
     return BenchResult(
         call=call,
         scenario=scenario.kind.value,
         trap_mode=scenario.trap_mode.value,
-        sacl_size=sacl_size,
+        sacl_size=len(sim.sacl.entries),
         n=n,
-        mean_model_cost=sum(cost_of(r, scenario.cost_model, p) for r, p in zip(records, probes)) / n,
-        mean_wall_ns=mediation_ns if trapped else bare_ns,
-        ratio_vs_s1=(bare_ns + mediation_ns) / bare_ns if bare_ns > 0 else 1.0,
+        mean_model_cost=sum(cost_of(r, scenario.cost_model, v.probes) for r, v in zip(records, verdicts)) / n,
+        mean_wall_ns=sim.wall_ns / n,
         total_switches=sum(r.vm_exits + r.vm_entries for r in records),
     )
 
@@ -227,11 +191,11 @@ def results_csv(results) -> str:
 
 
 def summary_table(results) -> str:
-    header = f"{'call':<8} {'scenario':<14} {'mode':<8} {'sacl':>8} {'model':>12} {'wall_ns':>12} {'ratio':>8} {'switches':>9}"
+    header = f"{'call':<8} {'scenario':<14} {'mode':<8} {'sacl':>8} {'model':>12} {'wall_ns':>12} {'switches':>9}"
     rows = [header, "-" * len(header)]
     for r in results:
         rows.append(
             f"{r.call:<8} {r.scenario:<14} {r.trap_mode:<8} {r.sacl_size:>8} "
-            f"{r.mean_model_cost:>12.3f} {r.mean_wall_ns:>12.1f} {r.ratio_vs_s1:>8.2f} {r.total_switches:>9}"
+            f"{r.mean_model_cost:>12.3f} {r.mean_wall_ns:>12.1f} {r.total_switches:>9}"
         )
     return "\n".join(rows)

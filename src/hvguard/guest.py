@@ -17,12 +17,12 @@ from .sacl import EXECUTE_BIT, PERMIT, READ_BIT, WRITE_BIT, PermissionOctets, ch
 
 # Every layer branches on a call's family, never on its name.  IMAGE: module
 # loading and unloading and the handle open, whose first slot the guest
-# never resolves as a path; KEXEC: kernel swapping, from memory or a file;
-# HANDLE: a path turned into a handle.
+# never resolves as a path; BARRED: kernel swapping and a path turned into a
+# handle.  Mediation denies both families unconditionally.
 # Reading a member from its class runs Python-level code on CPython 3.11, so
 # the layers compare against these module constants.
-Family = Enum("Family", "OPEN RENAME UNLINK TRUNCATE LINK SYMLINK EXEC EXIT CLONE IMAGE KEXEC HANDLE")
-OPEN, RENAME, UNLINK, TRUNCATE, LINK, SYMLINK, EXEC, EXIT, CLONE, IMAGE, KEXEC, HANDLE = Family
+Family = Enum("Family", "OPEN RENAME UNLINK TRUNCATE LINK SYMLINK EXEC EXIT CLONE IMAGE BARRED")
+OPEN, RENAME, UNLINK, TRUNCATE, LINK, SYMLINK, EXEC, EXIT, CLONE, IMAGE, BARRED = Family
 
 # The one place a call is declared: every trapped call and its family.  The
 # hypervisor interposes on every file-operation and kernel-access call, and
@@ -30,7 +30,7 @@ OPEN, RENAME, UNLINK, TRUNCATE, LINK, SYMLINK, EXEC, EXIT, CLONE, IMAGE, KEXEC, 
 CALL_FAMILY = {
     "open": OPEN,
     "openat": OPEN,
-    "name_to_handle_at": HANDLE,
+    "name_to_handle_at": BARRED,
     "open_by_handle_at": IMAGE,
     "rename": RENAME,
     "renameat": RENAME,
@@ -49,8 +49,8 @@ CALL_FAMILY = {
     "init_module": IMAGE,
     "finit_module": IMAGE,
     "delete_module": IMAGE,
-    "kexec_load": KEXEC,
-    "kexec_file_load": KEXEC,
+    "kexec_load": BARRED,
+    "kexec_file_load": BARRED,
     "clone": CLONE,
 }
 TRAPPED_CALLS = tuple(CALL_FAMILY)
@@ -306,9 +306,9 @@ class Guest:
             if node.is_directory or (uid != 0 and check_access(node, uid, gid, bit) is not PERMIT):
                 return _PERMISSION_DENIED
             return _OK
-        # Mediation denies IMAGE, KEXEC and HANDLE calls unconditionally, so
-        # they reach the guest only with their slot nulled.
-        if family is IMAGE or family is KEXEC or family is HANDLE:
+        # Mediation denies IMAGE and BARRED calls unconditionally, so they
+        # reach the guest only with their slot nulled.
+        if family is IMAGE or family is BARRED:
             raise GuestError(f"unhandled call: {call}")
 
         # RENAME, UNLINK, LINK and SYMLINK.  A null second slot faults before

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from typing import Mapping, NamedTuple
 
 from .guest import (
+    BARRED,
     CALL_FAMILY,
     CLONE,
     EXEC,
     EXIT,
-    HANDLE,
     IMAGE,
-    KEXEC,
     LINK,
     OPEN,
     RENAME,
@@ -243,7 +242,7 @@ def mediate(
 
     # Unconditionally blocked: module loading, kernel swapping, and the two
     # handle-based calls that bypass path-based checks.
-    if family is IMAGE or family is KEXEC or family is HANDLE:
+    if family is IMAGE or family is BARRED:
         return _tuple_new(Verdict, (seq, pid, call, resolved_uid, resolved_gid, DENY, HARD_DENIED_CALL, mismatch, 0))
 
     if family is OPEN and options.secrets:

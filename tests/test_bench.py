@@ -23,14 +23,6 @@ from hvguard.trap import CostModel, TrapMode
 from test_acceptance import TRANSCRIPTS, _transcript_args
 
 
-def test_s1_has_no_traps_and_unit_ratio():
-    for call in ("open", "rename", "unlink"):
-        result = run_workload(call, 50, BenchScenario(ScenarioKind.S1_NO_TRAP))
-        assert result.total_switches == 0
-        assert result.ratio_vs_s1 == 1.0
-        assert result.mean_model_cost == 0.0
-
-
 @pytest.mark.parametrize("n,warm", [(40, 40), (150, 100)])
 def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
     calls = []
@@ -45,9 +37,6 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
         calls.clear()
         run_workload("rename", n, scenario)
         assert calls == ["rename"] * (warm + n)
-    calls.clear()
-    run_workload("rename", n, BenchScenario(ScenarioKind.S1_NO_TRAP))
-    assert calls == []
 
 
 @pytest.mark.parametrize("mode", list(TrapMode), ids=lambda mode: mode.value)
@@ -81,13 +70,12 @@ def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir
 @pytest.mark.parametrize(
     "scenario,executed",
     [
-        (BenchScenario(ScenarioKind.S1_NO_TRAP, pool=100), 200),
-        (BenchScenario(ScenarioKind.S2_EMPTY_SACL, pool=100), 200 + 100 + 200),
-        (BenchScenario(ScenarioKind.S3_FULL_SACL, pool=100), 200 + 100 + 200),
+        (BenchScenario(ScenarioKind.S2_EMPTY_SACL, pool=100), 100 + 200),
+        (BenchScenario(ScenarioKind.S3_FULL_SACL, pool=100), 100 + 200),
     ],
 )
 def test_every_measured_unlink_finds_its_file(monkeypatch, scenario, executed):
-    """The bare twin, the warm-up and the trapped run each unlink a live file."""
+    """The warm-up and the measured run each unlink a live file."""
     outcomes = []
     execute = Guest.execute_syscall
 
@@ -113,10 +101,9 @@ def test_switch_totals_by_mode():
 @pytest.mark.parametrize("text, mode, switches", [("classic", TrapMode.CLASSIC4, 4), ("nop", TrapMode.NOP2, 2)])
 def test_trap_mode_may_be_given_as_its_text(text, mode, switches):
     # The text --trap-mode takes, as Simulation accepts it.
-    assert BenchScenario(ScenarioKind.S1_NO_TRAP, trap_mode=text).trap_mode is mode
-    assert run_workload("open", 10, BenchScenario(ScenarioKind.S1_NO_TRAP, trap_mode=text)).trap_mode == text
-    trapped = run_workload("open", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text))
-    assert (trapped.trap_mode, trapped.total_switches) == (text, switches * 10)
+    assert BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text).trap_mode is mode
+    result = run_workload("open", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text))
+    assert (result.trap_mode, result.total_switches) == (text, switches * 10)
 
 
 def test_unknown_trap_mode_is_value_error():
@@ -159,9 +146,9 @@ def test_scaling_requires_ascending_sizes():
 
 def test_workload_argument_validation():
     with pytest.raises(ValueError):
-        run_workload("getpid", 10, BenchScenario(ScenarioKind.S1_NO_TRAP))
+        run_workload("getpid", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
     with pytest.raises(ValueError):
-        run_workload("open", 0, BenchScenario(ScenarioKind.S1_NO_TRAP))
+        run_workload("open", 0, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
     for kind in ScenarioKind:
         with pytest.raises(ValueError, match="pool must be >= 1"):
             BenchScenario(kind, pool=0)
@@ -171,7 +158,7 @@ def test_csv_columns_exact():
     result = run_workload("open", 5, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
     text = results_csv([result])
     header, row = text.strip().splitlines()
-    assert header == "call,scenario,trap_mode,sacl_size,n,mean_model_cost,mean_wall_ns,ratio_vs_S1,total_switches"
+    assert header == "call,scenario,trap_mode,sacl_size,n,mean_model_cost,mean_wall_ns,total_switches"
     assert header.split(",") == list(CSV_COLUMNS)
     fields = row.split(",")
     assert fields[0] == "open"

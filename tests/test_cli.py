@@ -119,7 +119,7 @@ def test_bench_prices_the_callback(capsys):
             fields = row.split(",")
             costs[mode, fields[0], fields[1], fields[3]] = float(fields[5])
     rows = [key[1:] for key in costs if key[0] == "classic"]
-    assert len(rows) == 6 and all(scenario in ("S2_EmptySacl", "S3_FullSacl") for _, scenario, _ in rows)
+    assert len(rows) == 6 and all(scenario == "S3_FullSacl" for _, scenario, _ in rows)
     for row in rows:
         classic, nop = costs[("classic",) + row], costs[("nop",) + row]
         assert abs((classic - nop) - 2 * s) < 1e-9, row

@@ -46,7 +46,7 @@ def ev(pid, call, path=None, path2=None, flags=(), seq=1):
 CALL_TABLE = [
     ("open", "OPEN"),
     ("openat", "OPEN"),
-    ("name_to_handle_at", "HANDLE"),
+    ("name_to_handle_at", "BARRED"),
     ("open_by_handle_at", "IMAGE"),
     ("rename", "RENAME"),
     ("renameat", "RENAME"),
@@ -65,8 +65,8 @@ CALL_TABLE = [
     ("init_module", "IMAGE"),
     ("finit_module", "IMAGE"),
     ("delete_module", "IMAGE"),
-    ("kexec_load", "KEXEC"),
-    ("kexec_file_load", "KEXEC"),
+    ("kexec_load", "BARRED"),
+    ("kexec_file_load", "BARRED"),
     ("clone", "CLONE"),
 ]
 

@@ -2,8 +2,8 @@
 module-level name or method goes unread by the package, no module
 assigns a guest node's fields, mediation imports nothing from the trap
 layer, ``mediate`` and ``apply_verdict`` have one call site, one trapped
-call runs trap -> mediation -> guest once each, and nothing writes the SACL
-after load.
+call runs trap -> mediation -> guest once each, and in one place, and
+nothing writes the SACL after load.
 
 No linter ships with the toolchain, so this walks each module's syntax tree
 with the standard library's ``ast``.  ``__init__.py`` is skipped by the
@@ -342,21 +342,59 @@ def test_mediation_has_one_call_site_that_the_bench_times():
     assert [node.name for node in timed.body if isinstance(node, ast.FunctionDef)] == ["_decide"]
 
 
-def test_one_trapped_call_runs_trap_then_mediation_then_guest():
-    # Simulation.syscall is the only caller of handle_trap, and it runs
-    # handle_trap, self._decide and guest.execute_syscall once each, in
-    # that order: the trap returns only its record, and the call is decided
-    # and executed in the engine's own frame.
-    path = REPO_ROOT / "src" / "hvguard" / "engine.py"
-    sites = [
-        f"{module.name}: {site}"
-        for module in PACKAGE
-        for site in calls_by_scope(module.read_text(encoding="utf-8"), {"handle_trap"})
+def event_builds(source: str) -> list[str]:
+    """Each place a source builds a ``SyscallEvent``, as ``line N in Scope``
+    (see ``nodes_by_scope``): a call of the class or of one of its
+    attributes (``SyscallEvent._make``), a call given the class first
+    (``tuple.__new__(SyscallEvent, ...)``), and a ``_replace`` call.  The
+    class's own ``nulled`` builds through ``type(self)``, so it is not one."""
+    found = []
+    for node, scope in nodes_by_scope(source):
+        if isinstance(node, ast.Call):
+            func = node.func
+            named = [func, getattr(func, "value", None), *node.args[:1]]
+            if getattr(func, "attr", None) == "_replace" or any(
+                isinstance(name, ast.Name) and name.id == "SyscallEvent" for name in named
+            ):
+                found.append(f"line {node.lineno} in {scope}")
+    return found
+
+
+def test_checker_sees_every_way_to_build_an_event():
+    source = (
+        "def a(): return SyscallEvent(1, 2, 'open')\n"
+        "def b(e): return SyscallEvent._make(e), e._replace(path=None)\n"
+        "def c(e): return tuple.__new__(SyscallEvent, e), _tuple_new(SyscallEvent, e)\n"
+        "def d(e: SyscallEvent): return e.nulled(), isinstance(e, SyscallEvent), _tuple_new(type(e), e)\n"
+    )
+    assert event_builds(source) == [
+        "line 1 in a", "line 2 in b", "line 2 in b", "line 3 in c", "line 3 in c"
     ]
-    assert sites == ["engine.py: handle_trap in Simulation.syscall"]
+
+
+def test_one_trapped_call_runs_trap_then_mediation_then_guest():
+    # Simulation.syscall is the only caller of handle_trap and of
+    # execute_syscall, and the only place that builds a SyscallEvent other
+    # than through nulled(); it runs handle_trap, self._decide and
+    # guest.execute_syscall once each, in that order: the trap returns only
+    # its record, and the call is decided and executed in the engine's own
+    # frame.
+    sources = {module.name: module.read_text(encoding="utf-8") for module in PACKAGE}
+    sites = [
+        f"{name}: {site}"
+        for name, source in sources.items()
+        for site in calls_by_scope(source, {"handle_trap", "execute_syscall"})
+    ]
+    assert sites == [
+        "engine.py: handle_trap in Simulation.syscall", "engine.py: execute_syscall in Simulation.syscall"
+    ]
+    builds = [
+        f"{name}: {build.partition(' in ')[2]}" for name, source in sources.items() for build in event_builds(source)
+    ]
+    assert builds == ["engine.py: Simulation.syscall"]
     steps = sorted(
         (node.lineno, node.col_offset, ast.unparse(node.func))
-        for node, scope in nodes_by_scope(path.read_text(encoding="utf-8"))
+        for node, scope in nodes_by_scope(sources["engine.py"])
         if scope == "Simulation.syscall" and isinstance(node, ast.Call)
         and getattr(node.func, "attr", getattr(node.func, "id", None)) in {"handle_trap", "_decide", "execute_syscall"}
     )
