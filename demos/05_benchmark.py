@@ -5,24 +5,14 @@ only the mediation function.  The interesting properties are orderings and
 flatness, never absolute numbers, which are machine artifacts.
 """
 
-from hvguard import (
-    BenchScenario,
-    CostModel,
-    ScenarioKind,
-    TrapMode,
-    results_csv,
-    run_workload,
-    sacl_scaling,
-)
+from hvguard import CostModel, TrapMode, results_csv, run_workload, sacl_scaling
 from hvguard.bench import summary_table
 
 model = CostModel(switch_cost=1.0)
 
 print("classic vs NOP-prologue trapping, empty shadow list, 500 opens:")
-classic = run_workload("open", 500, BenchScenario(ScenarioKind.S2_EMPTY_SACL, cost_model=model))
-nop = run_workload(
-    "open", 500, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=TrapMode.NOP2, cost_model=model)
-)
+classic = run_workload("open", 500, cost_model=model)
+nop = run_workload("open", 500, trap_mode=TrapMode.NOP2, cost_model=model)
 print(f"  modeled cost per call: classic={classic.mean_model_cost:.1f}  nop={nop.mean_model_cost:.1f}")
 print(f"  total switches:        classic={classic.total_switches}  nop={nop.total_switches}")
 

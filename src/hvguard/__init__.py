@@ -13,8 +13,6 @@ harness.
 from .bench import (
     BENCH_CALLS,
     BenchResult,
-    BenchScenario,
-    ScenarioKind,
     results_csv,
     run_workload,
     sacl_scaling,
@@ -50,7 +48,6 @@ from .mediator import (
     PolicyOptions,
     Verdict,
     apply_verdict,
-    is_authenticated,
     mediate,
     required_checks,
     token_response,

@@ -1,9 +1,9 @@
 """Synthetic workloads quantifying trap overhead and mediation cost.
 
-Two deployment scenarios run the full trap/mediation stack: S2 against an
-empty shadow list, S3 against a full list with one entry per guest file.
-Modeled cost prices the context-switch sequence; wall-clock timing covers
-only the mediation step, since simulated switches cost no real time.
+Each workload runs the full trap/mediation stack against either an empty
+shadow list or a full one, with one entry per guest file.  Modeled cost
+prices the context-switch sequence; wall-clock timing covers only the
+mediation step, since simulated switches cost no real time.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import gc
 import random
 import time
 from dataclasses import dataclass, fields
-from enum import Enum
 
 from .engine import Simulation
 from .guest import GuestFile
@@ -28,33 +27,9 @@ BENCH_CALLS = tuple(_CALL_ARGS)
 _WORKLOAD_PERMS = PermissionOctets(6, 4, 4)
 
 
-class ScenarioKind(Enum):
-    S2_EMPTY_SACL = "S2_EmptySacl"
-    S3_FULL_SACL = "S3_FullSacl"
-
-
-@dataclass(frozen=True)
-class BenchScenario:
-    """pool is the guest file count the workload draws targets from; S3's
-    full list has one row per file, so its size is pool too.  Comparisons
-    across scenarios pin pool so only the SACL differs.  As in
-    ``Simulation``, ``trap_mode`` may be given as its text."""
-
-    kind: ScenarioKind
-    trap_mode: TrapMode = TrapMode.CLASSIC4
-    cost_model: CostModel = CostModel(switch_cost=1.0)
-    pool: int = 1000
-    seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "trap_mode", TrapMode(self.trap_mode))
-        if self.pool < 1:
-            raise ValueError("pool must be >= 1")
-
-
 @dataclass(frozen=True)
 class BenchResult:
-    """Aggregates for one (call, scenario) workload.
+    """Aggregates for one (call, SACL, trap mode) workload.
 
     mean_model_cost is deterministic under a fixed seed; mean_wall_ns is
     measured and is the mean time of one ``Simulation._decide``, the
@@ -62,19 +37,12 @@ class BenchResult:
     """
 
     call: str
-    scenario: str
     trap_mode: str
     sacl_size: int
     n: int
     mean_model_cost: float
     mean_wall_ns: float
     total_switches: int
-
-    def csv(self) -> str:
-        return (
-            f"{self.call},{self.scenario},{self.trap_mode},{self.sacl_size},"
-            f"{self.n},{self.mean_model_cost:.6f},{self.mean_wall_ns:.1f},{self.total_switches}"
-        )
 
 
 CSV_COLUMNS = tuple(field.name for field in fields(BenchResult))
@@ -120,42 +88,52 @@ def _issue_calls(sim: Simulation, pid: int, call: str, files: dict, count: int, 
     return verdicts
 
 
-def run_workload(call: str, n: int, scenario: BenchScenario) -> BenchResult:
+def run_workload(
+    call: str,
+    n: int,
+    *,
+    pool: int = 1000,
+    full_sacl: bool = False,
+    trap_mode: TrapMode = TrapMode.CLASSIC4,
+    cost_model: CostModel = CostModel(switch_cost=1.0),
+    seed: int = 0,
+) -> BenchResult:
     """Issue n independent syscalls of one kind through ``Simulation.syscall``.
 
-    The guest holds ``scenario.pool`` root-level files (so a full SACL has
-    exactly that many rows) and one root worker, which keeps guest-side
-    permission checks out of the way.  Totals come from the trap records of
-    the measured calls and the probe counts of their verdicts, which are
-    read outside the timed span.
+    The guest holds ``pool`` root-level files and one root worker, which
+    keeps guest-side permission checks out of the way.  The SACL is empty,
+    or with ``full_sacl`` has one row per file, so its size is ``pool``;
+    comparisons between the two pin ``pool`` so only the SACL differs.  As
+    in ``Simulation``, ``trap_mode`` may be given as its text.  Totals come
+    from the trap records of the measured calls and the probe counts of
+    their verdicts, which are read outside the timed span.
     """
     if call not in BENCH_CALLS:
         raise ValueError(f"call must be one of {BENCH_CALLS}, got {call!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if pool < 1:
+        raise ValueError("pool must be >= 1")
+    trap_mode = TrapMode(trap_mode)
 
-    files = {f"/f{i:07d}": GuestFile(0, 0, _WORKLOAD_PERMS) for i in range(scenario.pool)}
-    sim = _TimedSimulation(
-        sacl=generate_full_sacl(files) if scenario.kind is ScenarioKind.S3_FULL_SACL else Sacl(),
-        trap_mode=scenario.trap_mode,
-    )
+    files = {f"/f{i:07d}": GuestFile(0, 0, _WORKLOAD_PERMS) for i in range(pool)}
+    sim = _TimedSimulation(sacl=generate_full_sacl(files) if full_sacl else Sacl(), trap_mode=trap_mode)
     sim.guest.files.update(files)
     pid = sim.spawn(1, 0, 0)
 
     # Warm up the interpreter path before measuring.
     warm = min(100, n)
-    _issue_calls(sim, pid, call, files, warm, scenario.seed + 1)
+    _issue_calls(sim, pid, call, files, warm, seed + 1)
     sim.wall_ns = 0
-    verdicts = _issue_calls(sim, pid, call, files, n, scenario.seed)
+    verdicts = _issue_calls(sim, pid, call, files, n, seed)
     records = sim.records[warm:]
 
     return BenchResult(
         call=call,
-        scenario=scenario.kind.value,
-        trap_mode=scenario.trap_mode.value,
+        trap_mode=trap_mode.value,
         sacl_size=len(sim.sacl.entries),
         n=n,
-        mean_model_cost=sum(cost_of(r, scenario.cost_model, v.probes) for r, v in zip(records, verdicts)) / n,
+        mean_model_cost=sum(cost_of(r, cost_model, v.probes) for r, v in zip(records, verdicts)) / n,
         mean_wall_ns=sim.wall_ns / n,
         total_switches=sum(r.vm_exits + r.vm_entries for r in records),
     )
@@ -172,30 +150,28 @@ def sacl_scaling(
     sizes = list(sizes)
     if not sizes or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("sizes must be non-empty and strictly ascending")
-    results = []
-    for size in sizes:
-        scenario = BenchScenario(
-            ScenarioKind.S3_FULL_SACL,
-            trap_mode=trap_mode,
-            cost_model=cost_model,
-            pool=size,
-        )
-        results.append(run_workload(call, n, scenario))
-    return results
+    return [
+        run_workload(call, n, pool=size, full_sacl=True, trap_mode=trap_mode, cost_model=cost_model)
+        for size in sizes
+    ]
 
 
 def results_csv(results) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    lines.extend(r.csv() for r in results)
+    lines.extend(
+        f"{r.call},{r.trap_mode},{r.sacl_size},{r.n},"
+        f"{r.mean_model_cost:.6f},{r.mean_wall_ns:.1f},{r.total_switches}"
+        for r in results
+    )
     return "\n".join(lines) + "\n"
 
 
 def summary_table(results) -> str:
-    header = f"{'call':<8} {'scenario':<14} {'mode':<8} {'sacl':>8} {'model':>12} {'wall_ns':>12} {'switches':>9}"
+    header = f"{'call':<8} {'mode':<8} {'sacl':>8} {'model':>12} {'wall_ns':>12} {'switches':>9}"
     rows = [header, "-" * len(header)]
     for r in results:
         rows.append(
-            f"{r.call:<8} {r.scenario:<14} {r.trap_mode:<8} {r.sacl_size:>8} "
+            f"{r.call:<8} {r.trap_mode:<8} {r.sacl_size:>8} "
             f"{r.mean_model_cost:>12.3f} {r.mean_wall_ns:>12.1f} {r.total_switches:>9}"
         )
     return "\n".join(rows)

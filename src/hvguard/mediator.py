@@ -203,15 +203,6 @@ def try_token_auth(
     return True
 
 
-def is_authenticated(sessions: dict[int, int], uid: int, seq: int) -> bool:
-    """Whether uid holds a session valid at seq: through the recorded
-    expiry seq inclusive.  Only a uid with a secret needs one; a uid
-    without a secret is always authenticated, which the caller decides
-    from ``PolicyOptions.secrets`` before asking."""
-    expiry = sessions.get(uid)
-    return expiry is not None and seq <= expiry
-
-
 def mediate(
     event: SyscallEvent,
     claim: tuple[int, int],
@@ -236,6 +227,7 @@ def mediate(
     """
     seq, pid, call, path, _, _ = event
     family = CALL_FAMILY[call]
+    secrets = options.secrets
     record = table[pid]
     resolved_uid, resolved_gid = record
     mismatch = record != claim
@@ -245,7 +237,7 @@ def mediate(
     if family is IMAGE or family is BARRED:
         return _tuple_new(Verdict, (seq, pid, call, resolved_uid, resolved_gid, DENY, HARD_DENIED_CALL, mismatch, 0))
 
-    if family is OPEN and options.secrets:
+    if family is OPEN and secrets:
         try_token_auth(path, pid, table, options, sessions, seq)
 
     checks = {} if family is EXIT or family is CLONE else required_checks(event)
@@ -262,8 +254,9 @@ def mediate(
         if check_access(rule, resolved_uid, resolved_gid, bits) is DENY:
             denied = True
 
-    # Only a uid with a secret needs a session.
-    if listed and resolved_uid in options.secrets and not is_authenticated(sessions, resolved_uid, seq):
+    # Only a uid with a secret needs a session, valid through its recorded
+    # expiry seq inclusive; -1 stands for none, below every event's seq.
+    if listed and resolved_uid in secrets and sessions.get(resolved_uid, -1) < seq:
         decision, reason = DENY, UNAUTHENTICATED
     elif not listed and family is EXEC and options.exec_whitelist:
         decision, reason = DENY, WHITELIST_MISS

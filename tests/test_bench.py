@@ -1,4 +1,4 @@
-"""Benchmark harness: scenario invariants, determinism, CSV contract."""
+"""Benchmark harness: workload invariants, determinism, CSV contract."""
 
 from pathlib import Path
 
@@ -6,9 +6,7 @@ import pytest
 
 from hvguard import cli, engine
 from hvguard.bench import (
-    BenchScenario,
     CSV_COLUMNS,
-    ScenarioKind,
     _TimedSimulation,
     results_csv,
     run_workload,
@@ -33,9 +31,9 @@ def test_trapped_calls_run_through_simulation_syscall(monkeypatch, n, warm):
         return syscall(self, *args, **kwargs)
 
     monkeypatch.setattr(Simulation, "syscall", counting)
-    for scenario in (BenchScenario(ScenarioKind.S2_EMPTY_SACL), BenchScenario(ScenarioKind.S3_FULL_SACL, pool=200)):
+    for settings in ({}, {"pool": 200, "full_sacl": True}):
         calls.clear()
-        run_workload("rename", n, scenario)
+        run_workload("rename", n, **settings)
         assert calls == ["rename"] * (warm + n)
 
 
@@ -70,8 +68,8 @@ def test_timed_trap_callback_decides_like_the_original(monkeypatch, scenario_dir
 @pytest.mark.parametrize(
     "scenario,executed",
     [
-        (BenchScenario(ScenarioKind.S2_EMPTY_SACL, pool=100), 100 + 200),
-        (BenchScenario(ScenarioKind.S3_FULL_SACL, pool=100), 100 + 200),
+        ({"pool": 100}, 100 + 200),
+        ({"pool": 100, "full_sacl": True}, 100 + 200),
     ],
 )
 def test_every_measured_unlink_finds_its_file(monkeypatch, scenario, executed):
@@ -85,36 +83,53 @@ def test_every_measured_unlink_finds_its_file(monkeypatch, scenario, executed):
         return outcome
 
     monkeypatch.setattr(Guest, "execute_syscall", recording)
-    run_workload("unlink", 200, scenario)
+    run_workload("unlink", 200, **scenario)
     assert len(outcomes) == executed
     assert [o.error for o in outcomes if not o.success] == []
 
 
 def test_switch_totals_by_mode():
     n = 40
-    classic = run_workload("open", n, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
+    classic = run_workload("open", n)
     assert classic.total_switches == 4 * n
-    nop = run_workload("open", n, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=TrapMode.NOP2))
+    nop = run_workload("open", n, trap_mode=TrapMode.NOP2)
     assert nop.total_switches == 2 * n
 
 
 @pytest.mark.parametrize("text, mode, switches", [("classic", TrapMode.CLASSIC4, 4), ("nop", TrapMode.NOP2, 2)])
 def test_trap_mode_may_be_given_as_its_text(text, mode, switches):
     # The text --trap-mode takes, as Simulation accepts it.
-    assert BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text).trap_mode is mode
-    result = run_workload("open", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=text))
-    assert (result.trap_mode, result.total_switches) == (text, switches * 10)
+    result = run_workload("open", 10, trap_mode=text)
+    assert (TrapMode(result.trap_mode), result.total_switches) == (mode, switches * 10)
 
 
-def test_unknown_trap_mode_is_value_error():
-    with pytest.raises(ValueError, match="'fast' is not a valid TrapMode"):
-        BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode="fast")
+@pytest.mark.parametrize(
+    "settings, expected",
+    [
+        ({"call": "getpid"}, "call must be one of"),
+        ({"n": 0}, "n must be >= 1"),
+        ({"pool": 0}, "pool must be >= 1"),
+        ({"pool": 0, "full_sacl": True}, "pool must be >= 1"),
+        ({"trap_mode": "fast"}, "'fast' is not a valid TrapMode"),
+        ({"pool": 30}, 0),
+        ({"pool": 30, "full_sacl": True}, 30),
+    ],
+    ids=["unknown-call", "n-zero", "pool-zero", "pool-zero-full", "unknown-trap-mode", "empty-sacl", "full-sacl"],
+)
+def test_run_workload_settings(settings, expected):
+    """A bad setting is a ValueError; otherwise the SACL is empty, or with
+    full_sacl has one row per pool file."""
+    kwargs = {"call": "open", "n": 5, **settings}
+    if isinstance(expected, str):
+        with pytest.raises(ValueError, match=expected):
+            run_workload(**kwargs)
+    else:
+        assert run_workload(**kwargs).sacl_size == expected
 
 
 def test_modeled_cost_deterministic_under_seed():
-    scenario = BenchScenario(ScenarioKind.S3_FULL_SACL, pool=500, seed=9)
-    a = run_workload("rename", 100, scenario)
-    b = run_workload("rename", 100, scenario)
+    a = run_workload("rename", 100, pool=500, full_sacl=True, seed=9)
+    b = run_workload("rename", 100, pool=500, full_sacl=True, seed=9)
     assert a.mean_model_cost == b.mean_model_cost
     assert a.total_switches == b.total_switches
     assert a.sacl_size == b.sacl_size == 500
@@ -130,10 +145,8 @@ def test_modeled_cost_constant_across_sizes():
 
 def test_modeled_halving_between_modes():
     model = CostModel(switch_cost=5.0)
-    classic = run_workload("open", 20, BenchScenario(ScenarioKind.S2_EMPTY_SACL, cost_model=model))
-    nop = run_workload(
-        "open", 20, BenchScenario(ScenarioKind.S2_EMPTY_SACL, trap_mode=TrapMode.NOP2, cost_model=model)
-    )
+    classic = run_workload("open", 20, cost_model=model)
+    nop = run_workload("open", 20, trap_mode=TrapMode.NOP2, cost_model=model)
     assert classic.mean_model_cost / nop.mean_model_cost == pytest.approx(2.0)
 
 
@@ -144,35 +157,25 @@ def test_scaling_requires_ascending_sizes():
         sacl_scaling("open", [], 10)
 
 
-def test_workload_argument_validation():
-    with pytest.raises(ValueError):
-        run_workload("getpid", 10, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
-    with pytest.raises(ValueError):
-        run_workload("open", 0, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
-    for kind in ScenarioKind:
-        with pytest.raises(ValueError, match="pool must be >= 1"):
-            BenchScenario(kind, pool=0)
-
-
 def test_csv_columns_exact():
-    result = run_workload("open", 5, BenchScenario(ScenarioKind.S2_EMPTY_SACL))
+    result = run_workload("open", 5)
     text = results_csv([result])
     header, row = text.strip().splitlines()
-    assert header == "call,scenario,trap_mode,sacl_size,n,mean_model_cost,mean_wall_ns,total_switches"
+    assert header == "call,trap_mode,sacl_size,n,mean_model_cost,mean_wall_ns,total_switches"
     assert header.split(",") == list(CSV_COLUMNS)
     fields = row.split(",")
-    assert fields[0] == "open"
-    assert fields[1] == "S2_EmptySacl"
-    assert fields[4] == "5"
+    assert fields[:2] == ["open", "classic"]
+    assert fields[3] == "5"
 
 
 def test_scaling_row_per_size():
     results = sacl_scaling("open", [100, 1000, 10000], 20)
     assert [r.sacl_size for r in results] == [100, 1000, 10000]
-    assert all(r.scenario == "S3_FullSacl" for r in results)
 
 
 def test_summary_table_mentions_every_row():
     results = sacl_scaling("open", [100, 1000], 10)
-    table = summary_table(results)
-    assert table.count("S3_FullSacl") == 2
+    lines = summary_table(results).splitlines()
+    assert len(lines) == 2 + len(results)
+    for line, result in zip(lines[2:], results):
+        assert line.split()[:3] == ["open", "classic", str(result.sacl_size)]

@@ -1,9 +1,16 @@
 """CLI exit codes and output contracts."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import hvguard
 from hvguard import cli, engine
 from hvguard.cli import main
+from test_acceptance import _transcript_args
 
 
 def run_cli(args, capsys):
@@ -71,6 +78,30 @@ def test_unknown_flag_exits_two(capsys):
     assert excinfo.value.code == 2
 
 
+def run_module(args):
+    """``python -m hvguard`` in a fresh process, on the hvguard imported here."""
+    src = str(Path(hvguard.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "hvguard", *args], env=env, capture_output=True, text=True, timeout=60
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_module_entry_point_runs_like_main(scenario_dir, capsys):
+    extra = ["--sacl", "two_step.sacl", "--auth-secrets", "secrets.txt"]
+    args = _transcript_args(scenario_dir, "token_auth_write", extra)
+    expected = run_cli(args, capsys)
+    assert expected[0] == 0 and expected[1].startswith("seq,pid,call,")
+    assert run_module(args) == expected
+
+
+def test_module_entry_point_unknown_flag_exits_two():
+    code, _, err = run_module(["--frobnicate"])
+    assert code == 2
+    assert "unrecognized arguments: --frobnicate" in err
+
+
 def test_decision_log_written_to_out_file(tmp_path, capsys):
     sacl = write(tmp_path, "s.sacl", "/etc/shadow 400 0 0\n")
     scenario = write(tmp_path, "s.jsonl", SCENARIO_DENY)
@@ -90,7 +121,7 @@ def test_bench_csv_rows(tmp_path, capsys):
     lines = out.strip().splitlines()
     # header + (2 sizes x 3 calls)
     assert len(lines) == 1 + 6
-    assert lines[0].startswith("call,scenario,trap_mode,")
+    assert lines[0].startswith("call,trap_mode,sacl_size,")
 
 
 def test_bench_nop_mode_switch_column(tmp_path, capsys):
@@ -117,14 +148,14 @@ def test_bench_prices_the_callback(capsys):
         assert code == 0
         for row in out.strip().splitlines()[1:]:
             fields = row.split(",")
-            costs[mode, fields[0], fields[1], fields[3]] = float(fields[5])
+            costs[mode, fields[0], fields[2]] = float(fields[4])
     rows = [key[1:] for key in costs if key[0] == "classic"]
-    assert len(rows) == 6 and all(scenario == "S3_FullSacl" for _, scenario, _ in rows)
+    assert len(rows) == 6 and all(size in ("100", "1000") for _, size in rows)
     for row in rows:
         classic, nop = costs[("classic",) + row], costs[("nop",) + row]
         assert abs((classic - nop) - 2 * s) < 1e-9, row
         c_bar = nop - 2 * s
-        # Every S3 target is listed, so the callback probes at least once.
+        # Every target is in the full list, so the callback probes at least once.
         probes = (c_bar - base) / lookup
         assert probes >= 1 and abs(probes - round(probes)) < 1e-9, row
         assert abs(classic / nop - (4 * s + c_bar) / (2 * s + c_bar)) < 1e-9, row

@@ -27,7 +27,6 @@ from hvguard.mediator import (
     PolicyOptions,
     Verdict,
     apply_verdict,
-    is_authenticated,
     mediate,
     required_checks,
     token_response,
@@ -167,9 +166,7 @@ def test_token_auth_success_sets_window():
     sessions = {}
     handled = try_token_auth("/tokens/abc" + ABCS_DIGEST, 2, table, options, sessions, seq=10)
     assert handled
-    assert sessions[1000] == 310
-    assert is_authenticated(sessions, 1000, seq=310)
-    assert not is_authenticated(sessions, 1000, seq=311)
+    assert sessions == {1000: 310}  # the expiry: valid through seq 310 inclusive
 
 
 def test_token_auth_wrong_response_handled_but_no_session():
@@ -473,18 +470,18 @@ def _python_calls(event, sacl, options):
 
 def test_a_hit_makes_the_same_calls_as_a_miss():
     sacl = parse_sacl("/etc/listed 644 0 0\n")
-    options = PolicyOptions()
-    hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
-    miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
-    assert hit.decision is miss.decision is PERMIT
     assert required_checks(ev("open", "/etc/listed", flags=["O_RDONLY"])) == {"/etc/listed": R}
-    assert hit.probes == miss.probes == 1
-    # No session check for a uid without a secret, and the cascade runs
-    # inside check_access, which a miss calls too.
-    assert hit_calls == miss_calls
-    assert "check_access" in hit_calls
-    # No token attempt without a secret: no uid could verify one.
-    assert "try_token_auth" not in hit_calls
+    # The cascade runs inside check_access, which a miss calls too, and the
+    # session check of a uid with a secret runs inline in mediate.
+    for options, hit_decision in ((PolicyOptions(), PERMIT), (PolicyOptions(secrets={1000: "s"}), DENY)):
+        hit, hit_calls = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
+        miss, miss_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
+        assert (hit.decision, miss.decision) == (hit_decision, PERMIT)
+        assert hit.probes == miss.probes == 1
+        assert hit_calls == miss_calls, options
+        assert "check_access" in hit_calls
+        # No token attempt without a secret: no uid could verify one.
+        assert ("try_token_auth" in hit_calls) == bool(options.secrets)
     with_secret = PolicyOptions(secrets={1: "s"})
     _, secret_calls = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, with_secret)
     assert "try_token_auth" in secret_calls
@@ -493,11 +490,10 @@ def test_a_hit_makes_the_same_calls_as_a_miss():
 def test_a_hit_checks_the_session_of_a_uid_with_a_secret():
     sacl = parse_sacl("/etc/listed 644 0 0\n")
     options = PolicyOptions(secrets={1000: "s"})
-    verdict, called = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
-    assert "is_authenticated" in called
+    verdict, _ = _python_calls(ev("open", "/etc/listed", flags=["O_RDONLY"]), sacl, options)
     assert (verdict.decision, verdict.reason) == (DENY, UNAUTHENTICATED)
-    _, called = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
-    assert "is_authenticated" not in called
+    verdict, _ = _python_calls(ev("open", "/etc/unlisted", flags=["O_RDONLY"]), sacl, options)
+    assert (verdict.decision, verdict.reason) == (PERMIT, PERMIT)
 
 
 # -- the Verdict contract ---------------------------------------------------------
